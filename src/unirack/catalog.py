@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
-from .ffield import embedding, make_field
+from .ffield import embedding, make_field, prime_power
 from .matgroup import (
     Endo, GroupError, Mat, Orbit, apply_endo, class_orbit, format_partition,
     group_spec, identity_flat, is_unipotent, jordan_partition, mul_flat,
@@ -225,7 +225,7 @@ def embed_local(local: Mat, slots: list[int], n2: int) -> Mat:
 def _regular_sp_block(d: int, q: int, scale_last: int = 1) -> Mat:
     "Regular unipotent of Sp_d(q): the product of the simple root elements."
     if d == 2:
-        F = make_field(*_pm(q))
+        F = make_field(*prime_power(q, CatalogError))
         return Mat(F, 2, (1, scale_last, 0, 1))
     model = symplectic_model(d // 2, q)
     word = []
@@ -239,7 +239,7 @@ def _regular_sp_block(d: int, q: int, scale_last: int = 1) -> Mat:
 
 def _w_block(m: int, q: int) -> Mat:
     "The embedded general-linear block: diag(X, J tX^-1 J), X a full Jordan."
-    F = make_field(*_pm(q))
+    F = make_field(*prime_power(q, CatalogError))
     if m == 1:
         return Mat.identity(F, 2)
     X = [[1 if j == i or j == i + 1 else 0 for j in range(m)] for i in range(m)]
@@ -252,18 +252,6 @@ def _w_block(m: int, q: int) -> Mat:
             flat[i * 2 * m + j] = Xm.flat[i * m + j]
             flat[(m + i) * 2 * m + (m + j)] = lower.flat[i * m + j]
     return Mat(F, 2 * m, flat)
-
-
-def _pm(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q == 1:
-                return p, m
-    raise CatalogError("bad q")
 
 
 def _label_blocks(label: UnipotentLabel, q: int) -> list[tuple[str, int, Mat]]:
@@ -316,7 +304,7 @@ def representative(label: UnipotentLabel, n2: int, q: int,
 
 def transvection_rep(n2: int, q: int, coeff: int = 1) -> Mat:
     "The highest-root element: id + coeff at the top-right corner."
-    F = make_field(*_pm(q))
+    F = make_field(*prime_power(q, CatalogError))
     flat = list(identity_flat(n2))
     flat[n2 - 1] = coeff
     return Mat(F, n2, flat)
@@ -429,8 +417,7 @@ def decomposition_type(u: Mat, spec) -> UnipotentLabel:
         if part % 2:
             if mult % 2:
                 raise CatalogError("odd part with odd multiplicity")
-            if part > 1 or True:
-                terms.append(("W", part, mult // 2))
+            terms.append(("W", part, mult // 2))
             continue
         if mult % 2:
             b = 1
@@ -536,7 +523,7 @@ def _sp_gens_on_slots(slots, n2: int, q: int) -> tuple:
     if len(slots) < 2:
         return ()
     if len(slots) == 2:
-        F = make_field(*_pm(q))
+        F = make_field(*prime_power(q, CatalogError))
         scalars = [F.pow(F.generator, j) for j in range(F.m)] if F.q > 2 else [1]
         gens = []
         for c in scalars:
@@ -762,8 +749,6 @@ def sl_expected(partition, n: int, q: int) -> str | None:
         kind, _, arg = pat.partition(":")
         if kind == "eq":
             return parts == (int(arg),)
-        if kind == "max>=" or kind.startswith("max"):
-            pass
         if pat.startswith("max>="):
             return parts[0] >= int(pat[5:])
         if pat.startswith("max=="):
@@ -840,7 +825,7 @@ def regular_pairs(spec, kind: str) -> PairReport:
             x2 = sigma * x1 * sigma.inverse()
             construction = "corner-swap conjugate"
         else:
-            p, m = _pm(q)
+            p, m = prime_power(q, CatalogError)
             x2 = x1.frobenius(m).transpose()
             construction = "conjugate-transpose"
             if (x2 * x1 * x2).flat[1 * n + 0] == 0:
@@ -875,7 +860,7 @@ def regular_pairs(spec, kind: str) -> PairReport:
             rep = PairReport(kind, x1, x2, True, "group", construction)
             rep.verify()
             return rep
-        for k in range(2, x1.order() if hasattr(x1, "order") else 8):
+        for k in range(2, x1.order()):
             cand = x1 ** k
             if cand != x1 and orb.contains(cand):
                 rep = PairReport(kind, x1, cand, True, "group", f"power {k}")

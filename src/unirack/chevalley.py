@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
-from .ffield import Field, make_field
+from .ffield import Field, make_field, prime_power
 from .matgroup import GroupError, Mat, identity_flat, symplectic_form
 
 Root = tuple[int, ...]
@@ -220,7 +221,7 @@ class SymplecticModel:
     def __init__(self, rank: int, q: int):
         self.rank = rank
         self.dim = 2 * rank
-        p, m = _prime_power(q)
+        p, m = prime_power(q, RootError)
         self.q = q
         self.field = make_field(p, m)
         self.rs = root_system(rank)
@@ -735,7 +736,7 @@ def torus_family(alpha: Root | None, beta: Root | None, q: int,
     if case == "su3":
         if q in (2, 5, 8):
             # 3(a-b) = 0 (mod q+1) collides for some pair
-            k = (q + 1) // _gcd(3, q + 1)
+            k = (q + 1) // math.gcd(3, q + 1)
             raise FamilyRefusal(
                 f"q = {q} is excluded: 3*{k} == 0 (mod {q + 1})", (3, 0, k, q + 1))
         mod = q * q - 1
@@ -754,12 +755,6 @@ def torus_family(alpha: Root | None, beta: Root | None, q: int,
     raise ValueError(f"unknown case {case!r}")
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # the twisted rank-2 unitary model
 
@@ -772,7 +767,7 @@ class SU3Model:
     """
 
     def __init__(self, q: int):
-        p, m = _prime_power(q)
+        p, m = prime_power(q, RootError)
         self.q = q
         self.p, self.m = p, m
         self.field = make_field(p, 2 * m)
@@ -862,16 +857,3 @@ class SU3Model:
 @functools.lru_cache(maxsize=None)
 def su3_model(q: int) -> SU3Model:
     return SU3Model(q)
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                raise RootError("q must be a prime power")
-            return p, m
-    raise RootError("q must be a prime power")

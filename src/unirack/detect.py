@@ -23,7 +23,9 @@ from .chevalley import (
     HypothesisError, FamilyRefusal, ab_property, torus_witness,
     torus_family, root_add,
 )
-from .matgroup import Mat, Orbit, class_orbit, orbit_under, subgroup_closure
+from .matgroup import (
+    Mat, Orbit, _closure, class_orbit, inv_flat, orbit_under, subgroup_closure,
+)
 
 
 class DetectError(ValueError):
@@ -341,45 +343,22 @@ def f_edge(r: Mat, s: Mat, cap: int = 10**6) -> bool:
     return not (orb_r.packed & orb_s.packed)
 
 
-def _orbit_hits(start: Mat, gen_pairs, targets: set, cap: int):
-    "Conjugation orbit BFS with early exit when a target element appears."
-    F, n = start.field, start.n
-    from .matgroup import mul_flat
-    seen = {start.pack()}
-    if seen & targets:
-        return True, seen
-    frontier = [start.flat]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, gi in gen_pairs:
-                y = mul_flat(F, n, mul_flat(F, n, g, x), gi)
-                b = bytes(y)
-                if b not in seen:
-                    if b in targets:
-                        return True, None
-                    seen.add(b)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise DetectError("orbit cap exceeded in the joint test")
-        frontier = nxt
-    return False, seen
-
-
 def _family_orbits_disjoint(elems, cap: int) -> bool:
     """Necessary condition at the family level: the orbits of the elements
     under the subgroup generated by all of them stay pairwise disjoint
     (each stable subrack of a genuine family contains the orbit of its
-    representative under conjugation by every family member)."""
-    from .matgroup import inv_flat
+    representative under conjugation by every family member).  Each orbit
+    search stops as soon as it meets another family element."""
     F, n = elems[0].field, elems[0].n
-    gen_pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in elems]
+    pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in elems]
     done = []
     for i, x in enumerate(elems):
         others = {e.pack() for j, e in enumerate(elems) if j != i}
-        hit, seen = _orbit_hits(x, gen_pairs, others, cap)
-        if hit:
+        seen, complete, _ = _closure(F, n, [x.flat], pairs, cap, targets=others)
+        if seen is None:
             return False
+        if not complete:
+            raise DetectError("orbit cap exceeded in the joint test")
         for s in done:
             if s & seen:
                 return False

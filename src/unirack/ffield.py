@@ -139,6 +139,18 @@ class FieldError(ValueError):
     pass
 
 
+def prime_power(q: int, error: type[Exception] = FieldError) -> tuple[int, int]:
+    "(p, m) with q = p^m; raises `error` when q is not a prime power."
+    primes = _factorize(q)
+    if len(primes) != 1:
+        raise error("q must be a prime power")
+    p, m = primes[0], 0
+    while q > 1:
+        q //= p
+        m += 1
+    return p, m
+
+
 class Field:
     """The field F_{p^m} with its canonical modulus and a fixed generator.
 
@@ -443,13 +455,19 @@ def frobenius(a: FieldElement, r: int) -> FieldElement:
     return FieldElement(a.field, a.field.frobenius(a.code, r))
 
 
-@functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> Field:
     """F_{p^m} with the canonical (least-code) irreducible modulus.
 
     Deterministic for fixed (p, m); the returned object is a process-wide
     singleton, so `is` comparisons are meaningful.
     """
+    return _field(p, m)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p: int, m: int) -> Field:
+    # keyed on (p, m) alone: make_field(3), make_field(3, 1) and
+    # make_field(p=3, m=1) must share one cache entry
     return Field(p, m)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 
-from .ffield import Field, FieldError, make_field
+from .ffield import Field, FieldError, make_field, prime_power
 
 DEFAULT_CAP = 10**6
 
@@ -25,6 +25,7 @@ class GroupError(ValueError):
 # flat-tuple matrix kernel
 
 
+@functools.lru_cache(maxsize=None)
 def identity_flat(n: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
 
@@ -392,7 +393,7 @@ def group_spec(family: str, n: int, q: int) -> GroupSpec:
         raise GroupError(f"unsupported family {family!r}")
     if n < 2 or n > 10 or q < 2 or q > 16:
         raise GroupError(f"{family}{n}({q}) is outside the supported desk-scale range")
-    p, m = _prime_power(q)
+    p, m = prime_power(q, GroupError)
 
     if family in ("GL", "SL"):
         F = make_field(p, m)
@@ -420,19 +421,6 @@ def group_spec(family: str, n: int, q: int) -> GroupSpec:
                      tuple(gens), classical_order(family, n, q))
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                raise GroupError("q must be a prime power")
-            return p, m
-    raise GroupError("q must be a prime power")
-
-
 def membership(X: Mat, spec: GroupSpec) -> bool:
     "Determinant and invariant-form constraints for the family."
     if X.n != spec.n:
@@ -448,7 +436,7 @@ def membership(X: Mat, spec: GroupSpec) -> bool:
         B = spec.form
         return (X.transpose() * B * X == B) and X.det() == 1
     # unitary condition: conj-transpose against the anti-diagonal form
-    p, m = _prime_power(spec.q)
+    p, m = prime_power(spec.q, GroupError)
     J = spec.form
     if X.frobenius(m).transpose() * J * X != J:
         return False
@@ -517,6 +505,99 @@ def format_partition(parts) -> str:
 # orbits and closures
 
 
+@functools.lru_cache(maxsize=None)
+def _table_rows(F: Field):
+    "The addition and multiplication tables of F, one row per left operand."
+    q = F.q
+    return (tuple(tuple(F._add_t[a * q:(a + 1) * q]) for a in range(q)),
+            tuple(tuple(F._mul_t[a * q:(a + 1) * q]) for a in range(q)))
+
+
+@functools.lru_cache(maxsize=None)
+def _lines(n: int):
+    "Row slices and column slices of a flat n-by-n matrix, with the identity's."
+    ident, nn = identity_flat(n), n * n
+    rows = tuple(slice(i * n, (i + 1) * n) for i in range(n))
+    cols = tuple(slice(j, nn, n) for j in range(n))
+    return tuple((lines, tuple(ident[s] for s in lines)) for lines in (rows, cols))
+
+
+def _compile(F: Field, n: int, L, R):
+    """x -> L x R on flat matrices, compiled to touch only the rows of L and
+    the columns of R that differ from the identity: each such line of the
+    result combines the lines its nonzero entries select, O(n) table look-ups
+    per entry where two dense products cost O(n^3).  Fields too large for
+    tables keep the dense products."""
+    if F._mul_t is None:
+        return lambda x: mul_flat(F, n, mul_flat(F, n, L, x), R)
+    add, mul = _table_rows(F)
+    phases = []               # rows of L, then columns of R
+    for M, (lines, ident_lines) in zip((L, R), _lines(n)):
+        ops = []              # (line, first term, other terms)
+        for dst, one in zip(lines, ident_lines):
+            coeffs = M[dst]
+            if coeffs != one:
+                terms = [(src, None if c == 1 else mul[c])
+                         for src, c in zip(lines, coeffs) if c]
+                ops.append((dst, terms[0], terms[1:]))
+        if ops:
+            phases.append(ops)
+
+    def act(x):
+        y = list(x)
+        for phase in phases:
+            for dst, (s0, m0), rest in phase:
+                line = x[s0] if m0 is None else [m0[v] for v in x[s0]]
+                for s, m in rest:
+                    line = ([add[a][b] for a, b in zip(line, x[s])] if m is None
+                            else [add[a][m[b]] for a, b in zip(line, x[s])])
+                y[dst] = line
+            x = tuple(y)
+        return x
+    return act
+
+
+def _closure(F: Field, n: int, starts, pairs, cap: int | None = None,
+             targets: set | None = None, want_transversal: bool = False):
+    """Breadth-first closure of the flat matrices `starts` under the actions
+    x -> L x R for (L, R) in `pairs`: frontier by frontier, each element in
+    the order found, each action in list order.
+
+    Returns (seen, complete, trans): the bytes of every element found; False
+    once more than `cap` are found, where the search stops; and, if wanted,
+    each element's product of the L factors that led to it from its start.
+    `seen` is None as soon as an element of `targets` is found, a start
+    included."""
+    acts = [_compile(F, n, L, R) for L, R in pairs]
+    seen = {bytes(x) for x in starts}
+    if targets is not None and not targets.isdisjoint(seen):
+        return None, True, None
+    trans = lefts = None
+    if want_transversal:
+        ident = identity_flat(n)
+        trans = dict.fromkeys(seen, ident)
+        lefts = [_compile(F, n, L, ident) for L, _ in pairs]
+    frontier = list(starts)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            xb = bytes(x)
+            for i, act in enumerate(acts):
+                y = act(x)
+                b = bytes(y)
+                if b not in seen:
+                    if targets is not None and b in targets:
+                        return None, False, None
+                    seen.add(b)
+                    nxt.append(y)
+                    if trans is not None:
+                        trans[b] = lefts[i](trans[xb])
+                    if cap is not None and len(seen) > cap:
+                        return seen, False, trans
+        frontier = nxt
+    return seen, True, trans
+
+
 class Orbit:
     """A conjugation orbit: packed-element set plus canonical order.
 
@@ -575,27 +656,9 @@ def class_orbit(rep: Mat, spec: GroupSpec, cap: int = DEFAULT_CAP,
     if not membership(rep, spec):
         raise GroupError("representative fails membership")
     F, n = spec.field, spec.n
-    gens = spec.gen_pairs()
-    seen = {bytes(rep.flat)}
-    trans = {bytes(rep.flat): identity_flat(n)} if want_transversal else None
-    frontier = [rep.flat]
-    complete = True
-    while frontier:
-        nxt = []
-        for x in frontier:
-            xb = bytes(x)
-            for g, gi in gens:
-                y = mul_flat(F, n, mul_flat(F, n, g, x), gi)
-                b = bytes(y)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(y)
-                    if trans is not None:
-                        trans[b] = mul_flat(F, n, g, trans[xb])
-                    if len(seen) > cap:
-                        return Orbit(F, n, seen, rep.flat, False, trans)
-        frontier = nxt
-    return Orbit(F, n, seen, rep.flat, True, trans)
+    seen, complete, trans = _closure(F, n, [rep.flat], spec.gen_pairs(), cap,
+                                     want_transversal=want_transversal)
+    return Orbit(F, n, seen, rep.flat, complete, trans)
 
 
 @dataclass
@@ -625,22 +688,10 @@ def subgroup_closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> Closure:
     for g in gens:
         if g.field is not F or g.n != n:
             raise GroupError("generators must share a field and size")
-    gen_flats = sorted({g.flat for g in gens} | {identity_flat(n)})
-    seen = {bytes(f) for f in gen_flats}
-    frontier = list(gen_flats)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gen_flats:
-                y = mul_flat(F, n, x, g)
-                b = bytes(y)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        return Closure(F, n, seen, False)
-        frontier = nxt
-    return Closure(F, n, seen, True)
+    ident = identity_flat(n)
+    gen_flats = sorted({g.flat for g in gens} | {ident})
+    seen, complete, _ = _closure(F, n, gen_flats, [(ident, g) for g in gen_flats], cap)
+    return Closure(F, n, seen, complete)
 
 
 def enumerate_group(spec: GroupSpec, cap: int = 3 * 10**6) -> Closure:
@@ -689,22 +740,11 @@ def split_classes(elements, spec: GroupSpec, mode: str = "conjugation",
     if mode == "twisted":
         if endo is None:
             raise GroupError("twisted mode needs an endomorphism")
-        gens = [(g.flat, inv_flat(F, n, apply_endo(g, endo).flat))
-                for g in sorted(spec.generators)]
+        pairs = [(g.flat, inv_flat(F, n, apply_endo(g, endo).flat))
+                 for g in sorted(spec.generators)]
         while pending:
             x = pending[min(pending)]
-            seen = {x.pack()}
-            frontier = [x.flat]
-            while frontier:
-                nxt = []
-                for f in frontier:
-                    for g, egi in gens:
-                        y = mul_flat(F, n, mul_flat(F, n, g, f), egi)
-                        b = bytes(y)
-                        if b not in seen:
-                            seen.add(b)
-                            nxt.append(y)
-                frontier = nxt
+            seen, _, _ = _closure(F, n, [x.flat], pairs)
             members = tuple(sorted(b for b in pending if b in seen))
             for b in members:
                 del pending[b]
@@ -748,7 +788,7 @@ def apply_endo(X: Mat, e: Endo) -> Mat:
     if e.kind == "frobenius_power":
         return X.frobenius(e.r)
     if e.kind == "unitary_twist":
-        p, m = _prime_power(e.q)
+        p, m = prime_power(e.q, GroupError)
         J = j_mat(X.field, X.n)
         return J * X.frobenius(m).inverse().transpose() * J
     if e.kind == "conjugation_by":
@@ -764,21 +804,7 @@ def orbit_under(rep: Mat, gens, cap: int = DEFAULT_CAP) -> Orbit:
     "Conjugation orbit of rep under an explicit generator list."
     F, n = rep.field, rep.n
     pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(gens)]
-    seen = {bytes(rep.flat)}
-    frontier = [rep.flat]
-    complete = True
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g, gi in pairs:
-                y = mul_flat(F, n, mul_flat(F, n, g, x), gi)
-                b = bytes(y)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        return Orbit(F, n, seen, rep.flat, False)
-        frontier = nxt
+    seen, complete, _ = _closure(F, n, [rep.flat], pairs, cap)
     return Orbit(F, n, seen, rep.flat, complete)
 
 

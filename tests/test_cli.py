@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -147,3 +148,28 @@ def test_reference_table_file_matches_rules():
     from unirack.catalog import reference_table_text
     data = pathlib.Path("src/unirack/data/reference_verdicts.tsv").read_text()
     assert data == reference_table_text()
+
+
+# SHA-256 of each report as the dense-product orbit loops wrote it; the
+# compiled orbit kernel must reproduce every byte
+REPORT_DIGESTS = {
+    ("classify", "--n", "2", "--q", "2"):
+        "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
+    ("classify", "--n", "2", "--q", "3"):
+        "7873da03a24478c259df3116ca522a29144fbcea5e363a76aaf6b8be5d3f192b",
+    ("catalog", "--n", "2", "--q", "3"):
+        "3dc394746e9f341e69531585ce09299d697f3044d02ece2a8351dc09dd127866",
+    ("refute", "--kind", "f", "--n", "2", "--q", "3", "--label", "2,2",
+     "--split", "0"):
+        "39f934f0b58190db17b484f3c03d7c925b9e5fb7afc7341c3d7eeb9b0a908840",
+    ("witness", "--family", "gu", "--n", "3", "--q", "2"):
+        "c51b66eef7bb990f9aebc2b186a2ac87ec06b9e6d17dc2d7cb757d24dba20398",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_report_digests_are_pinned(tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("UNIRACK_CACHE", raising=False)
+    out = tmp_path / "out.json"
+    assert main(["--output", str(out), *argv]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from unirack.ffield import (
-    FieldError, arith, embedding, frobenius, is_prime, make_field,
+    Embedding, FieldError, arith, embedding, frobenius, is_prime, make_field,
+    prime_power,
 )
+from unirack.matgroup import Mat, group_spec
 
 
 def brute_irreducibles_deg2_f2():
@@ -159,6 +161,28 @@ def test_make_field_validation():
     with pytest.raises(FieldError):
         make_field(2, 0)
     assert is_prime(2) and not is_prime(1)
+
+
+def test_make_field_is_one_singleton_per_field():
+    "Default, positional and keyword spellings of (p, m) share one Field."
+    assert make_field(3) is make_field(3, 1) is make_field(p=3, m=1)
+    # so a matrix descended from F_9 equals the same matrix of SL_2(3)
+    emb = Embedding(make_field(3), make_field(3, 2))
+    spec = group_spec("SL", 2, 3)
+    u = Mat(spec.field, 2, (1, 2, 0, 1))
+    assert u.map_to(emb).descend_to(emb) == u
+
+
+def test_prime_power():
+    assert prime_power(2) == (2, 1)
+    assert prime_power(9) == (3, 2)
+    assert prime_power(16) == (2, 4)
+    assert prime_power(17) == (17, 1)
+    for q in (0, 1, 6, 12, 100):
+        with pytest.raises(FieldError):
+            prime_power(q)
+    with pytest.raises(KeyError):
+        prime_power(6, KeyError)
 
 
 def test_format_and_header():

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from unirack.detect import DetectError, _family_orbits_disjoint
 from unirack.ffield import make_field
 from unirack.matgroup import (
-    Endo, GroupError, Mat, apply_endo, class_orbit, classical_order,
-    enumerate_group, format_partition, group_spec, is_unipotent, j_mat,
-    jordan_partition, mat_from_ints, membership, random_element,
-    split_classes, subgroup_closure, symplectic_form,
+    Endo, GroupError, Mat, _compile, apply_endo, class_orbit, classical_order,
+    enumerate_group, format_partition, group_spec, identity_flat, inv_flat,
+    is_unipotent, j_mat, jordan_partition, mat_from_ints, membership,
+    mul_flat, random_element, split_classes, subgroup_closure,
+    symplectic_form,
 )
 
 
@@ -293,3 +295,170 @@ def test_opposite_transvections_generate_inside_rank_one_copy():
         assert m.entry(1, 2) == 0 and m.entry(2, 1) == 0
         assert m.entry(0, 1) == 0 and m.entry(0, 2) == 0
     assert closure.size <= 24 * 2    # inside the rank-one subgroup
+
+
+# ---------------------------------------------------------------------------
+# the orbit kernel against plain dense products
+
+BUNDLED = ([("SL", 2, q) for q in (3, 4, 5, 7, 9)]
+           + [("Sp", 4, q) for q in (2, 3, 4, 5)]
+           + [("Sp", 6, 2), ("SU", 3, 2), ("GU", 3, 3)])
+
+
+def reference_bfs(F, n, starts, pairs, cap=None, targets=None, transversal=False):
+    """Breadth-first closure under x -> L x R by two dense products per
+    step; returns (seen, complete, trans), seen None on a target hit."""
+    seen = {bytes(x) for x in starts}
+    if targets and seen & targets:
+        return None, True, None
+    trans = {bytes(x): identity_flat(n) for x in starts} if transversal else None
+    frontier = list(starts)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for L, R in pairs:
+                y = mul_flat(F, n, mul_flat(F, n, L, x), R)
+                b = bytes(y)
+                if b in seen:
+                    continue
+                if targets and b in targets:
+                    return None, False, None
+                seen.add(b)
+                nxt.append(y)
+                if trans is not None:
+                    trans[b] = mul_flat(F, n, L, trans[bytes(x)])
+                if cap is not None and len(seen) > cap:
+                    return seen, False, trans
+        frontier = nxt
+    return seen, True, trans
+
+
+@pytest.mark.parametrize("fam,n,q", BUNDLED)
+def test_compiled_actions_match_dense_products(fam, n, q):
+    spec = group_spec(fam, n, q)
+    F = spec.field
+    ident = identity_flat(n)
+    rng = random.Random(41)
+    xs = [random_element(spec, rng).flat for _ in range(50)]
+    r, s = xs[0], xs[1]
+    actions = list(spec.gen_pairs())                       # conjugation
+    actions += [(g, ident) for g, _ in spec.gen_pairs()]   # transversal steps
+    actions += [(ident, g) for g, _ in spec.gen_pairs()]   # products
+    actions += [(r, inv_flat(F, n, r)), (s, inv_flat(F, n, s))]  # dense pairs
+    for L, R in actions:
+        act = _compile(F, n, L, R)
+        for x in xs:
+            assert act(x) == mul_flat(F, n, mul_flat(F, n, L, x), R)
+
+
+def test_compiled_action_without_field_tables():
+    "Fields too large for tables keep the dense products."
+    F = make_field(2, 9)
+    assert F._mul_t is None
+    rng = random.Random(43)
+    L = (F.generator, 1, 0, 1)
+    R = inv_flat(F, 2, L)
+    act = _compile(F, 2, L, R)
+    for _ in range(20):
+        x = tuple(rng.randrange(F.q) for _ in range(4))
+        assert act(x) == mul_flat(F, 2, mul_flat(F, 2, L, x), R)
+
+
+@pytest.mark.parametrize("fam,n,q", [("Sp", 4, 3), ("Sp", 6, 2), ("GU", 3, 3)])
+def test_class_orbit_matches_reference_bfs(fam, n, q):
+    spec = group_spec(fam, n, q)
+    F = spec.field
+    rng = random.Random(47)
+    reps = [transvection(spec)] if fam == "Sp" else []
+    reps += [spec.identity()] + [random_element(spec, rng) for _ in range(2)]
+    for rep in reps:
+        ref_seen, ref_complete, ref_trans = reference_bfs(
+            F, n, [rep.flat], spec.gen_pairs(), cap=2000, transversal=True)
+        orb = class_orbit(rep, spec, cap=2000, want_transversal=True)
+        assert orb.complete == ref_complete
+        assert orb.packed == ref_seen
+        assert orb.transversal == ref_trans
+    # a capped orbit stops at exactly the same elements
+    rep = transvection(spec) if fam == "Sp" else reps[-1]
+    ref_seen, ref_complete, ref_trans = reference_bfs(
+        F, n, [rep.flat], spec.gen_pairs(), cap=17, transversal=True)
+    orb = class_orbit(rep, spec, cap=17, want_transversal=True)
+    assert not ref_complete and not orb.complete and len(orb.packed) == 18
+    assert orb.packed == ref_seen
+    assert orb.transversal == ref_trans
+
+
+@pytest.mark.parametrize("cap", [10**6, 40])
+def test_subgroup_closure_matches_reference_bfs(cap):
+    spec = group_spec("Sp", 4, 3)
+    F, n = spec.field, spec.n
+    rng = random.Random(53)
+    gens = [random_element(spec, rng), transvection(spec)]
+    ident = identity_flat(n)
+    gen_flats = sorted({g.flat for g in gens} | {ident})
+    ref_seen, ref_complete, _ = reference_bfs(
+        F, n, gen_flats, [(ident, g) for g in gen_flats], cap=cap)
+    closure = subgroup_closure(gens, cap=cap)
+    assert closure.complete == ref_complete == (cap > 1000)
+    assert closure.packed == ref_seen
+
+
+def test_twisted_split_matches_reference_bfs():
+    """Twisted orbits x -> g x Fr(g)^-1 in SL_2(4); the identity's orbit
+    has the index of its stabilizer, the Frobenius-fixed SL_2(2)."""
+    spec = group_spec("SL", 2, 4)
+    F, n = spec.field, spec.n
+    fr = Endo.frobenius_power(1)
+    rng = random.Random(59)
+    elements = {spec.identity()} | {random_element(spec, rng) for _ in range(5)}
+    parts = split_classes(elements, spec, mode="twisted", endo=fr)
+    pairs = [(g.flat, inv_flat(F, n, apply_endo(g, fr).flat))
+             for g in sorted(spec.generators)]
+    pending = {m.pack() for m in elements}
+    for part in parts:
+        start = min(pending)
+        ref_seen, _, _ = reference_bfs(F, n, [tuple(start)], pairs)
+        assert part.orbit.packed == ref_seen
+        assert part.members == tuple(sorted(b for b in pending if b in ref_seen))
+        pending -= set(part.members)
+    assert not pending
+    ident = spec.identity().pack()
+    assert [p.size for p in parts if ident in p.members] == [60 // 6]
+
+
+def reference_family_orbits_disjoint(elems, cap):
+    F, n = elems[0].field, elems[0].n
+    pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in elems]
+    done = []
+    for i, x in enumerate(elems):
+        others = {e.pack() for j, e in enumerate(elems) if j != i}
+        seen, complete, _ = reference_bfs(F, n, [x.flat], pairs, cap=cap,
+                                          targets=others)
+        if seen is None:
+            return False
+        if not complete:
+            raise DetectError("orbit cap exceeded in the joint test")
+        if any(s & seen for s in done):
+            return False
+        done.append(seen)
+    return True
+
+
+@pytest.mark.parametrize("fam,n,q", [("Sp", 4, 2), ("Sp", 6, 2)])
+def test_family_orbits_disjoint_matches_reference_bfs(fam, n, q):
+    spec = group_spec(fam, n, q)
+    members = list(class_orbit(transvection(spec), spec).mats())
+    rng = random.Random(61)
+    outcomes = set()
+    for size in (3, 4):
+        for _ in range(40):
+            elems = rng.sample(members, size)
+            got = _family_orbits_disjoint(elems, 10**6)
+            assert got == reference_family_orbits_disjoint(elems, 10**6)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+    elems = rng.sample(members, 3)
+    with pytest.raises(DetectError):
+        _family_orbits_disjoint(elems, 1)
+    with pytest.raises(DetectError):
+        reference_family_orbits_disjoint(elems, 1)
