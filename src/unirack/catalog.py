@@ -85,14 +85,6 @@ class UnipotentLabel:
             return all(p == 1 for p in self.partition)
         return all(kind == "W" and param == 1 for kind, param, mult in self.decomp)
 
-    def w_mult(self, m: int) -> int:
-        return sum(mult for kind, param, mult in self.decomp
-                   if kind == "W" and param == m)
-
-    def v_mult(self, two_k: int) -> int:
-        return sum(mult for kind, param, mult in self.decomp
-                   if kind == "V" and param == two_k)
-
     def is_regular(self, n2: int) -> bool:
         if self.parity == "odd":
             return self.partition == (n2,)
@@ -487,19 +479,13 @@ def group_catalog(n2: int, q: int) -> GroupCatalog:
     entries = []
     total = 1
     for label in sorted(by_label):
-        pending = {u.pack(): u for u in by_label[label]}
-        orbits = []
-        while pending:
-            u = pending[min(pending)]
-            orb = class_orbit(u, spec)
-            members = tuple(pending[b] for b in sorted(pending) if b in orb.packed)
-            for m in members:
-                del pending[m.pack()]
-            orbits.append((orb, members))
-        orbits.sort(key=lambda om: min(om[0].packed))
-        for k, (orb, members) in enumerate(orbits):
-            entries.append(ClassEntry(label, k, orb, members))
-            total += orb.size
+        by_pack = {u.pack(): u for u in by_label[label]}
+        split = sorted(split_classes(by_label[label], spec),
+                       key=lambda sc: min(sc.orbit.packed))
+        for k, sc in enumerate(split):
+            members = tuple(by_pack[b] for b in sc.members)
+            entries.append(ClassEntry(label, k, sc.orbit, members))
+            total += sc.size
     n_pos = (n2 // 2) ** 2
     if total != q ** (2 * n_pos):
         raise CatalogError("class sizes do not sum to the unipotent count")
@@ -709,61 +695,30 @@ def _expected_even(label, n2, q) -> Expectation:
     return Expectation(("uncovered",), None, "none", uncovered=True)
 
 
+# one predicate of (partition, n, q) per row, then the verdict; the first
+# matching row wins.  p[:k] == (...) tests the k largest parts.
 SL_TABLE_ROWS = (
-    # (n_cond, q_cond, partition pattern, verdict)
-    ("n==2", "odd_square_gt9", "eq:2", "D"),
-    ("n>2", "odd", "max>=3", "D"),
-    ("n>2", "odd", "shape:2,2", "D"),
-    ("n>2", "odd", "shape:2,1", "D"),
-    ("n>2", "even", "max>=5", "F"),
-    ("n>2", "even", "max==4", "D"),
-    ("n>2", "even", "shape:3,3", "D"),
-    ("n>2", "even", "shape:3,2", "F"),
-    ("n>2", "even", "shape:3,1", "D"),
-    ("n>2", "even", "shape:2,2", "D"),
-    ("n>2", "even", "shape:2,1,1,1", "F"),
-    ("n==3", "even_ge8", "eq:3", "F"),
-    ("n==3", "q==4", "eq:3", "D"),
+    (lambda p, n, q: n == 2 and _is_odd_square_gt9(q) and p == (2,), "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 1 and p[0] >= 3, "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 1 and p[:2] == (2, 2), "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 1 and p[:2] == (2, 1), "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[0] >= 5, "F"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[0] == 4, "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[:2] == (3, 3), "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[:2] == (3, 2), "F"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[:2] == (3, 1), "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[:2] == (2, 2), "D"),
+    (lambda p, n, q: n > 2 and q % 2 == 0 and p[:4] == (2, 1, 1, 1), "F"),
+    (lambda p, n, q: n == 3 and q % 2 == 0 and q >= 8 and p == (3,), "F"),
+    (lambda p, n, q: n == 3 and q == 4 and p == (3,), "D"),
 )
 
 
 def sl_expected(partition, n: int, q: int) -> str | None:
     "Linear-group class verdicts used for subrack lookups."
     parts = tuple(sorted(partition, reverse=True))
-
-    def n_ok(cond):
-        return eval(cond, {}, {"n": n})
-
-    def q_ok(cond):
-        if cond == "odd":
-            return q % 2 == 1
-        if cond == "even":
-            return q % 2 == 0
-        if cond == "odd_square_gt9":
-            return _is_odd_square_gt9(q)
-        if cond == "even_ge8":
-            return q % 2 == 0 and q >= 8
-        return eval(cond, {}, {"q": q})
-
-    def p_ok(pat):
-        kind, _, arg = pat.partition(":")
-        if kind == "eq":
-            return parts == (int(arg),)
-        if pat.startswith("max>="):
-            return parts[0] >= int(pat[5:])
-        if pat.startswith("max=="):
-            return parts[0] == int(pat[5:])
-        if kind == "shape":
-            want = tuple(int(x) for x in arg.split(","))
-            if len(want) > len(parts):
-                return False
-            return parts[:len(want)] == want
-        raise CatalogError(pat)
-
-    for n_cond, q_cond, pat, verdict in SL_TABLE_ROWS:
-        if n_ok(n_cond) and q_ok(q_cond) and p_ok(pat):
-            return verdict
-    return None
+    return next((verdict for holds, verdict in SL_TABLE_ROWS
+                 if holds(parts, n, q)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -982,12 +937,7 @@ class RowReport:
     label: UnipotentLabel
     expectation: Expectation
     records: list
-    count_matches: bool
-    verdicts_match: bool
-
-    @property
-    def matched(self) -> bool:
-        return self.count_matches and self.verdicts_match
+    matched: bool
 
     def to_json(self):
         return {"label": str(self.label), "rule": self.expectation.rule,
@@ -997,24 +947,22 @@ class RowReport:
                 "records": [r.to_json() for r in self.records]}
 
 
-def _verdicts_compatible(computed: tuple, exp: Expectation) -> bool:
+def row_matched(exp: Expectation, computed: tuple) -> bool:
+    """Whether a row's verdict kinds, one per split class, meet its
+    expectation: the class count and the verdict multiset (a single expected
+    verdict applies to every class when the count is open; DF admits D or
+    F).  An unknown verdict never matches."""
+    if "unknown" in computed:
+        return False
+    if exp.class_count is not None and exp.class_count != len(computed):
+        return False
     if exp.uncovered:
         return True
-    want = sorted(exp.verdicts)
-    got = sorted(computed)
-    if exp.class_count is None:
-        # a single expected verdict applies to every class of the row
-        want_single = exp.verdicts[0]
-        return all(_one_ok(g, want_single) for g in got)
-    if len(got) != len(want):
-        return False
-    return all(_one_ok(g, w) for g, w in zip(got, sorted(want)))
-
-
-def _one_ok(got: str, want: str) -> bool:
-    if want == "DF":
-        return got in ("D", "F")
-    return got == want
+    want = (sorted(exp.verdicts) if exp.class_count is not None
+            else exp.verdicts[:1] * len(computed))
+    return len(want) == len(computed) and all(
+        g == w or (w == "DF" and g in ("D", "F"))
+        for g, w in zip(sorted(computed), want))
 
 
 def verify_row(label: UnipotentLabel, n2: int, q: int,
@@ -1035,20 +983,7 @@ def verify_row(label: UnipotentLabel, n2: int, q: int,
         records.append(ClassRecord(cat.spec.name, str(label), e.split_index,
                                    e.size, verdict, want))
     computed = tuple(r.verdict.kind for r in records)
-    count_ok = exp.class_count is None or exp.class_count == len(entries)
-    verdicts_ok = _verdicts_compatible(computed, exp)
-    return RowReport(label, exp, records, count_ok, verdicts_ok)
-
-
-def verify_table(n2: int, q: int, budget: Budget = Budget(), seed: int = 0,
-                 labels=None) -> list[RowReport]:
-    cat = group_catalog(n2, q)
-    out = []
-    for label in cat.labels():
-        if labels is not None and label not in labels:
-            continue
-        out.append(verify_row(label, n2, q, budget=budget, seed=seed))
-    return out
+    return RowReport(label, exp, records, row_matched(exp, computed))
 
 
 REFERENCE_TABLE_GROUPS = ((4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3))
@@ -1095,14 +1030,5 @@ def transvection_split_rack_iso(n2: int, q: int) -> bool:
     d = Mat(F, n2, d_flat)
     image = {(d * Mat(F, n2, tuple(b)) * d.inverse()).pack()
              for b in o1.packed}
-    if image != o2.packed:
-        return False
-    # conjugation automatically preserves the operation; spot-check anyway
-    mats = sorted(o1.mats())[:6]
-    for x in mats:
-        for y in mats:
-            lhs = d * (x * y * x.inverse()) * d.inverse()
-            rhs = (d * x * d.inverse()) * (d * y * d.inverse()) * (d * x * d.inverse()).inverse()
-            if lhs != rhs:
-                return False
-    return True
+    # conjugation is a group automorphism, so it preserves the rack operation
+    return image == o2.packed

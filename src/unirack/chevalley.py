@@ -316,9 +316,6 @@ class SymplecticModel:
             yield coeffs, self.evaluate(
                 ChevalleyWord(tuple(zip(order, coeffs)), 0))
 
-    def u_size(self) -> int:
-        return self.field.q ** len(self.rs.positive)
-
     def evaluate(self, word: ChevalleyWord) -> Mat:
         out = Mat.identity(self.field, self.dim)
         for r, c in word.factors:
@@ -400,18 +397,6 @@ def support_factorize(model: SymplecticModel, u: Mat,
                       ordering_id: int = 0) -> ChevalleyWord:
     "The unique ordered root-factor expression of a Borel-radical element."
     return model.factorize(u, ordering_id)
-
-
-def chevalley_element(kind: str, n2: int, q: int, root=None, t: int = 1, word=None) -> Mat:
-    "Dispatch surface: x_alpha / coroot_torus / weyl_rep as explicit matrices."
-    model = symplectic_model(n2 // 2, q)
-    if kind == "x_alpha":
-        return model.x(tuple(root), t)
-    if kind == "coroot_torus":
-        return model.torus(word).mat
-    if kind == "weyl_rep":
-        return model.weyl_rep(tuple(root))
-    raise RootError(f"unknown element kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ found, 3 budget exhausted (unknowns remain), 64 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -22,13 +21,13 @@ from . import ARTIFACT_VERSION, SCHEMA_VERSION
 from .cache import Cache, canonical_json
 from .catalog import (
     class_context, enumerate_labels, expected, group_catalog, gu3_witness,
-    parse_label, _verdicts_compatible,
+    parse_label, row_matched,
 )
 from .chevalley import (
     ChevalleyWord, FamilyRefusal, HypothesisError, commutator_data,
     root_add, symplectic_model, torus_family, torus_witness,
 )
-from .detect import Budget, DetectError, classify, collapse_eq_holds, d_pair
+from .detect import Budget, DetectError, classify, d_pair
 from .ffield import make_field
 from .matgroup import Mat
 
@@ -50,8 +49,6 @@ def _revalidate_verdict(value) -> bool:
     if w.get("kind") == "witness_D":
         r = _mat_from_json(w["r"])
         s = _mat_from_json(w["s"])
-        if collapse_eq_holds(r, s):
-            return False
         res = d_pair(r, s, subgroup_cap=0)
         return res.kind == "witness"
     if w.get("kind") == "witness_F":
@@ -124,16 +121,13 @@ def _classify_rows(args, cache, budget, labels=None):
             records.append({"split_index": entry.split_index,
                             "size": entry.size, **vj})
         computed = tuple(r["verdict"] for r in records)
-        unknowns += sum(1 for v in computed if v == "unknown")
-        count_ok = exp.class_count is None or exp.class_count == len(records)
-        verdicts_ok = (_verdicts_compatible(computed, exp)
-                       and "unknown" not in computed)
-        if not (count_ok and verdicts_ok):
-            mismatches += 1
+        unknowns += computed.count("unknown")
+        matched = row_matched(exp, computed)
+        mismatches += not matched
         rows.append({"label": str(label), "rule": exp.rule,
                      "expected": list(exp.verdicts),
                      "expected_count": exp.class_count,
-                     "matched": count_ok and verdicts_ok,
+                     "matched": matched,
                      "records": records})
     return cat, rows, unknowns, mismatches
 

@@ -36,12 +36,13 @@ class DetectError(ValueError):
 class Budget:
     "Deterministic search budgets; no wall-clock dependence anywhere."
     orbit_cap: int = 10**6
-    subgroup_cap: int = 20000
     sample_pairs: int = 64
-    torus_u_limit: int = 24
-    block_pairs: int = 200
     refute_pair_cap: int | None = None
-    allow_refute: bool = True
+
+
+SUBGROUP_CAP = 20000      # cap on a D witness's <r,s> and on block orbits
+TORUS_U_LIMIT = 24        # U-members tried by the torus constructions
+BLOCK_PAIRS = 200         # block-orbit pairs tried by product and block
 
 
 def mat_json(m: Mat) -> dict:
@@ -101,22 +102,11 @@ class DWitness:
             raise DetectError("stored s-orbit disagrees with recomputation")
         if set(self.orbit_r) & set(self.orbit_s):
             raise DetectError("witness orbits are not disjoint")
-        self._check_union_is_decomposable_subrack(orb_r, orb_s)
+        # The union needs no product check: both orbits lie in <r,s> and are
+        # stable under conjugation by it, so x > y lies in the orbit of y for
+        # all x, y in the union.  The union is therefore a decomposable
+        # subrack with the two disjoint orbits as its blocks.
         return True
-
-    def _check_union_is_decomposable_subrack(self, orb_r: Orbit, orb_s: Orbit):
-        F, n = self.r.field, self.r.n
-        union = [Mat(F, n, tuple(b)) for b in list(self.orbit_r) + list(self.orbit_s)]
-        keys = set(self.orbit_r) | set(self.orbit_s)
-        pairs = ((x, y) for x in union for y in union)
-        if len(union) > 64:
-            rng = random.Random(0)
-            pairs = (((union[rng.randrange(len(union))],
-                       union[rng.randrange(len(union))]))
-                     for _ in range(2000))
-        for x, y in pairs:
-            if (x * y * x.inverse()).pack() not in keys:
-                raise DetectError("witness union is not a subrack")
 
     def to_json(self) -> dict:
         return {
@@ -139,7 +129,7 @@ class DPairResult:
     note: str = ""
 
 
-def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = 20000,
+def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
            strategy: str = "search") -> DPairResult:
     """Evaluate one candidate pair.
 
@@ -502,12 +492,12 @@ def _supp_pairs(model, word):
     return out
 
 
-def find_d_torus(ctx: ClassContext, budget: Budget) -> DWitness | None:
+def find_d_torus(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
     "Torus conjugate witness from the support condition (odd q)."
     model = ctx.model
     if model is None or ctx.spec.q % 2 == 0:
         return None
-    for u in ctx.u_members[:budget.torus_u_limit]:
+    for u in ctx.u_members[:TORUS_U_LIMIT]:
         word = model.factorize(u)
         for a, b in _supp_pairs(model, word):
             if not ab_property(model, word, a, b):
@@ -518,14 +508,13 @@ def find_d_torus(ctx: ClassContext, budget: Budget) -> DWitness | None:
                 continue
             t = w.torus.mat
             s = t * u * t.inverse()
-            res = d_pair(u, s, cap=budget.orbit_cap,
-                         subgroup_cap=budget.subgroup_cap, strategy="torus")
+            res = d_pair(u, s, cap=budget.orbit_cap, strategy="torus")
             if res.kind == "witness":
                 return res.witness
     return None
 
 
-def find_f_torus(ctx: ClassContext, budget: Budget) -> FWitness | None:
+def find_f_torus(ctx: ClassContext, budget: Budget, seed: int) -> FWitness | None:
     """Torus-translate 4-families: the rank-2 diagonal family for even q > 2
     regular classes, and the generic family when q is large enough."""
     model = ctx.model
@@ -549,7 +538,7 @@ def find_f_torus(ctx: ClassContext, budget: Budget) -> FWitness | None:
             if isinstance(got, FWitness):
                 return got
     if q not in (2, 3, 4, 5, 7):
-        for u in ctx.u_members[:budget.torus_u_limit]:
+        for u in ctx.u_members[:TORUS_U_LIMIT]:
             word = model.factorize(u)
             for a, b in _supp_pairs(model, word):
                 if not ab_property(model, word, a, b):
@@ -579,18 +568,18 @@ def _eq21_pair_in_orbit(orbit_mats, limit):
     return None
 
 
-def find_d_product(ctx: ClassContext, budget: Budget) -> DWitness | None:
+def find_d_product(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
     """Product-rack witness: a collapse-violating pair in one block times a
     distinct commuting pair in the complement (the two-factor construction
     for products of racks)."""
     for blk in ctx.blocks:
         if blk.component.is_identity() or blk.rest.is_identity():
             continue
-        x_orb = orbit_under(blk.component, blk.gens, cap=budget.subgroup_cap)
+        x_orb = orbit_under(blk.component, blk.gens, cap=SUBGROUP_CAP)
         if not x_orb.complete:
             continue
         x_mats = list(x_orb.mats())
-        pair = _eq21_pair_in_orbit(x_mats, budget.block_pairs)
+        pair = _eq21_pair_in_orbit(x_mats, BLOCK_PAIRS)
         if pair is None:
             continue
         y_orb = orbit_under(blk.rest, blk.comp_gens, cap=budget.orbit_cap)
@@ -602,20 +591,19 @@ def find_d_product(ctx: ClassContext, budget: Budget) -> DWitness | None:
             continue
         x1, x2 = pair
         r, s = x1 * y1, x2 * y2
-        res = d_pair(r, s, cap=budget.orbit_cap,
-                     subgroup_cap=budget.subgroup_cap, strategy="product")
+        res = d_pair(r, s, cap=budget.orbit_cap, strategy="product")
         if res.kind == "witness" and ctx.orbit.contains(r) and ctx.orbit.contains(s):
             return res.witness
     return None
 
 
-def find_d_block(ctx: ClassContext, budget: Budget) -> DWitness | None:
+def find_d_block(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
     """Witness embedded from a single block: a type-D pair of the block class
     times the untouched rest of the representative."""
     for blk in ctx.blocks:
         if blk.component.is_identity():
             continue
-        x_orb = orbit_under(blk.component, blk.gens, cap=budget.subgroup_cap)
+        x_orb = orbit_under(blk.component, blk.gens, cap=SUBGROUP_CAP)
         if not x_orb.complete:
             continue
         a = blk.component
@@ -624,11 +612,10 @@ def find_d_block(ctx: ClassContext, budget: Budget) -> DWitness | None:
             if b == a:
                 continue
             count += 1
-            if count > budget.block_pairs:
+            if count > BLOCK_PAIRS:
                 break
             r, s = a * blk.rest, b * blk.rest
-            res = d_pair(r, s, cap=budget.orbit_cap,
-                         subgroup_cap=budget.subgroup_cap, strategy="block")
+            res = d_pair(r, s, cap=budget.orbit_cap, strategy="block")
             if res.kind == "witness" and ctx.orbit.contains(r) and ctx.orbit.contains(s):
                 return res.witness
     return None
@@ -661,11 +648,26 @@ def find_d_sampled(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | N
             seen.add(b)
             candidates.append(Mat(F, n, tuple(b)))
     for s in candidates:
-        res = d_pair(rep, s, cap=budget.orbit_cap,
-                     subgroup_cap=budget.subgroup_cap, strategy="sampled")
+        res = d_pair(rep, s, cap=budget.orbit_cap, strategy="sampled")
         if res.kind == "witness":
             return res.witness
     return None
+
+
+def strategies() -> tuple:
+    """The search strategies in pipeline order: (name, verdict kind, finder,
+    log line on a miss).  The torus constructions give type D for odd q and
+    type-F families for even q; then come the product and single-block
+    constructions and a seeded sample.  The finders are looked up when this
+    is called, so a rebound module attribute takes effect."""
+    return (
+        ("torus", "D", find_d_torus, "torus D: no applicable support pair"),
+        ("torus", "F", find_f_torus, "torus F: no applicable family"),
+        ("product", "D", find_d_product,
+         "product: no block split with both pair kinds"),
+        ("block", "D", find_d_block, "block: no embedded witness"),
+        ("sampled", "D", find_d_sampled, "sampled: no witness among candidates"),
+    )
 
 
 def find_d(ctx: ClassContext, strategy: str = "auto",
@@ -675,24 +677,18 @@ def find_d(ctx: ClassContext, strategy: str = "auto",
     torus / product / block / sampled run one strategy; exhaustive runs the
     fixed-representative scan and returns its witness or None; auto runs
     them in pipeline order and stops at the first witness."""
-    if strategy == "torus":
-        return find_d_torus(ctx, budget)
-    if strategy == "product":
-        return find_d_product(ctx, budget)
-    if strategy == "block":
-        return find_d_block(ctx, budget)
-    if strategy == "sampled":
-        return find_d_sampled(ctx, budget, seed)
     if strategy == "exhaustive":
         got = refute_d(ctx.spec, ctx.orbit, budget)
         return got if isinstance(got, DWitness) else None
-    if strategy == "auto":
-        for s in ("torus", "product", "block", "sampled", "exhaustive"):
-            w = find_d(ctx, s, budget, seed)
-            if w is not None:
-                return w
-        return None
-    raise DetectError(f"unknown strategy {strategy!r}")
+    finders = [f for name, kind, f, _ in strategies()
+               if kind == "D" and strategy in (name, "auto")]
+    if not finders:
+        raise DetectError(f"unknown strategy {strategy!r}")
+    for finder in finders:
+        w = finder(ctx, budget, seed)
+        if w is not None:
+            return w
+    return find_d(ctx, "exhaustive", budget) if strategy == "auto" else None
 
 
 # ---------------------------------------------------------------------------
@@ -729,41 +725,19 @@ class Verdict:
 
 def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
              resume=None, checkpoint_cb=None) -> Verdict:
-    """Strategy pipeline, in fixed order: torus constructions (type D for
-    odd q, type-F families for even q), the product and single-block
-    constructions, a seeded sample, then the exhaustive refutations.
-    cthulhu only when the not_D certificate is exhaustive and the not_F
-    certificate holds at necessary-condition grade.
+    """The pipeline: the search strategies of `strategies()` in order, up to
+    the first witness, then the exhaustive refutations.  cthulhu only when
+    the not_D certificate is exhaustive and the not_F certificate holds at
+    necessary-condition grade.
     """
     logs = []
-
-    w = find_d_torus(ctx, budget)
-    if w:
-        return Verdict("D", witness_d=w, strategy="torus", seed=seed, logs=tuple(logs))
-    logs.append("torus D: no applicable support pair")
-
-    fw = find_f_torus(ctx, budget)
-    if fw:
-        return Verdict("F", witness_f=fw, strategy="torus", seed=seed, logs=tuple(logs))
-    logs.append("torus F: no applicable family")
-
-    w = find_d_product(ctx, budget)
-    if w:
-        return Verdict("D", witness_d=w, strategy="product", seed=seed, logs=tuple(logs))
-    logs.append("product: no block split with both pair kinds")
-
-    w = find_d_block(ctx, budget)
-    if w:
-        return Verdict("D", witness_d=w, strategy="block", seed=seed, logs=tuple(logs))
-    logs.append("block: no embedded witness")
-
-    w = find_d_sampled(ctx, budget, seed)
-    if w:
-        return Verdict("D", witness_d=w, strategy="sampled", seed=seed, logs=tuple(logs))
-    logs.append("sampled: no witness among candidates")
-
-    if not budget.allow_refute:
-        return Verdict("unknown", strategy="budget", seed=seed, logs=tuple(logs))
+    for name, kind, finder, miss in strategies():
+        w = finder(ctx, budget, seed)
+        if w:
+            return Verdict(kind, witness_d=w if kind == "D" else None,
+                           witness_f=w if kind == "F" else None,
+                           strategy=name, seed=seed, logs=tuple(logs))
+        logs.append(miss)
 
     got = refute_d(ctx.spec, ctx.orbit, budget, resume=resume,
                    checkpoint_cb=checkpoint_cb)

@@ -74,9 +74,6 @@ class Rack:
             return self._table[i]
         return tuple(self.op(i, j) for j in range(self.size))
 
-    def is_materialized(self) -> bool:
-        return self._table is not None
-
     def verify_axioms(self, rng=None, samples: int = 10**4) -> bool:
         """Self-distributivity, bijectivity of the translations, and the
         crossed-set law; exhaustive for size <= 64, sampled above."""

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from unirack.catalog import (
-    CatalogError, decomposition_type, enumerate_labels, even_label, expected,
-    group_catalog, gu3_witness, label_of, odd_label, parse_label,
-    regular_pairs, representative, sl_expected, transvection_rep,
-    transvection_split_rack_iso,
+    CatalogError, Expectation, decomposition_type, enumerate_labels,
+    even_label, expected, group_catalog, gu3_witness, label_of, odd_label,
+    parse_label, regular_pairs, representative, row_matched, sl_expected,
+    transvection_rep, transvection_split_rack_iso,
 )
 from unirack.matgroup import (
     class_orbit, group_spec, jordan_partition, membership,
@@ -133,6 +133,20 @@ def test_sl_table_rows():
     assert sl_expected((2, 1, 1, 1), 5, 2) == "F"
     assert sl_expected((3,), 3, 8) == "F"
     assert sl_expected((3,), 3, 4) == "D"
+
+
+def test_row_matched():
+    pair = Expectation(("D", "cthulhu"), 2, "pair-split-q3")
+    assert row_matched(pair, ("cthulhu", "D"))
+    assert not row_matched(pair, ("D", "D"))
+    assert not row_matched(pair, ("D",))                  # class count
+    assert not row_matched(pair, ("unknown", "D"))
+    open_count = Expectation(("DF",), None, "odd-w-DF")
+    assert row_matched(open_count, ("D", "F", "D"))
+    assert not row_matched(open_count, ("D", "cthulhu"))
+    uncovered = Expectation(("uncovered",), None, "none", uncovered=True)
+    assert row_matched(uncovered, ("cthulhu",))
+    assert not row_matched(uncovered, ("unknown",))       # never matches
 
 
 def test_transvection_sizes_match_size_formula():

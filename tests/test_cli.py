@@ -150,26 +150,51 @@ def test_reference_table_file_matches_rules():
     assert data == reference_table_text()
 
 
-# SHA-256 of each report as the dense-product orbit loops wrote it; the
-# compiled orbit kernel must reproduce every byte
+# exit code and SHA-256 of each report, recorded before the refactors that
+# must reproduce every byte (the compiled orbit kernel, the strategy table)
 REPORT_DIGESTS = {
-    ("classify", "--n", "2", "--q", "2"):
-        "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
-    ("classify", "--n", "2", "--q", "3"):
-        "7873da03a24478c259df3116ca522a29144fbcea5e363a76aaf6b8be5d3f192b",
-    ("catalog", "--n", "2", "--q", "3"):
-        "3dc394746e9f341e69531585ce09299d697f3044d02ece2a8351dc09dd127866",
+    ("classify", "--n", "2", "--q", "2"): (0,
+        "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180"),
+    ("classify", "--n", "2", "--q", "3"): (0,
+        "7873da03a24478c259df3116ca522a29144fbcea5e363a76aaf6b8be5d3f192b"),
+    # type-F verdicts through the torus-F strategy, with their logs
+    ("classify", "--n", "2", "--q", "4"): (0,
+        "c2cc34a89ef635119e5cf4a09b11abbb1ce04f683ac45b79fc6d86793a359d2e"),
+    # the capped refute_d scan gives the "budget" verdict, which exits 3
+    ("--pair-cap", "3", "--sample-pairs", "2", "classify", "--n", "2",
+     "--q", "3", "--label", "2,2"): (3,
+        "a7073a2e90b54339efbc846a3ebb4111e22f7468b585ac00003bfba9946342bc"),
+    ("catalog", "--n", "2", "--q", "3"): (0,
+        "3dc394746e9f341e69531585ce09299d697f3044d02ece2a8351dc09dd127866"),
     ("refute", "--kind", "f", "--n", "2", "--q", "3", "--label", "2,2",
-     "--split", "0"):
-        "39f934f0b58190db17b484f3c03d7c925b9e5fb7afc7341c3d7eeb9b0a908840",
-    ("witness", "--family", "gu", "--n", "3", "--q", "2"):
-        "c51b66eef7bb990f9aebc2b186a2ac87ec06b9e6d17dc2d7cb757d24dba20398",
+     "--split", "0"): (0,
+        "39f934f0b58190db17b484f3c03d7c925b9e5fb7afc7341c3d7eeb9b0a908840"),
+    ("witness", "--family", "gu", "--n", "3", "--q", "2"): (0,
+        "c51b66eef7bb990f9aebc2b186a2ac87ec06b9e6d17dc2d7cb757d24dba20398"),
 }
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
 def test_report_digests_are_pinned(tmp_path, monkeypatch, argv):
     monkeypatch.delenv("UNIRACK_CACHE", raising=False)
     out = tmp_path / "out.json"
-    assert main(["--output", str(out), *argv]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_DIGESTS[argv]
+    assert (main(["--output", str(out), *argv]), _digest(out)) \
+        == REPORT_DIGESTS[argv]
+
+
+def test_cached_report_digests_are_pinned(tmp_path):
+    """A cold and then a warm table in one cache: the warm report marks
+    every verdict cached after its witnesses were checked again."""
+    argv = ["--cache-dir", str(tmp_path / "cache"), "--output",
+            str(tmp_path / "out.json"), "table", "--n", "2", "--q", "2"]
+    digests = []
+    for _ in range(2):
+        assert main(argv) == 0
+        digests.append(_digest(tmp_path / "out.json"))
+    assert digests == [
+        "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
+        "fffd414756062cfce7f6ed894d4ec94016c2abab9f45cd160227f6bb68f95934"]
