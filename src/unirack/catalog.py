@@ -947,6 +947,14 @@ class RowReport:
                 "records": [r.to_json() for r in self.records]}
 
 
+def _wanted(exp: Expectation, count: int) -> list:
+    """The expected verdicts of a row with `count` classes, sorted: the
+    multiset, or a single expected verdict for every class when the count
+    is open."""
+    return (sorted(exp.verdicts) if exp.class_count is not None
+            else exp.verdicts[:1] * count)
+
+
 def row_matched(exp: Expectation, computed: tuple) -> bool:
     """Whether a row's verdict kinds, one per split class, meet its
     expectation: the class count and the verdict multiset (a single expected
@@ -958,8 +966,7 @@ def row_matched(exp: Expectation, computed: tuple) -> bool:
         return False
     if exp.uncovered:
         return True
-    want = (sorted(exp.verdicts) if exp.class_count is not None
-            else exp.verdicts[:1] * len(computed))
+    want = _wanted(exp, len(computed))
     return len(want) == len(computed) and all(
         g == w or (w == "DF" and g in ("D", "F"))
         for g, w in zip(sorted(computed), want))
@@ -969,20 +976,23 @@ def verify_row(label: UnipotentLabel, n2: int, q: int,
                budget: Budget = Budget(), seed: int = 0) -> RowReport:
     """Split the label empirically, classify every split class, and compare
     against the reference verdicts; mismatches are reported, never
-    reconciled."""
+    reconciled.  Each class's expected verdict is the one `row_matched`
+    pairs with its verdict: the k-th smallest verdict kind against the k-th
+    smallest expected verdict."""
     cat = group_catalog(n2, q)
     entries = cat.by_label(label)
     if not entries:
         raise CatalogError(f"label {label} does not occur in Sp_{n2}({q})")
     exp = expected(label, n2, q)
-    records = []
-    for e in entries:
-        ctx = class_context(e, cat)
-        verdict = classify(ctx, budget=budget, seed=seed)
-        want = exp.verdicts[min(e.split_index, len(exp.verdicts) - 1)]
-        records.append(ClassRecord(cat.spec.name, str(label), e.split_index,
-                                   e.size, verdict, want))
-    computed = tuple(r.verdict.kind for r in records)
+    verdicts = [classify(class_context(e, cat), budget=budget, seed=seed)
+                for e in entries]
+    computed = tuple(v.kind for v in verdicts)
+    want = _wanted(exp, len(computed))
+    by_kind = sorted(range(len(computed)), key=computed.__getitem__)
+    wanted = {k: want[min(pos, len(want) - 1)] for pos, k in enumerate(by_kind)}
+    records = [ClassRecord(cat.spec.name, str(label), e.split_index, e.size,
+                           v, wanted[k])
+               for k, (e, v) in enumerate(zip(entries, verdicts))]
     return RowReport(label, exp, records, row_matched(exp, computed))
 
 

@@ -1,7 +1,8 @@
 """Finite racks, primarily conjugation racks of matrix classes.
 
 A Rack stores its carrier in canonical sorted order and works with indices.
-Small racks materialize the full operation table; large ones stay lazily
+Small racks materialize the full operation table, a conjugation rack's
+mostly derived from a few rows of matrix products; large ones stay lazily
 backed by matrix conjugation with a memo.  All analyses (closure,
 decomposition, soberness, inner group) are pure functions of the rack.
 """
@@ -9,8 +10,9 @@ decomposition, soberness, inner group) are pure functions of the rack.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .matgroup import Mat
+from .matgroup import Mat, _compile, inv_flat
 
 MATERIALIZE_LIMIT = 1024
 
@@ -24,9 +26,13 @@ class Rack:
 
     For conjugation racks the operation is x y x^-1; the crossed-set law
     x > y = y iff y > x = x then holds automatically and is asserted.
+    A materialized rack takes its rows from `table` when given (rows over
+    the sorted carrier, as `conj_rack` derives them) and from `op_fn`
+    otherwise.
     """
 
-    def __init__(self, elements, op_fn, materialize: bool | None = None, spec=None, orbit=None):
+    def __init__(self, elements, op_fn, materialize: bool | None = None, spec=None, orbit=None,
+                 table=None):
         self.elements = tuple(sorted(elements))
         if len(set(self.elements)) != len(self.elements):
             raise RackError("carrier has repeated elements")
@@ -40,7 +46,7 @@ class Rack:
         self._table = None
         self._memo = {}
         if materialize:
-            self._table = self._build_table()
+            self._table = self._build_table() if table is None else table
 
     def _build_table(self):
         table = []
@@ -76,20 +82,25 @@ class Rack:
 
     def verify_axioms(self, rng=None, samples: int = 10**4) -> bool:
         """Self-distributivity, bijectivity of the translations, and the
-        crossed-set law; exhaustive for size <= 64, sampled above."""
+        crossed-set law: exhaustive for size <= 64, and for a materialized
+        table up to size 256; sampled above."""
         n = self.size
         if n <= 64 or (self._table is not None and n <= 256):
             rows = [self.translation(i) for i in range(n)]
             full = set(range(n))
+            # after[i](p) is p after phi_i, a whole row composed at C speed;
+            # for n = 1 it is a scalar on both sides of the comparison
+            after = [itemgetter(*row) for row in rows]
             for i in range(n):
-                if set(rows[i]) != full:
+                row = rows[i]
+                if set(row) != full:
                     raise RackError("a translation is not a bijection")
                 for j in range(n):
-                    # phi_{i>j} = phi_i phi_j phi_i^-1
-                    k = rows[i][j]
-                    if any(rows[k][rows[i][t]] != rows[i][rows[j][t]] for t in range(n)):
+                    # phi_{i>j} phi_i = phi_i phi_j
+                    k = row[j]
+                    if after[i](rows[k]) != after[j](row):
                         raise RackError("self-distributivity fails")
-                    if (rows[i][j] == j) != (rows[j][i] == i):
+                    if (k == j) != (rows[j][i] == i):
                         raise RackError("crossed-set law fails")
             return True
         import random
@@ -124,10 +135,60 @@ def conj_rack(orbit_mats, spec=None, orbit=None, verify: bool = True,
             invs[x] = xi
         return x * y * xi
 
-    rack = Rack(mats, op, materialize=materialize, spec=spec, orbit=orbit)
+    if materialize is None:
+        materialize = len(mats) <= MATERIALIZE_LIMIT
+    table = _conj_table(mats) if materialize and mats else None
+    rack = Rack(mats, op, materialize=materialize, spec=spec, orbit=orbit,
+                table=table)
     if verify:
         rack.verify_axioms()
     return rack
+
+
+def _conj_table(mats) -> tuple:
+    """The rows of the conjugation rack on the sorted matrices `mats`, most
+    of them derived from a few rows computed from the matrices.
+
+    A row phi_x (j -> index of x y_j x^-1) computed from the matrices checks
+    closure under conjugation by x: every image must be in the carrier.
+    Conjugation is injective, so phi_x is a permutation, and its inverse
+    sends j to the index of x^-1 y_j x.  For a row phi_w already known and
+    k = phi_x(w), the group identity
+        (x w x^-1) y (x w x^-1)^-1 = x (w (x^-1 y x) w^-1) x^-1
+    reads phi_k = phi_x phi_w phi_x^-1, and each factor is an index map
+    onto the carrier, so the composite is the row of k, closure included.
+    The known rows are closed under the computed rows phi_x acting on
+    indices; while a row is missing, the least index without one becomes a
+    computed row.  So every entry is a product of checked matrix rows, and
+    the table is the one the products give."""
+    F, d = mats[0].field, mats[0].n
+    index = {m.flat: i for i, m in enumerate(mats)}
+    if len(index) != len(mats):
+        raise RackError("carrier has repeated elements")
+    rows = [None] * len(mats)
+    known = []               # indices with a row, in the order found
+    gens = []                # (phi_x, phi_x^-1) for the computed rows
+    for x, m in enumerate(mats):
+        if rows[x] is not None:
+            continue
+        act = _compile(F, d, m.flat, inv_flat(F, d, m.flat))
+        try:
+            row = tuple([index[act(y.flat)] for y in mats])
+        except KeyError:
+            raise RackError("carrier is not closed under the operation") from None
+        rows[x] = row
+        gens.append((row, perm_inv(row)))
+        known.append(x)
+        # close the known rows under every computed row again: the new one
+        # acts on all of them, and all act on the new one
+        for w in known:
+            for phi, phi_inv in gens:
+                k = phi[w]
+                if rows[k] is None:
+                    rows[k] = tuple(map(phi.__getitem__,
+                                        map(rows[w].__getitem__, phi_inv)))
+                    known.append(k)
+    return tuple(rows)
 
 
 @dataclass
@@ -273,44 +334,93 @@ def sober_check(rack: Rack, mode: str = "exhaustive") -> SoberReport:
 
 def perm_mul(a, b):
     "a after b: (a*b)(x) = a(b(x))."
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def perm_inv(a):
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
+    "The inverse permutation: the points sorted by their images."
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
 def perm_group_order(gens) -> int:
-    "Deterministic Schreier-Sims order computation."
+    """Order of the group the permutations generate: deterministic
+    incremental Schreier-Sims with sifting.
+
+    Level l has a base point, its strong generators (those fixing the
+    earlier base points) with their inverses, and the orbit of the base
+    point under them, as a map from each point p to u^-1 for the transversal
+    element u that takes the base point to p.  Orbits only grow, so an
+    element that once sifted to the identity always does, and each (point,
+    generator) pair of a level is tested once.  Schreier generators are
+    sifted one at a time, as they are made."""
+    gens = [tuple(g) for g in gens]
     if not gens:
         return 1
     n = len(gens[0])
-    gens = sorted({tuple(g) for g in gens} - {tuple(range(n))})
-    if not gens:
-        return 1
-    moved = min(i for g in gens for i in range(n) if g[i] != i)
     ident = tuple(range(n))
-    trans = {moved: ident}
-    frontier = [moved]
-    while frontier:
-        nxt = []
-        for pt in frontier:
-            for g in gens:
-                q = g[pt]
-                if q not in trans:
-                    trans[q] = perm_mul(g, trans[pt])
-                    nxt.append(q)
-        frontier = nxt
-    stab = set()
-    for pt, t in trans.items():
-        for g in gens:
-            s = perm_mul(perm_inv(trans[g[pt]]), perm_mul(g, t))
-            if s != ident:
-                stab.add(s)
-    return len(trans) * perm_group_order(sorted(stab))
+    base, strong, orbits, tested = [], [], [], []
+
+    def sift(g, l):
+        "Residue of g and the level it stops at, sifting from level l."
+        while l < len(base):
+            u_inv = orbits[l].get(g[base[l]])
+            if u_inv is None:
+                break
+            g = perm_mul(u_inv, g)
+            l += 1
+        return g, l
+
+    def add(h, lo, hi):
+        "Strong generator h at levels lo..hi; level hi may be new."
+        if hi == len(base):
+            b = next(i for i in range(n) if h[i] != i)
+            base.append(b)
+            strong.append([])
+            orbits.append({b: ident})
+            tested.append(set())
+        h_inv = perm_inv(h)
+        for l in range(lo, hi + 1):
+            strong[l].append((h, h_inv))
+            orbit = orbits[l]
+            points = list(orbit)
+            for p in points:              # the list grows as it is walked
+                for x, x_inv in strong[l]:
+                    q = x[p]
+                    if q not in orbit:
+                        orbit[q] = perm_mul(orbit[p], x_inv)
+                        points.append(q)
+
+    def schreier(l):
+        """Sift the untested Schreier generators u_{x(p)}^-1 x u_p of level
+        l; the last level a residue joined, or None."""
+        orbit = orbits[l]
+        for p, u_inv in list(orbit.items()):
+            u = None
+            for gi, (x, _) in enumerate(strong[l]):
+                if (p, gi) in tested[l]:
+                    continue
+                tested[l].add((p, gi))
+                if u is None:
+                    u = perm_inv(u_inv)
+                h, j = sift(perm_mul(orbit[x[p]], perm_mul(x, u)), l + 1)
+                if h != ident:
+                    add(h, l + 1, j)
+                    return j
+        return None
+
+    for g in gens:
+        h, j = sift(g, 0)
+        if h == ident:
+            continue
+        add(h, 0, j)
+        l = j                 # check from the deepest changed level down
+        while l >= 0:
+            j = schreier(l)
+            l = l - 1 if j is None else j
+    order = 1
+    for orbit in orbits:
+        order *= len(orbit)
+    return order
 
 
 def inn_order(rack: Rack) -> int:

@@ -1,5 +1,11 @@
+import random
+
 import pytest
 
+from unirack.catalog import (
+    class_context, group_catalog, parse_label, representative,
+)
+from unirack.detect import classify
 from unirack.ffield import Embedding
 from unirack.matgroup import Mat, class_orbit, group_spec
 from unirack.rack import (
@@ -216,3 +222,170 @@ def test_noncommuting_transvection_pair_generates_indecomposable():
     j = next(j for j in range(1, r.size) if r.op(i, j) != j)
     ana = subrack_closure(r, (i, j))
     assert not ana.abelian and ana.indecomposable
+
+
+# ---------------------------------------------------------------------------
+# the conjugation table against dense matrix products
+
+
+def differential_carrier(name):
+    "Conjugation-closed matrix sets, each as a list of Mat."
+    if name.startswith("sp42-V4"):
+        entries = group_catalog(4, 2).by_label(parse_label("V(4)", 2))
+        picked = entries if name.endswith("union") else [entries[int(name[-1])]]
+        return [m for e in picked for m in e.orbit.mats()]
+    if name == "sp43-(2^2)":
+        spec = group_spec("Sp", 4, 3)
+        orbit = class_orbit(representative(parse_label("2,2", 3), 4, 3), spec)
+        assert orbit.size == 240
+        return list(orbit.mats())
+    q = int(name.removeprefix("sl2-q"))
+    spec = group_spec("SL", 2, q)
+    return list(class_orbit(Mat(spec.field, 2, (1, 1, 0, 1)), spec).mats())
+
+
+DIFFERENTIAL_CARRIERS = ("sp42-V4-0", "sp42-V4-1", "sp42-V4-union",
+                         "sp43-(2^2)", "sl2-q3", "sl2-q4", "sl2-q5", "sl2-q7",
+                         "sl2-q9")
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CARRIERS)
+def test_conj_table_equals_dense_products(name):
+    mats = differential_carrier(name)
+    r = conj_rack(mats)
+    index = {x: i for i, x in enumerate(r.elements)}
+    assert len(index) == len(mats)
+    for i, x in enumerate(r.elements):
+        xi = x.inverse()
+        assert r.translation(i) == tuple(index[x * y * xi] for y in r.elements)
+    if name == "sp42-V4-union":
+        assert len(decompose(r)) > 1     # rows from more than one orbit
+    lazy = conj_rack(mats, verify=False, materialize=False)
+    rng = random.Random(len(mats))
+    for _ in range(200):
+        i, j = rng.randrange(r.size), rng.randrange(r.size)
+        assert lazy.op(i, j) == r.op(i, j)
+
+
+def test_carrier_with_a_foreign_element_is_not_closed():
+    "A class plus one element of another class: some matrix row leaves it."
+    spec = group_spec("Sp", 4, 2)
+    mats = list(class_orbit(transvection(spec), spec).mats())
+    stranger = differential_carrier("sp42-V4-0")[0]
+    with pytest.raises(RackError, match="not closed"):
+        conj_rack(mats + [stranger], spec=spec)
+
+
+# ---------------------------------------------------------------------------
+# Schreier-Sims against known orders
+
+
+def cycle(n, points):
+    "The permutation of range(n) that sends each point to the next."
+    perm = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return tuple(perm)
+
+
+FANO_LINES = {frozenset({i, (i + 1) % 7, (i + 3) % 7}) for i in range(7)}
+FANO_INVOLUTION = (0, 1, 4, 3, 2, 6, 5)
+
+
+@pytest.mark.parametrize("gens, order", [
+    ([cycle(7, [0, 1, 2, 3, 4, 5, 6]), cycle(7, [0, 1])], 5040),
+    ([cycle(7, [0, 1, 2, 3, 4, 5, 6])], 7),
+    ([cycle(7, [0, 1, 2, 3, 4, 5, 6]), tuple(-x % 7 for x in range(7))], 14),
+    ([tuple((x + 1) % 7 for x in range(7)), tuple(2 * x % 7 for x in range(7))],
+     21),
+    ([cycle(5, [0, 1, 2]), cycle(5, [0, 1, 2, 3, 4])], 60),
+    ([tuple((x + 1) % 7 for x in range(7)), tuple(2 * x % 7 for x in range(7)),
+      FANO_INVOLUTION], 168),
+    ([cycle(6, [0, 1]), cycle(6, [0, 1, 2]), cycle(6, [3, 4]),
+      cycle(6, [3, 4, 5])], 36),
+], ids=["S7", "C7", "D7", "AGL1(7)", "A5", "PSL(2,7)", "S3xS3"])
+def test_perm_group_order_known_groups(gens, order):
+    assert perm_group_order(gens) == order
+
+
+def test_fano_generators_are_collineations():
+    for g in ((1, 2, 3, 4, 5, 6, 0), (0, 2, 4, 6, 1, 3, 5), FANO_INVOLUTION):
+        assert {frozenset(g[x] for x in line) for line in FANO_LINES} == FANO_LINES
+
+
+def test_inn_order_equals_closure_on_every_sp42_class():
+    cat = group_catalog(4, 2)
+    for e in cat.entries:
+        r = conj_rack(e.orbit.mats(), spec=cat.spec)
+        assert inn_order(r) == len(inner_group_perms(r))
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms on corrupted tables
+
+
+def corrupted(rows):
+    "A rack on the same indices with the given table rows."
+    return Rack(range(len(rows)), None, table=tuple(map(tuple, rows)))
+
+
+def test_verify_axioms_catches_corrupt_tables():
+    r = class_rack("Sp", 4, 2)
+    rows = [list(r.translation(i)) for i in range(r.size)]
+    assert corrupted(rows).verify_axioms()
+    j = next(j for j in range(r.size) if rows[0][j] != j)
+    # one entry repeated: row 0 is not a bijection
+    broken = [row[:] for row in rows]
+    broken[0][j] = broken[0][0]
+    with pytest.raises(RackError, match="bijection"):
+        corrupted(broken).verify_axioms()
+    # a single changed entry always breaks the bijection, so swap two
+    # entries of row 0: every row stays a permutation
+    broken = [row[:] for row in rows]
+    broken[0][0], broken[0][j] = broken[0][j], broken[0][0]
+    with pytest.raises(RackError, match="self-distributivity"):
+        corrupted(broken).verify_axioms()
+    # every row the translation of 0: self-distributive (a permutation rack)
+    # with bijective rows, but 0 > j != j while j > 0 = 0
+    broken = [rows[0][:] for _ in rows]
+    with pytest.raises(RackError, match="crossed-set"):
+        corrupted(broken).verify_axioms()
+
+
+# ---------------------------------------------------------------------------
+# type D a second time, from the rack table alone
+
+
+def type_d_from_table(r):
+    """Some j with 0 > (j > (0 > j)) != j whose orbit under <phi_0, phi_j>
+    misses 0.  The class is one orbit of the group, and conjugation by the
+    group is a rack automorphism, so fixing r = 0 loses nothing; the orbits
+    of 0 and j are disjoint iff j is not in the orbit of 0."""
+    rows = [r.translation(k) for k in range(r.size)]
+    for j in range(r.size):
+        if rows[0][rows[j][rows[0][j]]] == j:
+            continue
+        orbit, frontier = {0}, [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for y in (rows[0][x], rows[j][x]):
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if j not in orbit:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q, classes", [(2, 5), (3, 3), (4, 2)])
+def test_type_d_from_rack_table_matches_catalog_verdicts(q, classes):
+    cat = group_catalog(4, q)
+    small = [e for e in cat.entries if e.size <= 300]
+    assert len(small) == classes
+    for e in small:
+        verdict = classify(class_context(e, cat))
+        assert verdict.kind in ("D", "cthulhu")
+        r = conj_rack(e.orbit.mats(), spec=cat.spec, orbit=e.orbit)
+        assert type_d_from_table(r) == (verdict.kind == "D"), (str(e.label), e.split_index)
