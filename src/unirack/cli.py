@@ -106,8 +106,7 @@ def _classify_rows(args, cache, budget, labels=None):
                 ctx = class_context(entry, cat)
                 cb = None
                 if cache:
-                    cb = lambda st, key=key: cache.put(
-                        key, {"final": False, "state": st})
+                    cb = lambda st, key=key: cache.put(key, {"final": False, "state": st})
                 verdict = classify(ctx, budget=budget, seed=args.seed,
                                    resume=resume, checkpoint_cb=cb)
                 vj = verdict.to_json()
@@ -222,16 +221,15 @@ def cmd_refute(args) -> int:
             if cached and cached.get("final"):
                 results.append(dict(cached["value"], cached=True))
                 continue
-            resume = cached.get("state") if cached else None
-            cb = None
-            if cache:
-                cb = lambda st, key=key: cache.put(key, {"final": False, "state": st})
             if args.kind == "d":
+                resume = cached.get("state") if cached else None
+                cb = None
+                if cache:
+                    cb = lambda st, key=key: cache.put(key, {"final": False, "state": st})
                 got = refute_d(cat.spec, entry.orbit, budget, resume=resume,
                                checkpoint_cb=cb)
             else:
-                got = refute_f(cat.spec, entry.rep(), budget, resume=resume,
-                               checkpoint_cb=cb)
+                got = refute_f(cat.spec, entry.rep(), budget, orbit=entry.orbit)
             if isinstance(got, Certificate):
                 value = got.to_json()
                 if not got.complete:
@@ -367,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=None)
     ap.add_argument("--orbit-cap", type=int, default=10**6)
     ap.add_argument("--pair-cap", type=int, default=None,
-                    help="cap on refutation pair evaluations (enables resume)")
+                    help="cap on not-D pair evaluations (enables resume); "
+                         "the not-F scan always runs to the end")
     ap.add_argument("--sample-pairs", type=int, default=64)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

@@ -1,17 +1,19 @@
 """The classification engine: type-D and type-F witnesses, exhaustive
 refutation certificates, and the combined verdict.
 
-Everything a witness asserts is re-validated independently of the search
-path that produced it: a type-D witness rechecks the collapse equation and
-the disjointness of the two generated orbits, a type-F witness rechecks all
+A type-D witness is built from the two orbits it asserts to be disjoint;
+`DWitness.verify` rechecks them and the collapse equation independently
+for a witness that comes in from outside.  A type-F witness rechecks all
 three family conditions by brute force over the materialized subracks.
 
-Refutations rely on conjugation equivariance: conjugation by a group
-element is a rack automorphism of the class carrying witnesses to
-witnesses, so a scan that fixes one representative against the whole class
-is exhaustive for pairs, and the compatibility graph used for the type-F
-necessary condition is vertex-transitive, so one adjacency row plus
-translation determines the whole graph.
+Refutations scan index rows of the class's conjugation rack, index 0 the
+fixed representative, and rebuild a witness they find from the matrices.
+They rely on conjugation equivariance: conjugation by a group element is a
+rack automorphism of the class carrying witnesses to witnesses, so a scan
+that fixes one representative against the whole class is exhaustive for
+pairs, and the compatibility graph used for the type-F necessary condition
+is vertex-transitive, so the cliques through the representative stand for
+all of them.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from .chevalley import (
     HypothesisError, FamilyRefusal, ab_property, torus_witness,
     torus_family, root_add,
 )
-from .matgroup import (
-    Mat, Orbit, _closure, class_orbit, inv_flat, orbit_under, subgroup_closure,
-)
+from . import rack
+from .matgroup import Mat, Orbit, class_orbit, orbit_under, subgroup_closure
 
 
 class DetectError(ValueError):
@@ -153,10 +154,9 @@ def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
     if subgroup_cap:
         closure = subgroup_closure([r, s], cap=subgroup_cap)
         size = closure.size if closure.complete else None
-    w = DWitness(r, s, tuple(orb_r.sorted_packed()), tuple(orb_s.sorted_packed()),
-                 size, strategy)
-    w.verify()
-    return DPairResult("witness", w)
+    return DPairResult("witness", DWitness(
+        r, s, tuple(orb_r.sorted_packed()), tuple(orb_s.sorted_packed()),
+        size, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -272,47 +272,92 @@ EQUIVARIANCE_NOTE = ("fixed-representative scan; conjugation is a rack "
                      "witnesses, so pairs (r, s) with r fixed are exhaustive")
 
 
+def _class_rows(orbit: Orbit):
+    """The class as matrices in `sorted_packed()` order, index 0 the fixed
+    representative, and the row getter of its conjugation rack."""
+    mats = list(orbit.mats())
+    return mats, rack.conj_rows(mats)
+
+
+def _orbit(perms, start: int, cap: int, stop=frozenset()):
+    """Breadth-first orbit of the index `start` under the permutations
+    `perms`, in the order of `_closure`.  Returns (orbit, complete): orbit
+    is None as soon as a point of `stop` is found, and complete is False
+    once more than `cap` points are found, where the search stops."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in perms:
+                y = p[x]
+                if y not in seen:
+                    if y in stop:
+                        return None, True
+                    seen.add(y)
+                    nxt.append(y)
+                    if len(seen) > cap:
+                        return seen, False
+        frontier = nxt
+    return seen, True
+
+
+def _pair_split(px, py, x: int, y: int, cap: int):
+    """Whether x and y lie in different orbits of <phi_x, phi_y>, the
+    <x,y>-conjugation orbits that `d_pair` builds from the matrices; None
+    when either orbit has more than `cap` points."""
+    orb, complete = _orbit((px, py), x, cap)
+    if not complete:
+        return None
+    if y in orb:
+        return False
+    return True if _orbit((px, py), y, cap)[1] else None
+
+
 def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
              checkpoint_cb=None, checkpoint_every: int = 100000):
     """Scan all pairs (rep, s) over the class; returns a not_D Certificate,
     or the DWitness if one turns up after all.
 
     The class is homogeneous, so fixing the canonical representative loses
-    nothing (see EQUIVARIANCE_NOTE).  A pair-evaluation cap downgrades the
+    nothing (see EQUIVARIANCE_NOTE).  The pair (0, j) is degenerate iff
+    0 > j = j or 0 > (j > (0 > j)) = j, and a witness iff j is outside the
+    orbit of 0 under <phi_0, phi_j>.  A pair-evaluation cap downgrades the
     certificate to sampled and records a resume state.
     """
-    F, n = orbit.field, orbit.n
-    packed = orbit.sorted_packed()
-    rep = Mat(F, n, tuple(packed[0]))
-    stats = {"class_size": len(packed), "pairs": 0, "degenerate": 0,
+    mats, row = _class_rows(orbit)
+    rep, r0, cap = mats[0], row(0), budget.orbit_cap
+    stats = {"class_size": len(mats), "pairs": 0, "degenerate": 0,
              "same_orbit": 0, "cap_skipped": 0}
     start = 0
     if resume:
         start = resume["next_index"]
         stats.update(resume["stats"])
-    for idx in range(start, len(packed)):
+    for j in range(start, len(mats)):
         if budget.refute_pair_cap is not None and stats["pairs"] >= budget.refute_pair_cap:
-            state = {"next_index": idx, "stats": dict(stats)}
+            state = {"next_index": j, "stats": dict(stats)}
             if checkpoint_cb:
                 checkpoint_cb(state)
             return Certificate("not_D", "sampled", stats,
                                {"note": "pair cap reached", **_d_log(rep)},
                                complete=False, resume_state=state)
-        s = Mat(F, n, tuple(packed[idx]))
-        if s == rep:
+        if j == 0:
             continue
-        res = d_pair(rep, s, cap=budget.orbit_cap, subgroup_cap=0)
         stats["pairs"] += 1
-        if res.kind == "witness":
-            return res.witness
-        if res.kind.startswith("degenerate"):
+        k = r0[j]
+        rj = row(j) if k != j else None
+        if rj is None or r0[rj[k]] == j:
             stats["degenerate"] += 1
-        elif res.kind == "same_orbit":
-            stats["same_orbit"] += 1
         else:
-            stats["cap_skipped"] += 1
+            split = _pair_split(r0, rj, 0, j, cap)
+            if split:
+                res = d_pair(rep, mats[j], cap=cap, subgroup_cap=0)
+                if res.kind != "witness":
+                    raise DetectError("rack rows and matrices disagree on a pair")
+                return res.witness
+            stats["same_orbit" if split is False else "cap_skipped"] += 1
         if checkpoint_cb and stats["pairs"] % checkpoint_every == 0:
-            checkpoint_cb({"next_index": idx + 1, "stats": dict(stats)})
+            checkpoint_cb({"next_index": j + 1, "stats": dict(stats)})
     basis = "exhaustive" if stats["cap_skipped"] == 0 else "sampled"
     return Certificate("not_D", basis, stats, _d_log(rep),
                        complete=stats["cap_skipped"] == 0)
@@ -322,43 +367,36 @@ def _d_log(rep: Mat) -> dict:
     return {"fixed_representative": rep.text(), "equivariance": EQUIVARIANCE_NOTE}
 
 
-def f_edge(r: Mat, s: Mat, cap: int = 10**6) -> bool:
-    "Compatibility-graph edge: r > s != s and the <r,s>-orbits differ."
-    if r == s or r * s == s * r:
-        return False
-    got = _pair_orbits(r, s, cap)
-    if got is None:
+def _edge(px, py, x: int, y: int, cap: int) -> bool:
+    """Compatibility-graph edge on the rows phi_x, phi_y: x > y != y and y
+    outside the orbit of x under <phi_x, phi_y>."""
+    split = px[y] != y and _pair_split(px, py, x, y, cap)
+    if split is None:
         raise DetectError("orbit cap exceeded in edge test")
-    orb_r, orb_s = got
-    return not (orb_r.packed & orb_s.packed)
+    return split
 
 
-def _family_orbits_disjoint(elems, cap: int) -> bool:
-    """Necessary condition at the family level: the orbits of the elements
-    under the subgroup generated by all of them stay pairwise disjoint
-    (each stable subrack of a genuine family contains the orbit of its
-    representative under conjugation by every family member).  Each orbit
-    search stops as soon as it meets another family element."""
-    F, n = elems[0].field, elems[0].n
-    pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in elems]
-    done = []
-    for i, x in enumerate(elems):
-        others = {e.pack() for j, e in enumerate(elems) if j != i}
-        seen, complete, _ = _closure(F, n, [x.flat], pairs, cap, targets=others)
-        if seen is None:
+def _joint(perms, family, cap: int) -> bool:
+    """Necessary condition at the family level: the orbits of the members of
+    `family` under the group generated by their rows `perms` stay pairwise
+    disjoint (each stable subrack of a genuine family contains the orbit of
+    its representative under conjugation by every family member).  Each
+    orbit search stops as soon as it meets another family member."""
+    done = set()
+    for a in family:
+        orb, complete = _orbit(perms, a, cap, set(family) - {a})
+        if orb is None:
             return False
         if not complete:
             raise DetectError("orbit cap exceeded in the joint test")
-        for s in done:
-            if s & seen:
-                return False
-        done.append(seen)
+        if not done.isdisjoint(orb):
+            return False
+        done |= orb
     return True
 
 
 def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
-             orbit: Orbit | None = None, resume=None, checkpoint_cb=None,
-             checkpoint_every: int = 100000):
+             orbit: Orbit | None = None):
     """Certify the necessary condition for type F on the class.
 
     The compatibility graph has an edge (x, y) iff x > y != y and the
@@ -370,54 +408,37 @@ def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
     certificate asserts that no configuration satisfying the necessary
     conditions exists.
 
-    The graph is vertex-transitive, so one adjacency row is computed
-    directly and all other adjacencies are translated back to the fixed
-    representative through the orbit transversal.  Returns a Certificate,
-    or a dict describing a surviving 4-clique (type F then stays
-    undecided: the conditions are only necessary).
+    The scan reads index rows of the class's conjugation rack: the row of
+    the fixed representative 0 gives its neighbours, and their rows give
+    the edges between them and the joint tests.  The orbit is built from
+    `class_rep` when not passed.  Returns a Certificate, or a dict describing
+    a surviving 4-clique (type F then stays undecided: the conditions are
+    only necessary).
     """
-    if orbit is None or orbit.transversal is None:
-        orbit = class_orbit(class_rep, spec, cap=budget.orbit_cap,
-                            want_transversal=True)
-    F, n = orbit.field, orbit.n
-    packed = orbit.sorted_packed()
-    rep = Mat(F, n, tuple(packed[0]))
-    if rep.flat != orbit.rep_flat:
-        orbit = class_orbit(rep, spec, cap=budget.orbit_cap, want_transversal=True)
-    stats = {"class_size": len(packed), "row_edges": 0, "pair_tests": 0,
+    if orbit is None:
+        orbit = class_orbit(class_rep, spec, cap=budget.orbit_cap)
+    mats, row = _class_rows(orbit)
+    r0, cap = row(0), budget.orbit_cap
+    stats = {"class_size": len(mats), "row_edges": 0, "pair_tests": 0,
              "pair_level_cliques": 0, "joint_tests": 0}
-    if resume:
-        stats.update(resume.get("stats", {}))
     neighbors = []
-    for b in packed:
-        s = Mat(F, n, tuple(b))
-        if s == rep:
-            continue
+    for j in range(1, len(mats)):
         stats["pair_tests"] += 1
-        if f_edge(rep, s, cap=budget.orbit_cap):
-            neighbors.append(b)
-    stats["row_edges"] = len(neighbors)
-    nset = set(neighbors)
-    m = len(neighbors)
+        if _edge(r0, row(j), 0, j, cap):
+            neighbors.append(j)
+    stats["row_edges"] = m = len(neighbors)
+    nrows = [row(x) for x in neighbors]
     adj = [0] * m
-    # translated adjacency: edge(x, y) iff g_x^-1 y g_x is a neighbor of rep
-    for i, bx in enumerate(neighbors):
-        g = orbit.conjugator_to(Mat(F, n, tuple(bx)))
-        gi = g.inverse()
+    for i in range(m):
         for j in range(i + 1, m):
-            y = Mat(F, n, tuple(neighbors[j]))
-            z = (gi * y * g).pack()
             stats["pair_tests"] += 1
-            if z in nset:
+            if _edge(nrows[i], nrows[j], neighbors[i], neighbors[j], cap):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-            if checkpoint_cb and stats["pair_tests"] % checkpoint_every == 0:
-                checkpoint_cb({"stats": dict(stats)})
     # candidate 4-cliques through rep = triangles inside the neighborhood;
     # edges are pruned by the triple-level joint test, survivors re-verified
     # at the four-element level
-    stats.setdefault("triple_pruned_edges", 0)
-    mats = [Mat(F, n, tuple(b)) for b in neighbors]
+    stats["triple_pruned_edges"] = 0
     for i in range(m):
         ai = adj[i]
         if not ai:
@@ -428,8 +449,8 @@ def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
             common = ai & adj[j] & ~((1 << (j + 1)) - 1)
             if not common:
                 continue
-            if not _family_orbits_disjoint([rep, mats[i], mats[j]],
-                                           budget.orbit_cap):
+            if not _joint((r0, nrows[i], nrows[j]),
+                          (0, neighbors[i], neighbors[j]), cap):
                 stats["triple_pruned_edges"] += 1
                 continue
             rest = common
@@ -438,14 +459,15 @@ def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
                 rest &= rest - 1
                 stats["pair_level_cliques"] += 1
                 stats["joint_tests"] += 1
-                if _family_orbits_disjoint([rep, mats[i], mats[j], mats[k]],
-                                           budget.orbit_cap):
-                    return {"clique": [rep.pack(), neighbors[i], neighbors[j],
-                                       neighbors[k]],
+                family = (0, neighbors[i], neighbors[j], neighbors[k])
+                if _joint((r0, nrows[i], nrows[j], nrows[k]), family, cap):
+                    return {"clique": [mats[a].pack() for a in family],
                             "stats": stats}
-                if checkpoint_cb and stats["joint_tests"] % max(checkpoint_every // 100, 1) == 0:
-                    checkpoint_cb({"stats": dict(stats)})
-    log = {"fixed_representative": rep.text(),
+    # Only cliques through the fixed representative are enumerated.  The
+    # graph is vertex-transitive (conjugation by the group is a rack
+    # automorphism of the class), so every other 4-clique is a translate of
+    # one of them: one row computed, the rest translated.
+    log = {"fixed_representative": mats[0].text(),
            "note": ("edge (x, y) iff x > y != y and the <x,y>-classes of x "
                     "and y differ; every pair-level 4-clique fails the "
                     "joint-orbit condition"),
@@ -470,11 +492,6 @@ class ClassContext:
     blocks: tuple = ()
     u_group: tuple = ()
     name: str = ""
-
-    def sorted_mats(self):
-        F, n = self.orbit.field, self.orbit.n
-        for b in self.orbit.sorted_packed():
-            yield Mat(F, n, tuple(b))
 
 
 def _supp_pairs(model, word):
@@ -749,7 +766,7 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
         return Verdict("unknown", cert_not_d=cert_d, strategy="budget",
                        seed=seed, logs=tuple(logs + ["refute_d capped"]))
 
-    got_f = refute_f(ctx.spec, ctx.rep, budget)
+    got_f = refute_f(ctx.spec, ctx.rep, budget, orbit=ctx.orbit)
     if isinstance(got_f, dict):
         return Verdict("unknown", cert_not_d=cert_d, clique=got_f,
                        strategy="clique-found", seed=seed,

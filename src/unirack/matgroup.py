@@ -557,62 +557,40 @@ def _compile(F: Field, n: int, L, R):
     return act
 
 
-def _closure(F: Field, n: int, starts, pairs, cap: int | None = None,
-             targets: set | None = None, want_transversal: bool = False):
+def _closure(F: Field, n: int, starts, pairs, cap: int | None = None):
     """Breadth-first closure of the flat matrices `starts` under the actions
     x -> L x R for (L, R) in `pairs`: frontier by frontier, each element in
     the order found, each action in list order.
 
-    Returns (seen, complete, trans): the bytes of every element found; False
-    once more than `cap` are found, where the search stops; and, if wanted,
-    each element's product of the L factors that led to it from its start.
-    `seen` is None as soon as an element of `targets` is found, a start
-    included."""
+    Returns (seen, complete): the bytes of every element found, and False
+    once more than `cap` are found, where the search stops."""
     acts = [_compile(F, n, L, R) for L, R in pairs]
     seen = {bytes(x) for x in starts}
-    if targets is not None and not targets.isdisjoint(seen):
-        return None, True, None
-    trans = lefts = None
-    if want_transversal:
-        ident = identity_flat(n)
-        trans = dict.fromkeys(seen, ident)
-        lefts = [_compile(F, n, L, ident) for L, _ in pairs]
     frontier = list(starts)
     while frontier:
         nxt = []
         for x in frontier:
-            xb = bytes(x)
-            for i, act in enumerate(acts):
+            for act in acts:
                 y = act(x)
                 b = bytes(y)
                 if b not in seen:
-                    if targets is not None and b in targets:
-                        return None, False, None
                     seen.add(b)
                     nxt.append(y)
-                    if trans is not None:
-                        trans[b] = lefts[i](trans[xb])
                     if cap is not None and len(seen) > cap:
-                        return seen, False, trans
+                        return seen, False
         frontier = nxt
-    return seen, True, trans
+    return seen, True
 
 
 class Orbit:
-    """A conjugation orbit: packed-element set plus canonical order.
+    "A conjugation orbit: packed-element set plus canonical order."
 
-    `transversal`, when requested, maps each packed element to a packed
-    conjugator g with g * rep * g^-1 equal to that element.
-    """
+    __slots__ = ("field", "n", "packed", "complete")
 
-    __slots__ = ("field", "n", "packed", "rep_flat", "complete", "transversal")
-
-    def __init__(self, field, n, packed: set, rep_flat, complete=True, transversal=None):
+    def __init__(self, field, n, packed: set, complete=True):
         self.field, self.n = field, n
         self.packed = packed
-        self.rep_flat = rep_flat
         self.complete = complete
-        self.transversal = transversal
 
     @property
     def size(self) -> int:
@@ -625,22 +603,12 @@ class Orbit:
     def sorted_packed(self) -> list[bytes]:
         return sorted(self.packed)
 
-    def rep(self) -> Mat:
-        return Mat(self.field, self.n, self.rep_flat)
-
     def canonical_rep(self) -> Mat:
         return Mat(self.field, self.n, tuple(min(self.packed)))
 
     def mats(self):
         for b in self.sorted_packed():
             yield Mat(self.field, self.n, tuple(b))
-
-    def conjugator_to(self, X) -> Mat:
-        "g with g * rep * g^-1 = X; needs the transversal."
-        if self.transversal is None:
-            raise GroupError("orbit was computed without a transversal")
-        key = X.pack() if isinstance(X, Mat) else bytes(X)
-        return Mat(self.field, self.n, tuple(self.transversal[key]))
 
     def __len__(self):
         return len(self.packed)
@@ -649,16 +617,14 @@ class Orbit:
         return f"Orbit(size={self.size}{'' if self.complete else ', capped'})"
 
 
-def class_orbit(rep: Mat, spec: GroupSpec, cap: int = DEFAULT_CAP,
-                want_transversal: bool = False) -> Orbit:
+def class_orbit(rep: Mat, spec: GroupSpec, cap: int = DEFAULT_CAP) -> Orbit:
     """Breadth-first conjugation closure of `rep` under the spec's
     generators.  Exceeding the cap is reported on the orbit, not fatal."""
     if not membership(rep, spec):
         raise GroupError("representative fails membership")
     F, n = spec.field, spec.n
-    seen, complete, trans = _closure(F, n, [rep.flat], spec.gen_pairs(), cap,
-                                     want_transversal=want_transversal)
-    return Orbit(F, n, seen, rep.flat, complete, trans)
+    seen, complete = _closure(F, n, [rep.flat], spec.gen_pairs(), cap)
+    return Orbit(F, n, seen, complete)
 
 
 @dataclass
@@ -690,7 +656,7 @@ def subgroup_closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> Closure:
             raise GroupError("generators must share a field and size")
     ident = identity_flat(n)
     gen_flats = sorted({g.flat for g in gens} | {ident})
-    seen, complete, _ = _closure(F, n, gen_flats, [(ident, g) for g in gen_flats], cap)
+    seen, complete = _closure(F, n, gen_flats, [(ident, g) for g in gen_flats], cap)
     return Closure(F, n, seen, complete)
 
 
@@ -744,11 +710,11 @@ def split_classes(elements, spec: GroupSpec, mode: str = "conjugation",
                  for g in sorted(spec.generators)]
         while pending:
             x = pending[min(pending)]
-            seen, _, _ = _closure(F, n, [x.flat], pairs)
+            seen, _ = _closure(F, n, [x.flat], pairs)
             members = tuple(sorted(b for b in pending if b in seen))
             for b in members:
                 del pending[b]
-            out.append(SplitClass(Orbit(F, n, seen, x.flat), members))
+            out.append(SplitClass(Orbit(F, n, seen), members))
         return out
     raise GroupError(f"unknown split mode {mode!r}")
 
@@ -804,8 +770,8 @@ def orbit_under(rep: Mat, gens, cap: int = DEFAULT_CAP) -> Orbit:
     "Conjugation orbit of rep under an explicit generator list."
     F, n = rep.field, rep.n
     pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(gens)]
-    seen, complete, _ = _closure(F, n, [rep.flat], pairs, cap)
-    return Orbit(F, n, seen, rep.flat, complete)
+    seen, complete = _closure(F, n, [rep.flat], pairs, cap)
+    return Orbit(F, n, seen, complete)
 
 
 def random_element(spec: GroupSpec, rng, length: int = 12) -> Mat:

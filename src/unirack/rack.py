@@ -161,22 +161,16 @@ def _conj_table(mats) -> tuple:
     indices; while a row is missing, the least index without one becomes a
     computed row.  So every entry is a product of checked matrix rows, and
     the table is the one the products give."""
-    F, d = mats[0].field, mats[0].n
     index = {m.flat: i for i, m in enumerate(mats)}
     if len(index) != len(mats):
         raise RackError("carrier has repeated elements")
     rows = [None] * len(mats)
     known = []               # indices with a row, in the order found
     gens = []                # (phi_x, phi_x^-1) for the computed rows
-    for x, m in enumerate(mats):
+    for x in range(len(mats)):
         if rows[x] is not None:
             continue
-        act = _compile(F, d, m.flat, inv_flat(F, d, m.flat))
-        try:
-            row = tuple([index[act(y.flat)] for y in mats])
-        except KeyError:
-            raise RackError("carrier is not closed under the operation") from None
-        rows[x] = row
+        row = rows[x] = _matrix_row(mats, index, x)
         gens.append((row, perm_inv(row)))
         known.append(x)
         # close the known rows under every computed row again: the new one
@@ -189,6 +183,27 @@ def _conj_table(mats) -> tuple:
                                         map(rows[w].__getitem__, phi_inv)))
                     known.append(k)
     return tuple(rows)
+
+
+def _matrix_row(mats, index, x) -> tuple:
+    "phi_x from one compiled conjugation; every image must be in the carrier."
+    m = mats[x]
+    act = _compile(m.field, m.n, m.flat, inv_flat(m.field, m.n, m.flat))
+    try:
+        return tuple([index[act(y.flat)] for y in mats])
+    except KeyError:
+        raise RackError("carrier is not closed under the operation") from None
+
+
+def conj_rows(mats):
+    """Row i of the conjugation rack on the matrices `mats`, in their order,
+    as a function of i.  Up to MATERIALIZE_LIMIT elements the rows come from
+    the derived table; above it each call computes its row from the
+    matrices, so a scan holds only the rows it keeps."""
+    if len(mats) <= MATERIALIZE_LIMIT:
+        return _conj_table(mats).__getitem__
+    index = {m.flat: i for i, m in enumerate(mats)}
+    return lambda x: _matrix_row(mats, index, x)
 
 
 @dataclass

@@ -102,6 +102,34 @@ def test_refute_with_cap_then_resume(tmp_path):
     assert code3 == 0 and json.loads(text3)["results"][0].get("cached")
 
 
+def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
+    """The not-F scan runs to the end every time: a non-final entry under
+    its key neither adds its stats nor stops the scan."""
+    cache_dir = tmp_path / "cache"
+    stats = {"class_size": 45, "row_edges": 8, "pair_tests": 72,
+             "pair_level_cliques": 0, "joint_tests": 0,
+             "triple_pruned_edges": 0}
+    c = Cache(cache_dir)
+    key = c.key({"op": "refute_f", "group": "Sp4(2)", "label": "V(2)^2",
+                 "split": 0, "caps": {"orbit": 10**6, "pairs": None},
+                 "seed": 0})
+    c.put(key, {"final": False, "state": {"stats": stats}})
+    code, text = run(tmp_path, "--cache-dir", str(cache_dir), "refute",
+                     "--kind", "f", "--n", "2", "--q", "2", "--label", "V(2)^2")
+    assert code == 0
+    result = json.loads(text)["results"][0]
+    assert result["complete"] and result["stats"] == stats
+    assert c.get(key)["final"]
+
+
+def test_refute_f_scans_the_whole_class_under_an_orbit_cap(tmp_path):
+    "The orbit cap bounds the orbits the scan builds, not the class it scans."
+    code, text = run(tmp_path, "--orbit-cap", "5", "refute", "--kind", "f",
+                     "--n", "2", "--q", "2", "--label", "V(2)^2")
+    assert code == 0
+    assert json.loads(text)["results"][0]["stats"]["class_size"] == 45
+
+
 def test_resume_state_key_depends_on_caps(tmp_path):
     c = Cache(tmp_path / "c")
     k1 = c.key({"op": "refute_d", "caps": {"pairs": 10}})

@@ -2,13 +2,18 @@ import random
 
 import pytest
 
-from unirack.catalog import class_context, group_catalog, representative
-from unirack.detect import (
-    Budget, Certificate, DWitness, FFailure, FWitness, check_f_family,
-    classify, collapse_eq_holds, d_pair, f_edge, group_identity_spot_check,
-    refute_d, refute_f, su3_f_family,
+from unirack import detect, rack
+from unirack.catalog import (
+    class_context, group_catalog, parse_label, representative,
 )
-from unirack.matgroup import Mat, class_orbit, group_spec, random_element
+from unirack.detect import (
+    Budget, Certificate, DWitness, FFailure, FWitness, _class_rows, _edge,
+    check_f_family, classify, collapse_eq_holds, d_pair,
+    group_identity_spot_check, refute_d, refute_f, su3_f_family,
+)
+from unirack.matgroup import (
+    Mat, class_orbit, group_spec, orbit_under, random_element,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,22 @@ def test_refute_d_finds_witness_on_a_collapsing_class(sp42):
     e = entry(sp42, "V(4)")
     got = refute_d(sp42.spec, e.orbit)
     assert isinstance(got, DWitness)
+    assert got.verify()
+
+
+def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
+    "A witness costs its two orbits; checking it again is the caller's call."
+    w = classify(class_context(entry(sp43, "(2^2)", 1), sp43)).witness_d
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return orbit_under(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "orbit_under", counted)
+    res = d_pair(w.r, w.s)
+    assert res.kind == "witness" and calls == [w.r, w.s]
+    assert res.witness.verify() and res.witness.orbit_r == w.orbit_r
 
 
 def test_refute_d_pair_cap_and_resume(sp42):
@@ -126,11 +147,16 @@ def test_refute_f_trivially_empty_graph_on_transvections(sp42):
 
 
 def test_f_edge_symmetry(sp42):
+    "The index edge test is symmetric, and it has edges to test on V(4)."
     e = entry(sp42, "V(4)")
-    mats = list(e.orbit.mats())[:12]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            assert f_edge(mats[i], mats[j]) == f_edge(mats[j], mats[i])
+    _, row = _class_rows(e.orbit)
+    edges = 0
+    for i in range(30):
+        for j in range(i + 1, e.size):
+            got = _edge(row(i), row(j), i, j, 10**6)
+            assert got == _edge(row(j), row(i), j, i, 10**6)
+            edges += got
+    assert edges > 0
 
 
 def test_check_f_family_failure_modes(sp42):
@@ -217,3 +243,98 @@ def test_find_d_dispatcher(sp43):
     ctx0 = class_context(e0, sp43)
     assert find_d(ctx0, "torus") is None
     assert find_d(ctx0, "exhaustive") is None
+
+
+# ---------------------------------------------------------------------------
+# the index scans against matrix scans
+
+
+def reference_not_d(mats, cap=10**6):
+    "The not-D scan by matrices: d_pair on (rep, s) for every other s."
+    stats = {"class_size": len(mats), "pairs": 0, "degenerate": 0,
+             "same_orbit": 0, "cap_skipped": 0}
+    for s in mats[1:]:
+        res = d_pair(mats[0], s, cap=cap, subgroup_cap=0)
+        stats["pairs"] += 1
+        if res.kind == "witness":
+            return res.witness
+        key = {"same_orbit": "same_orbit", "cap_exceeded": "cap_skipped"}
+        stats[key.get(res.kind, "degenerate")] += 1
+    return stats
+
+
+def reference_not_f(mats, cap=10**6):
+    """The not-F scan by matrices: edges from <x,y>-conjugation orbits, and
+    the joint test from the whole orbits under the family, with the clique
+    enumeration of `refute_f`."""
+    def edge(x, y):
+        return x * y != y * x and not orbit_under(x, [x, y], cap).contains(y)
+
+    def joint(family):
+        orbits = [orbit_under(x, family, cap).packed for x in family]
+        return all(orbits[a].isdisjoint(orbits[b])
+                   for a in range(len(family)) for b in range(a))
+
+    rep = mats[0]
+    nb = [s for s in mats[1:] if edge(rep, s)]
+    m = len(nb)
+    adj = {(i, j) for i in range(m) for j in range(i + 1, m)
+           if edge(nb[i], nb[j])}
+    stats = {"class_size": len(mats), "row_edges": m,
+             "pair_tests": len(mats) - 1 + m * (m - 1) // 2,
+             "pair_level_cliques": 0, "joint_tests": 0,
+             "triple_pruned_edges": 0}
+    for i, j in sorted(adj):
+        common = [k for k in range(j + 1, m) if (i, k) in adj and (j, k) in adj]
+        if not common:
+            continue
+        if not joint([rep, nb[i], nb[j]]):
+            stats["triple_pruned_edges"] += 1
+            continue
+        for k in common:
+            stats["pair_level_cliques"] += 1
+            stats["joint_tests"] += 1
+            if joint([rep, nb[i], nb[j], nb[k]]):
+                return {"clique": [x.pack() for x in (rep, nb[i], nb[j], nb[k])],
+                        "stats": stats}
+    return stats
+
+
+# every cthulhu class of Sp4(2..4), a D class, and the smaller Sp6(2)
+# cthulhu class built as the benchmark builds it
+DIFFERENTIAL = [(2, "V(2)+W(1)", 0), (2, "V(2)^2", 0), (2, "W(2)", 0),
+                (2, "V(4)", 0), (3, "1,1,2", 0), (3, "1,1,2", 1),
+                (3, "2,2", 0), (4, "V(2)+W(1)", 0), (4, "W(2)", 0),
+                ("Sp6(2)", "V(2)+W(1)^2", 0)]
+
+
+@pytest.mark.parametrize("q,label,split", DIFFERENTIAL,
+                         ids=[f"{q}-{lab}-{sp}" for q, lab, sp in DIFFERENTIAL])
+def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
+    if q == "Sp6(2)":
+        spec = group_spec("Sp", 6, 2)
+        orbit = class_orbit(representative(parse_label(label, 2), 6, 2), spec)
+    else:
+        cat = group_catalog(4, q)
+        e = entry(cat, str(parse_label(label, q)), split)
+        spec, orbit = cat.spec, e.orbit
+    mats = list(orbit.mats())
+    want_d = reference_not_d(mats)
+    want_f = reference_not_f(mats) if isinstance(want_d, dict) else None
+    # the derived table, then one matrix row per call
+    for limit in (rack.MATERIALIZE_LIMIT, orbit.size - 1):
+        monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", limit)
+        rows_mats, row = _class_rows(orbit)
+        assert rows_mats == mats
+        index = {m.pack(): k for k, m in enumerate(mats)}
+        for i in (0, len(mats) - 1):
+            x, xi = mats[i], mats[i].inverse()
+            assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
+        got_d = refute_d(spec, orbit)
+        if isinstance(want_d, DWitness):
+            assert isinstance(got_d, DWitness) and got_d.verify()
+            assert got_d.to_json() == want_d.to_json()
+            continue
+        assert got_d.complete and got_d.stats == want_d
+        got_f = refute_f(spec, None, orbit=orbit)
+        assert isinstance(got_f, Certificate) and got_f.stats == want_f

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from unirack.detect import DetectError, _family_orbits_disjoint
+from unirack.detect import DetectError, _class_rows, _joint
 from unirack.ffield import make_field
 from unirack.matgroup import (
     Endo, GroupError, Mat, _compile, apply_endo, class_orbit, classical_order,
@@ -168,15 +168,6 @@ def test_orbit_central_and_transvections():
     assert orb2.size == 6 * 5 // 2
 
 
-def test_orbit_transversal():
-    spec = group_spec("Sp", 4, 2)
-    orb = class_orbit(transvection(spec), spec, want_transversal=True)
-    rep = orb.rep()
-    for X in list(orb.mats())[:8]:
-        g = orb.conjugator_to(X)
-        assert rep.conj(g) == X
-
-
 def test_orbit_times_stabilizer_is_group_order():
     spec = group_spec("Sp", 4, 2)
     u = transvection(spec)
@@ -305,13 +296,12 @@ BUNDLED = ([("SL", 2, q) for q in (3, 4, 5, 7, 9)]
            + [("Sp", 6, 2), ("SU", 3, 2), ("GU", 3, 3)])
 
 
-def reference_bfs(F, n, starts, pairs, cap=None, targets=None, transversal=False):
+def reference_bfs(F, n, starts, pairs, cap=None, targets=None):
     """Breadth-first closure under x -> L x R by two dense products per
-    step; returns (seen, complete, trans), seen None on a target hit."""
+    step; returns (seen, complete), seen None on a target hit."""
     seen = {bytes(x) for x in starts}
     if targets and seen & targets:
-        return None, True, None
-    trans = {bytes(x): identity_flat(n) for x in starts} if transversal else None
+        return None, True
     frontier = list(starts)
     while frontier:
         nxt = []
@@ -322,15 +312,13 @@ def reference_bfs(F, n, starts, pairs, cap=None, targets=None, transversal=False
                 if b in seen:
                     continue
                 if targets and b in targets:
-                    return None, False, None
+                    return None, False
                 seen.add(b)
                 nxt.append(y)
-                if trans is not None:
-                    trans[b] = mul_flat(F, n, L, trans[bytes(x)])
                 if cap is not None and len(seen) > cap:
-                    return seen, False, trans
+                    return seen, False
         frontier = nxt
-    return seen, True, trans
+    return seen, True
 
 
 @pytest.mark.parametrize("fam,n,q", BUNDLED)
@@ -342,7 +330,7 @@ def test_compiled_actions_match_dense_products(fam, n, q):
     xs = [random_element(spec, rng).flat for _ in range(50)]
     r, s = xs[0], xs[1]
     actions = list(spec.gen_pairs())                       # conjugation
-    actions += [(g, ident) for g, _ in spec.gen_pairs()]   # transversal steps
+    actions += [(g, ident) for g, _ in spec.gen_pairs()]   # left products
     actions += [(ident, g) for g, _ in spec.gen_pairs()]   # products
     actions += [(r, inv_flat(F, n, r)), (s, inv_flat(F, n, s))]  # dense pairs
     for L, R in actions:
@@ -372,20 +360,18 @@ def test_class_orbit_matches_reference_bfs(fam, n, q):
     reps = [transvection(spec)] if fam == "Sp" else []
     reps += [spec.identity()] + [random_element(spec, rng) for _ in range(2)]
     for rep in reps:
-        ref_seen, ref_complete, ref_trans = reference_bfs(
-            F, n, [rep.flat], spec.gen_pairs(), cap=2000, transversal=True)
-        orb = class_orbit(rep, spec, cap=2000, want_transversal=True)
+        ref_seen, ref_complete = reference_bfs(
+            F, n, [rep.flat], spec.gen_pairs(), cap=2000)
+        orb = class_orbit(rep, spec, cap=2000)
         assert orb.complete == ref_complete
         assert orb.packed == ref_seen
-        assert orb.transversal == ref_trans
     # a capped orbit stops at exactly the same elements
     rep = transvection(spec) if fam == "Sp" else reps[-1]
-    ref_seen, ref_complete, ref_trans = reference_bfs(
-        F, n, [rep.flat], spec.gen_pairs(), cap=17, transversal=True)
-    orb = class_orbit(rep, spec, cap=17, want_transversal=True)
+    ref_seen, ref_complete = reference_bfs(
+        F, n, [rep.flat], spec.gen_pairs(), cap=17)
+    orb = class_orbit(rep, spec, cap=17)
     assert not ref_complete and not orb.complete and len(orb.packed) == 18
     assert orb.packed == ref_seen
-    assert orb.transversal == ref_trans
 
 
 @pytest.mark.parametrize("cap", [10**6, 40])
@@ -396,7 +382,7 @@ def test_subgroup_closure_matches_reference_bfs(cap):
     gens = [random_element(spec, rng), transvection(spec)]
     ident = identity_flat(n)
     gen_flats = sorted({g.flat for g in gens} | {ident})
-    ref_seen, ref_complete, _ = reference_bfs(
+    ref_seen, ref_complete = reference_bfs(
         F, n, gen_flats, [(ident, g) for g in gen_flats], cap=cap)
     closure = subgroup_closure(gens, cap=cap)
     assert closure.complete == ref_complete == (cap > 1000)
@@ -417,7 +403,7 @@ def test_twisted_split_matches_reference_bfs():
     pending = {m.pack() for m in elements}
     for part in parts:
         start = min(pending)
-        ref_seen, _, _ = reference_bfs(F, n, [tuple(start)], pairs)
+        ref_seen, _ = reference_bfs(F, n, [tuple(start)], pairs)
         assert part.orbit.packed == ref_seen
         assert part.members == tuple(sorted(b for b in pending if b in ref_seen))
         pending -= set(part.members)
@@ -432,8 +418,8 @@ def reference_family_orbits_disjoint(elems, cap):
     done = []
     for i, x in enumerate(elems):
         others = {e.pack() for j, e in enumerate(elems) if j != i}
-        seen, complete, _ = reference_bfs(F, n, [x.flat], pairs, cap=cap,
-                                          targets=others)
+        seen, complete = reference_bfs(F, n, [x.flat], pairs, cap=cap,
+                                       targets=others)
         if seen is None:
             return False
         if not complete:
@@ -446,19 +432,21 @@ def reference_family_orbits_disjoint(elems, cap):
 
 @pytest.mark.parametrize("fam,n,q", [("Sp", 4, 2), ("Sp", 6, 2)])
 def test_family_orbits_disjoint_matches_reference_bfs(fam, n, q):
+    "The joint test on rack rows against orbits of dense matrix products."
     spec = group_spec(fam, n, q)
-    members = list(class_orbit(transvection(spec), spec).mats())
+    mats, row = _class_rows(class_orbit(transvection(spec), spec))
     rng = random.Random(61)
     outcomes = set()
     for size in (3, 4):
         for _ in range(40):
-            elems = rng.sample(members, size)
-            got = _family_orbits_disjoint(elems, 10**6)
+            family = rng.sample(range(len(mats)), size)
+            got = _joint([row(a) for a in family], family, 10**6)
+            elems = [mats[a] for a in family]
             assert got == reference_family_orbits_disjoint(elems, 10**6)
             outcomes.add(got)
     assert outcomes == {True, False}
-    elems = rng.sample(members, 3)
+    family = rng.sample(range(len(mats)), 3)
     with pytest.raises(DetectError):
-        _family_orbits_disjoint(elems, 1)
+        _joint([row(a) for a in family], family, 1)
     with pytest.raises(DetectError):
-        reference_family_orbits_disjoint(elems, 1)
+        reference_family_orbits_disjoint([mats[a] for a in family], 1)
