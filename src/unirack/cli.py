@@ -211,11 +211,13 @@ def cmd_refute(args) -> int:
     code = 0
     try:
         for entry in entries:
+            # the pair cap bounds the not-D scan only
+            caps = {"orbit": budget.orbit_cap}
+            if args.kind == "d":
+                caps["pairs"] = budget.refute_pair_cap
             payload = {"op": f"refute_{args.kind}", "group": cat.spec.name,
                        "label": str(label), "split": entry.split_index,
-                       "caps": {"orbit": budget.orbit_cap,
-                                "pairs": budget.refute_pair_cap},
-                       "seed": args.seed}
+                       "caps": caps, "seed": args.seed}
             key = cache.key(payload) if cache else None
             cached = cache.get(key) if cache else None
             if cached and cached.get("final"):

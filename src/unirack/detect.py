@@ -18,6 +18,7 @@ all of them.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -272,9 +273,11 @@ EQUIVARIANCE_NOTE = ("fixed-representative scan; conjugation is a rack "
                      "witnesses, so pairs (r, s) with r fixed are exhaustive")
 
 
+@functools.lru_cache(maxsize=1)
 def _class_rows(orbit: Orbit):
     """The class as matrices in `sorted_packed()` order, index 0 the fixed
-    representative, and the row getter of its conjugation rack."""
+    representative, and the row getter of its conjugation rack.  Kept for
+    the last orbit, so that `classify` builds them once for both scans."""
     mats = list(orbit.mats())
     return mats, rack.conj_rows(mats)
 

@@ -1,8 +1,9 @@
 """Matrix elements of classical groups over small finite fields.
 
 Matrices are immutable: a Mat is a flat tuple of field codes plus its Field.
-Hot loops (orbit closures, conjugation scans) work on the flat tuples
-directly and store visited sets as `bytes(flat)`, which is compact and
+The orbit kernel holds a matrix as the tuple of its row codes, one integer
+per row, and applies each generator as table look-ups on whole rows; orbits
+and closures hand back their elements as `bytes(flat)`, which is compact and
 hashes at C speed.  All iteration orders are canonical so that orbit dumps,
 certificates and reports are reproducible bit for bit.
 """
@@ -10,6 +11,7 @@ certificates and reports are reproducible bit for bit.
 from __future__ import annotations
 
 import functools
+from itertools import chain
 from dataclasses import dataclass, field as dc_field
 
 from .ffield import Field, FieldError, make_field, prime_power
@@ -505,56 +507,112 @@ def format_partition(parts) -> str:
 # orbits and closures
 
 
-@functools.lru_cache(maxsize=None)
-def _table_rows(F: Field):
-    "The addition and multiplication tables of F, one row per left operand."
-    q = F.q
-    return (tuple(tuple(F._add_t[a * q:(a + 1) * q]) for a in range(q)),
-            tuple(tuple(F._mul_t[a * q:(a + 1) * q]) for a in range(q)))
+# the row-add table has (q^n)^2 entries: about 8 MB of references at the limit
+ROW_CODE_LIMIT = 1024
 
 
-@functools.lru_cache(maxsize=None)
-def _lines(n: int):
-    "Row slices and column slices of a flat n-by-n matrix, with the identity's."
-    ident, nn = identity_flat(n), n * n
-    rows = tuple(slice(i * n, (i + 1) * n) for i in range(n))
-    cols = tuple(slice(j, nn, n) for j in range(n))
-    return tuple((lines, tuple(ident[s] for s in lines)) for lines in (rows, cols))
+def _runs(tables, low) -> tuple:
+    "The images of the codes `low` under each table in turn, end to end."
+    return tuple(chain.from_iterable(map(t.__getitem__, low) for t in tables))
 
 
-def _compile(F: Field, n: int, L, R):
-    """x -> L x R on flat matrices, compiled to touch only the rows of L and
-    the columns of R that differ from the identity: each such line of the
-    result combines the lines its nonzero entries select, O(n) table look-ups
-    per entry where two dense products cost O(n^3).  Fields too large for
-    tables keep the dense products."""
-    if F._mul_t is None:
-        return lambda x: mul_flat(F, n, mul_flat(F, n, L, x), R)
-    add, mul = _table_rows(F)
-    phases = []               # rows of L, then columns of R
-    for M, (lines, ident_lines) in zip((L, R), _lines(n)):
-        ops = []              # (line, first term, other terms)
-        for dst, one in zip(lines, ident_lines):
-            coeffs = M[dst]
-            if coeffs != one:
-                terms = [(src, None if c == 1 else mul[c])
-                         for src, c in zip(lines, coeffs) if c]
-                ops.append((dst, terms[0], terms[1:]))
-        if ops:
-            phases.append(ops)
+class _RowCode:
+    """Rows of n entries over F as integer codes in [0, q^n): the entries
+    are the base-q digits, the first entry the most significant.  The orbit
+    kernel holds a matrix as the tuple of its row codes.
 
-    def act(x):
-        y = list(x)
-        for phase in phases:
-            for dst, (s0, m0), rest in phase:
-                line = x[s0] if m0 is None else [m0[v] for v in x[s0]]
+    `add[u][v]` is the code of row u plus row v, and `scale[c][v]` that of
+    c times row v.  Both are built one digit at a time from the field's
+    tables: a table over k + 1 digits is made of `map` runs over the table
+    over k digits, each shifted by one shared list of int objects."""
+
+    __slots__ = ("n", "add", "scale", "rowbytes", "index")
+
+    def __init__(self, F: Field, n: int):
+        q, self.n = F.q, n
+        add = [tuple(F._add_t[a * q:(a + 1) * q]) for a in range(q)]
+        scale = [tuple(F._mul_t[c * q:(c + 1) * q]) for c in range(q)]
+        one, mul = add, scale
+        ints, size = list(range(q ** n)), q
+        for _ in range(n - 1):
+            # shift[d][v] = d q^k + v for v < q^k: a new leading digit d
+            shift = [ints[d * size:(d + 1) * size] for d in range(q)]
+            add = [_runs([shift[d] for d in one[a]], low)
+                   for a in range(q) for low in add]
+            scale = [_runs([shift[d] for d in m], low)
+                     for m, low in zip(mul, scale)]
+            size *= q
+        self.add, self.scale = tuple(add), tuple(scale)
+        rowbytes = [bytes((d,)) for d in range(q)]
+        for _ in range(n - 1):
+            rowbytes = [bytes((d,)) + low for d in range(q) for low in rowbytes]
+        self.rowbytes = rowbytes
+        self.index = {b: c for c, b in enumerate(rowbytes)}
+
+    def encode(self, flat) -> tuple[int, ...]:
+        n, index = self.n, self.index
+        return tuple(index[bytes(flat[i * n:(i + 1) * n])] for i in range(n))
+
+    def decode(self, codes) -> bytes:
+        "The packed flat matrix, as `bytes(flat)`."
+        return b"".join(map(self.rowbytes.__getitem__, codes))
+
+    def linear(self, M) -> tuple[int, ...]:
+        """The map v -> v M on row codes, built by linearity from the codes
+        of the rows of M (the images of the basis rows), least significant
+        digit first: one `add` look-up per code."""
+        image = (0,)
+        for r in reversed(self.encode(M)):
+            image = _runs([self.add[s[r]] for s in self.scale], image)
+        return image
+
+    def action(self, L, R):
+        """x -> L x R on row-code tuples: x R is one code map over the rows,
+        and each row of L that differs from the identity's combines the rows
+        its nonzero entries select, by `scale` and `add` look-ups."""
+        n, add, scale = self.n, self.add, self.scale
+        ident = identity_flat(n)
+        rmap = None if R == ident else self.linear(R).__getitem__
+        ops = []                  # (row, first term, other terms)
+        for i in range(n):
+            coeffs = L[i * n:(i + 1) * n]
+            if coeffs != ident[i * n:(i + 1) * n]:
+                terms = [(k, None if c == 1 else scale[c])
+                         for k, c in enumerate(coeffs) if c]
+                ops.append((i, terms[0], terms[1:]))
+
+        def act(x):
+            y = x if rmap is None else tuple(map(rmap, x))
+            if not ops:
+                return y
+            z = list(y)
+            for dst, (s0, m0), rest in ops:
+                v = y[s0] if m0 is None else m0[y[s0]]
                 for s, m in rest:
-                    line = ([add[a][b] for a, b in zip(line, x[s])] if m is None
-                            else [add[a][m[b]] for a, b in zip(line, x[s])])
-                y[dst] = line
-            x = tuple(y)
-        return x
-    return act
+                    v = add[v][y[s] if m is None else m[y[s]]]
+                z[dst] = v
+            return tuple(z)
+        return act
+
+
+@functools.lru_cache(maxsize=None)
+def _row_code(F: Field, n: int) -> _RowCode | None:
+    """The row codes of n-by-n matrices over F; None for a field without
+    tables or with q^n > ROW_CODE_LIMIT, where the dense products stay."""
+    if F._mul_t is None or F.q ** n > ROW_CODE_LIMIT:
+        return None
+    return _RowCode(F, n)
+
+
+def _kernel(F: Field, n: int):
+    """(encode, decode, action) of the orbit kernel over F: points are
+    row-code tuples, or flat tuples under two dense products per step where
+    F has no row codes.  decode gives `bytes(flat)`."""
+    rc = _row_code(F, n)
+    if rc is None:
+        return tuple, bytes, lambda L, R: (
+            lambda x: mul_flat(F, n, mul_flat(F, n, L, x), R))
+    return rc.encode, rc.decode, rc.action
 
 
 def _closure(F: Field, n: int, starts, pairs, cap: int | None = None):
@@ -564,22 +622,22 @@ def _closure(F: Field, n: int, starts, pairs, cap: int | None = None):
 
     Returns (seen, complete): the bytes of every element found, and False
     once more than `cap` are found, where the search stops."""
-    acts = [_compile(F, n, L, R) for L, R in pairs]
-    seen = {bytes(x) for x in starts}
-    frontier = list(starts)
+    encode, decode, action = _kernel(F, n)
+    acts = [action(L, R) for L, R in pairs]
+    frontier = [encode(x) for x in starts]
+    seen = set(frontier)
     while frontier:
         nxt = []
         for x in frontier:
             for act in acts:
                 y = act(x)
-                b = bytes(y)
-                if b not in seen:
-                    seen.add(b)
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
                     if cap is not None and len(seen) > cap:
-                        return seen, False
+                        return set(map(decode, seen)), False
         frontier = nxt
-    return seen, True
+    return set(map(decode, seen)), True
 
 
 class Orbit:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .matgroup import Mat, _compile, inv_flat
+from .matgroup import Mat, _kernel, inv_flat
 
 MATERIALIZE_LIMIT = 1024
 
@@ -161,7 +161,7 @@ def _conj_table(mats) -> tuple:
     indices; while a row is missing, the least index without one becomes a
     computed row.  So every entry is a product of checked matrix rows, and
     the table is the one the products give."""
-    index = {m.flat: i for i, m in enumerate(mats)}
+    points, index = _points(mats)
     if len(index) != len(mats):
         raise RackError("carrier has repeated elements")
     rows = [None] * len(mats)
@@ -170,7 +170,7 @@ def _conj_table(mats) -> tuple:
     for x in range(len(mats)):
         if rows[x] is not None:
             continue
-        row = rows[x] = _matrix_row(mats, index, x)
+        row = rows[x] = _matrix_row(mats, points, index, x)
         gens.append((row, perm_inv(row)))
         known.append(x)
         # close the known rows under every computed row again: the new one
@@ -185,12 +185,20 @@ def _conj_table(mats) -> tuple:
     return tuple(rows)
 
 
-def _matrix_row(mats, index, x) -> tuple:
-    "phi_x from one compiled conjugation; every image must be in the carrier."
+def _points(mats):
+    "The matrices as points of the orbit kernel, and the index of each point."
+    encode, _, _ = _kernel(mats[0].field, mats[0].n)
+    points = [encode(m.flat) for m in mats]
+    return points, {p: i for i, p in enumerate(points)}
+
+
+def _matrix_row(mats, points, index, x) -> tuple:
+    "phi_x from the kernel's action of x; every image must be in the carrier."
     m = mats[x]
-    act = _compile(m.field, m.n, m.flat, inv_flat(m.field, m.n, m.flat))
+    _, _, action = _kernel(m.field, m.n)
+    act = action(m.flat, inv_flat(m.field, m.n, m.flat))
     try:
-        return tuple([index[act(y.flat)] for y in mats])
+        return tuple([index[act(p)] for p in points])
     except KeyError:
         raise RackError("carrier is not closed under the operation") from None
 
@@ -202,8 +210,8 @@ def conj_rows(mats):
     matrices, so a scan holds only the rows it keeps."""
     if len(mats) <= MATERIALIZE_LIMIT:
         return _conj_table(mats).__getitem__
-    index = {m.flat: i for i, m in enumerate(mats)}
-    return lambda x: _matrix_row(mats, index, x)
+    points, index = _points(mats)
+    return lambda x: _matrix_row(mats, points, index, x)
 
 
 @dataclass

@@ -111,8 +111,7 @@ def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
              "triple_pruned_edges": 0}
     c = Cache(cache_dir)
     key = c.key({"op": "refute_f", "group": "Sp4(2)", "label": "V(2)^2",
-                 "split": 0, "caps": {"orbit": 10**6, "pairs": None},
-                 "seed": 0})
+                 "split": 0, "caps": {"orbit": 10**6}, "seed": 0})
     c.put(key, {"final": False, "state": {"stats": stats}})
     code, text = run(tmp_path, "--cache-dir", str(cache_dir), "refute",
                      "--kind", "f", "--n", "2", "--q", "2", "--label", "V(2)^2")
@@ -120,6 +119,20 @@ def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
     result = json.loads(text)["results"][0]
     assert result["complete"] and result["stats"] == stats
     assert c.get(key)["final"]
+
+
+def test_refute_f_cache_key_ignores_the_pair_cap(tmp_path):
+    "The pair cap bounds the not-D scan only, so the not-F key leaves it out."
+    cache_dir = tmp_path / "cache"
+    argv = ["refute", "--kind", "f", "--n", "2", "--q", "2", "--label", "V(2)^2"]
+    code1, text1 = run(tmp_path, "--cache-dir", str(cache_dir),
+                       "--pair-cap", "10", *argv)
+    code2, text2 = run(tmp_path, "--cache-dir", str(cache_dir), *argv)
+    assert code1 == code2 == 0
+    first, second = (json.loads(t)["results"][0] for t in (text1, text2))
+    assert "cached" not in first and second.pop("cached") is True
+    assert second == first
+    assert len(list(cache_dir.glob("*.json"))) == 1
 
 
 def test_refute_f_scans_the_whole_class_under_an_orbit_cap(tmp_path):

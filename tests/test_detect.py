@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -102,6 +103,22 @@ def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
     res = d_pair(w.r, w.s)
     assert res.kind == "witness" and calls == [w.r, w.s]
     assert res.witness.verify() and res.witness.orbit_r == w.orbit_r
+
+
+def test_classify_builds_the_class_rows_once(sp42, monkeypatch):
+    "Both refutations of a cthulhu class read one conjugation-rack table."
+    ctx = class_context(entry(sp42, "V(2)^2"), sp42)
+    # an orbit object that no scan has seen yet
+    ctx = dataclasses.replace(ctx, orbit=class_orbit(ctx.rep, ctx.spec))
+    table, calls = rack._conj_table, []
+
+    def counted(mats):
+        calls.append(len(mats))
+        return table(mats)
+
+    monkeypatch.setattr(rack, "_conj_table", counted)
+    assert classify(ctx).kind == "cthulhu"
+    assert calls == [45]
 
 
 def test_refute_d_pair_cap_and_resume(sp42):
@@ -324,6 +341,7 @@ def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
     # the derived table, then one matrix row per call
     for limit in (rack.MATERIALIZE_LIMIT, orbit.size - 1):
         monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", limit)
+        _class_rows.cache_clear()         # rows from the source under test
         rows_mats, row = _class_rows(orbit)
         assert rows_mats == mats
         index = {m.pack(): k for k, m in enumerate(mats)}

@@ -5,8 +5,9 @@ import pytest
 from unirack.detect import DetectError, _class_rows, _joint
 from unirack.ffield import make_field
 from unirack.matgroup import (
-    Endo, GroupError, Mat, _compile, apply_endo, class_orbit, classical_order,
-    enumerate_group, format_partition, group_spec, identity_flat, inv_flat,
+    Endo, GroupError, Mat, ROW_CODE_LIMIT, _kernel, _row_code, apply_endo,
+    class_orbit, classical_order, enumerate_group, format_partition,
+    group_spec, identity_flat, inv_flat,
     is_unipotent, j_mat, jordan_partition, mat_from_ints, membership,
     mul_flat, random_element, split_classes, subgroup_closure,
     symplectic_form,
@@ -322,9 +323,11 @@ def reference_bfs(F, n, starts, pairs, cap=None, targets=None):
 
 
 @pytest.mark.parametrize("fam,n,q", BUNDLED)
-def test_compiled_actions_match_dense_products(fam, n, q):
+def test_row_coded_actions_match_dense_products(fam, n, q):
     spec = group_spec(fam, n, q)
     F = spec.field
+    rc = _row_code(F, n)
+    assert rc is not None and F.q ** n <= ROW_CODE_LIMIT
     ident = identity_flat(n)
     rng = random.Random(41)
     xs = [random_element(spec, rng).flat for _ in range(50)]
@@ -333,23 +336,53 @@ def test_compiled_actions_match_dense_products(fam, n, q):
     actions += [(g, ident) for g, _ in spec.gen_pairs()]   # left products
     actions += [(ident, g) for g, _ in spec.gen_pairs()]   # products
     actions += [(r, inv_flat(F, n, r)), (s, inv_flat(F, n, s))]  # dense pairs
+    for x in xs:
+        assert rc.decode(rc.encode(x)) == bytes(x)
     for L, R in actions:
-        act = _compile(F, n, L, R)
+        act = rc.action(L, R)
         for x in xs:
-            assert act(x) == mul_flat(F, n, mul_flat(F, n, L, x), R)
+            assert rc.decode(act(rc.encode(x))) == \
+                bytes(mul_flat(F, n, mul_flat(F, n, L, x), R))
 
 
-def test_compiled_action_without_field_tables():
-    "Fields too large for tables keep the dense products."
+def test_dense_fallback_without_field_tables():
+    """A field too large for tables keeps flat points and the dense
+    products.  Its entries do not fit in bytes, so no closure packs them;
+    the closure fallback is checked on SL_3(16) below."""
     F = make_field(2, 9)
-    assert F._mul_t is None
+    assert F._mul_t is None and _row_code(F, 2) is None
+    encode, _, action = _kernel(F, 2)
     rng = random.Random(43)
     L = (F.generator, 1, 0, 1)
     R = inv_flat(F, 2, L)
-    act = _compile(F, 2, L, R)
+    act = action(L, R)
     for _ in range(20):
         x = tuple(rng.randrange(F.q) for _ in range(4))
+        assert encode(x) == x
         assert act(x) == mul_flat(F, 2, mul_flat(F, 2, L, x), R)
+
+
+def test_dense_fallback_past_the_row_code_bound():
+    """SL_3(16) has field tables, but 16^3 row codes are past the bound: a
+    capped class orbit and a complete cyclic closure under dense products."""
+    spec = group_spec("SL", 3, 16)
+    F, n = spec.field, spec.n
+    assert F._mul_t is not None and F.q ** n > ROW_CODE_LIMIT
+    assert _row_code(F, n) is None
+    rep = transvection(spec)
+    ref_seen, ref_complete = reference_bfs(
+        F, n, [rep.flat], spec.gen_pairs(), cap=200)
+    orb = class_orbit(rep, spec, cap=200)
+    assert not ref_complete and len(ref_seen) == 201
+    assert (orb.complete, orb.packed) == (ref_complete, ref_seen)
+    g = Mat(F, n, (F.generator, 0, 0, 0, F.inv(F.generator), 0, 0, 0, 1))
+    ident = identity_flat(n)
+    gen_flats = sorted({g.flat, ident})
+    ref_seen, ref_complete = reference_bfs(
+        F, n, gen_flats, [(ident, x) for x in gen_flats])
+    closure = subgroup_closure([g])
+    assert ref_complete and len(ref_seen) == 15
+    assert (closure.complete, closure.packed) == (ref_complete, ref_seen)
 
 
 @pytest.mark.parametrize("fam,n,q", [("Sp", 4, 3), ("Sp", 6, 2), ("GU", 3, 3)])
