@@ -598,20 +598,71 @@ class _RowCode:
 @functools.lru_cache(maxsize=None)
 def _row_code(F: Field, n: int) -> _RowCode | None:
     """The row codes of n-by-n matrices over F; None for a field without
-    tables or with q^n > ROW_CODE_LIMIT, where the dense products stay."""
+    tables or with q^n > ROW_CODE_LIMIT."""
     if F._mul_t is None or F.q ** n > ROW_CODE_LIMIT:
         return None
     return _RowCode(F, n)
 
 
+@functools.lru_cache(maxsize=None)
+def _table_rows(F: Field):
+    "The addition and multiplication tables of F, one row per left operand."
+    q = F.q
+    return (tuple(tuple(F._add_t[a * q:(a + 1) * q]) for a in range(q)),
+            tuple(tuple(F._mul_t[a * q:(a + 1) * q]) for a in range(q)))
+
+
+@functools.lru_cache(maxsize=None)
+def _lines(n: int):
+    "Row slices and column slices of a flat n-by-n matrix, with the identity's."
+    ident, nn = identity_flat(n), n * n
+    rows = tuple(slice(i * n, (i + 1) * n) for i in range(n))
+    cols = tuple(slice(j, nn, n) for j in range(n))
+    return tuple((lines, tuple(ident[s] for s in lines)) for lines in (rows, cols))
+
+
+def _entrywise(F: Field, n: int, L, R):
+    """x -> L x R on flat matrices, for matrices without row codes: only the
+    rows of L and the columns of R that differ from the identity are
+    touched, and each such line of the result combines the lines its
+    nonzero entries select, O(n) table look-ups per entry.  Fields too large
+    for tables take two dense products."""
+    if F._mul_t is None:
+        return lambda x: mul_flat(F, n, mul_flat(F, n, L, x), R)
+    add, mul = _table_rows(F)
+    phases = []               # rows of L, then columns of R
+    for M, (lines, ident_lines) in zip((L, R), _lines(n)):
+        ops = []              # (line, first term, other terms)
+        for dst, one in zip(lines, ident_lines):
+            coeffs = M[dst]
+            if coeffs != one:
+                terms = [(src, None if c == 1 else mul[c])
+                         for src, c in zip(lines, coeffs) if c]
+                ops.append((dst, terms[0], terms[1:]))
+        if ops:
+            phases.append(ops)
+
+    def act(x):
+        y = list(x)
+        for phase in phases:
+            for dst, (s0, m0), rest in phase:
+                line = x[s0] if m0 is None else [m0[v] for v in x[s0]]
+                for s, m in rest:
+                    line = ([add[a][b] for a, b in zip(line, x[s])] if m is None
+                            else [add[a][m[b]] for a, b in zip(line, x[s])])
+                y[dst] = line
+            x = tuple(y)
+        return x
+    return act
+
+
 def _kernel(F: Field, n: int):
     """(encode, decode, action) of the orbit kernel over F: points are
-    row-code tuples, or flat tuples under two dense products per step where
-    F has no row codes.  decode gives `bytes(flat)`."""
+    row-code tuples, or flat tuples under the entry-wise action where F has
+    no row codes.  decode gives `bytes(flat)`."""
     rc = _row_code(F, n)
     if rc is None:
-        return tuple, bytes, lambda L, R: (
-            lambda x: mul_flat(F, n, mul_flat(F, n, L, x), R))
+        return tuple, bytes, functools.partial(_entrywise, F, n)
     return rc.encode, rc.decode, rc.action
 
 

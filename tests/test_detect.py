@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -15,6 +14,14 @@ from unirack.detect import (
 from unirack.matgroup import (
     Mat, class_orbit, group_spec, orbit_under, random_element,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_class_rows():
+    "No test reads class rows memoised by an earlier one, or leaves its own."
+    _class_rows.cache_clear()
+    yield
+    _class_rows.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +115,6 @@ def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
 def test_classify_builds_the_class_rows_once(sp42, monkeypatch):
     "Both refutations of a cthulhu class read one conjugation-rack table."
     ctx = class_context(entry(sp42, "V(2)^2"), sp42)
-    # an orbit object that no scan has seen yet
-    ctx = dataclasses.replace(ctx, orbit=class_orbit(ctx.rep, ctx.spec))
     table, calls = rack._conj_table, []
 
     def counted(mats):

@@ -322,12 +322,23 @@ def reference_bfs(F, n, starts, pairs, cap=None, targets=None):
     return seen, True
 
 
-@pytest.mark.parametrize("fam,n,q", BUNDLED)
-def test_row_coded_actions_match_dense_products(fam, n, q):
+# specs past the row-code bound: SL and SU over F_16, and Sp4 over a prime,
+# a power of 2 and an odd prime power
+PAST_BOUND = [("SL", 3, 16), ("Sp", 4, 7), ("Sp", 4, 8), ("Sp", 4, 9),
+              ("SU", 3, 4)]
+
+
+@pytest.mark.parametrize("fam,n,q", BUNDLED + PAST_BOUND)
+def test_kernel_actions_match_dense_products(fam, n, q):
+    """Every bundled spec is row-coded, and past the bound the kernel keeps
+    flat points and the entry-wise action; either way the decoded action
+    is the two dense products."""
     spec = group_spec(fam, n, q)
     F = spec.field
-    rc = _row_code(F, n)
-    assert rc is not None and F.q ** n <= ROW_CODE_LIMIT
+    row_coded = (fam, n, q) in BUNDLED
+    assert row_coded == (F.q ** n <= ROW_CODE_LIMIT)
+    assert row_coded == (_row_code(F, n) is not None)
+    encode, decode, action = _kernel(F, n)
     ident = identity_flat(n)
     rng = random.Random(41)
     xs = [random_element(spec, rng).flat for _ in range(50)]
@@ -337,18 +348,19 @@ def test_row_coded_actions_match_dense_products(fam, n, q):
     actions += [(ident, g) for g, _ in spec.gen_pairs()]   # products
     actions += [(r, inv_flat(F, n, r)), (s, inv_flat(F, n, s))]  # dense pairs
     for x in xs:
-        assert rc.decode(rc.encode(x)) == bytes(x)
+        assert decode(encode(x)) == bytes(x)
+        assert row_coded or encode(x) == x
     for L, R in actions:
-        act = rc.action(L, R)
+        act = action(L, R)
         for x in xs:
-            assert rc.decode(act(rc.encode(x))) == \
+            assert decode(act(encode(x))) == \
                 bytes(mul_flat(F, n, mul_flat(F, n, L, x), R))
 
 
 def test_dense_fallback_without_field_tables():
     """A field too large for tables keeps flat points and the dense
     products.  Its entries do not fit in bytes, so no closure packs them;
-    the closure fallback is checked on SL_3(16) below."""
+    the closure past the bound is checked on SL_3(16) below."""
     F = make_field(2, 9)
     assert F._mul_t is None and _row_code(F, 2) is None
     encode, _, action = _kernel(F, 2)
@@ -362,12 +374,12 @@ def test_dense_fallback_without_field_tables():
         assert act(x) == mul_flat(F, 2, mul_flat(F, 2, L, x), R)
 
 
-def test_dense_fallback_past_the_row_code_bound():
+def test_closure_past_the_row_code_bound():
     """SL_3(16) has field tables, but 16^3 row codes are past the bound: a
-    capped class orbit and a complete cyclic closure under dense products."""
+    capped class orbit and a complete cyclic closure under the entry-wise
+    action."""
     spec = group_spec("SL", 3, 16)
     F, n = spec.field, spec.n
-    assert F._mul_t is not None and F.q ** n > ROW_CODE_LIMIT
     assert _row_code(F, n) is None
     rep = transvection(spec)
     ref_seen, ref_complete = reference_bfs(
