@@ -596,9 +596,6 @@ class Expectation:
     rule: str
     uncovered: bool = False
 
-    def verdict_set(self):
-        return tuple(sorted(self.verdicts))
-
 
 def expected(label: UnipotentLabel, n2: int, q: int) -> Expectation:
     "The reference verdict and split count for one label."

@@ -367,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=None)
     ap.add_argument("--orbit-cap", type=int, default=10**6)
     ap.add_argument("--pair-cap", type=int, default=None,
-                    help="cap on not-D pair evaluations (enables resume); "
-                         "the not-F scan always runs to the end")
+                    help="cap on the not-D pair evaluations of one run "
+                         "(enables resume: each rerun evaluates up to this "
+                         "many more); the not-F scan always runs to the end")
     ap.add_argument("--sample-pairs", type=int, default=64)
     sub = ap.add_subparsers(dest="cmd", required=True)
 

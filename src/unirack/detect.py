@@ -325,8 +325,9 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
     The class is homogeneous, so fixing the canonical representative loses
     nothing (see EQUIVARIANCE_NOTE).  The pair (0, j) is degenerate iff
     0 > j = j or 0 > (j > (0 > j)) = j, and a witness iff j is outside the
-    orbit of 0 under <phi_0, phi_j>.  A pair-evaluation cap downgrades the
-    certificate to sampled and records a resume state.
+    orbit of 0 under <phi_0, phi_j>.  A cap on the pairs evaluated in this
+    call, not counting those a resume restores, downgrades the certificate
+    to sampled and records a resume state.
     """
     mats, row = _class_rows(orbit)
     rep, r0, cap = mats[0], row(0), budget.orbit_cap
@@ -336,8 +337,10 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
     if resume:
         start = resume["next_index"]
         stats.update(resume["stats"])
+    restored = stats["pairs"]
     for j in range(start, len(mats)):
-        if budget.refute_pair_cap is not None and stats["pairs"] >= budget.refute_pair_cap:
+        if budget.refute_pair_cap is not None \
+                and stats["pairs"] - restored >= budget.refute_pair_cap:
             state = {"next_index": j, "stats": dict(stats)}
             if checkpoint_cb:
                 checkpoint_cb(state)

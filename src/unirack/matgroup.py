@@ -154,19 +154,6 @@ class Mat:
     def identity(cls, field: Field, n: int) -> "Mat":
         return cls(field, n, identity_flat(n))
 
-    @classmethod
-    def from_rows(cls, field: Field, rows) -> "Mat":
-        n = len(rows)
-        flat = []
-        for row in rows:
-            if len(row) != n:
-                raise GroupError("rows must be square")
-            for x in row:
-                code = x.code if hasattr(x, "code") else int(x) % field.p if not (
-                    0 <= int(x) < field.q) else int(x)
-                flat.append(code)
-        return cls(field, n, flat)
-
     def rows(self):
         n = self.n
         return [list(self.flat[i * n:(i + 1) * n]) for i in range(n)]
@@ -288,10 +275,6 @@ class GroupSpec:
     @property
     def name(self) -> str:
         return f"{self.family}{self.n}({self.q})"
-
-    @property
-    def det_one(self) -> bool:
-        return self.family in ("SL", "SU", "Sp")
 
     def gen_pairs(self):
         "Generators with precomputed inverses, in canonical order."

@@ -164,9 +164,9 @@ def test_acceptance_07_regular_inner_groups_q2():
     cat = group_catalog(4, 2)
     entries = cat.by_label(parse_label("V(4)", 2))
     ok = len(entries) == 2 and all(e.size == 90 for e in entries)
-    orders = sorted(
-        inn_order(conj_rack(e.orbit.mats(), spec=cat.spec)) for e in entries)
-    ok = ok and orders == [360, 720]
+    racks = [conj_rack(e.orbit.mats()) for e in entries]
+    ok = ok and all(r.verify_axioms() for r in racks)
+    ok = ok and sorted(inn_order(r) for r in racks) == [360, 720]
     assert crit(7, ok, "two regular classes of size 90 with inner groups of "
                 "orders 720 and 360")
 
@@ -247,8 +247,9 @@ def test_acceptance_09_torus_witness_calculus():
 def sl2_class_rack(q):
     spec = group_spec("SL", 2, q)
     u = Mat(spec.field, 2, (1, 1, 0, 1))
-    orb = class_orbit(u, spec)
-    return conj_rack(orb.mats(), spec=spec, orbit=orb)
+    rack = conj_rack(class_orbit(u, spec).mats())
+    assert rack.verify_axioms()
+    return rack
 
 
 def sl2_3_classes_in_sl2_9():
@@ -363,9 +364,7 @@ def test_acceptance_13_property_suite(tmp_path):
     # rack axioms on constructed racks
     cat2 = group_catalog(4, 2)
     for e in cat2.entries:
-        rack = conj_rack(e.orbit.mats(), spec=cat2.spec, verify=False,
-                         materialize=e.size <= 256)
-        ok = ok and rack.verify_axioms()
+        ok = ok and conj_rack(e.orbit.mats()).verify_axioms()
     # pair-scan equivariance spot checks
     cat3 = group_catalog(4, 3)
     e = cat3.by_label(parse_label("2,2", 3))[0]

@@ -1,24 +1,30 @@
-"""The benchmark traces functions of `unirack` by name.  Each name it lists
-must still resolve, so that renaming or deleting a traced function fails
-here rather than in a benchmark run."""
+"""The benchmark traces functions of `unirack` by name and runs library
+tasks against pinned checks.  Each name it lists must still resolve and
+each library task must still pass its check, so that renaming or breaking
+what the benchmark uses fails here rather than in a benchmark run."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
+import sys
 
 import pytest
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    "A perfbench module loaded from its file; loading installs nothing."
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)     # defines the tables; installs nothing
+    sys.modules[spec.name] = mod     # dataclasses look their module up there
+    spec.loader.exec_module(mod)
     return mod
 
 
-spans = _spans()
+spans, tasks, workloads = _load("spans"), _load("tasks"), _load("workloads")
 
 
 @pytest.mark.parametrize("mod,name", spans.SPAN_FUNCS + spans.COUNT_FUNCS,
@@ -32,3 +38,11 @@ def test_traced_function_resolves(mod, name):
 def test_traced_method_resolves(mod, cls, meth):
     owner = getattr(importlib.import_module(f"unirack.{mod}"), cls)
     assert callable(getattr(owner, meth))
+
+
+@pytest.mark.parametrize(
+    "step", [s for s in workloads.WORKLOADS["classify-rack"].steps if s.task],
+    ids=lambda s: s.task)
+def test_library_task_passes_its_check(step):
+    output, _ = tasks.TASKS[step.task](0)
+    assert step.check(json.loads(json.dumps(output))) == []

@@ -102,6 +102,19 @@ def test_refute_with_cap_then_resume(tmp_path):
     assert code3 == 0 and json.loads(text3)["results"][0].get("cached")
 
 
+def test_capped_resume_makes_progress(tmp_path):
+    "The pair cap bounds one run's pairs, so each rerun with it goes on."
+    argv = ["--cache-dir", str(tmp_path / "cache"), "--pair-cap", "20",
+            "refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "V(2)^2"]
+    got = []
+    for _ in range(3):
+        code, text = run(tmp_path, *argv)
+        cert = json.loads(text)["results"][0]
+        got.append((code, cert["stats"]["pairs"], cert["complete"]))
+    assert got == [(3, 20, False), (3, 40, False), (0, 44, True)]
+    assert cert["verdict_basis"] == "exhaustive"
+
+
 def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
     """The not-F scan runs to the end every time: a non-final entry under
     its key neither adds its stats nor stops the scan."""

@@ -1,7 +1,6 @@
-import random
-
 import pytest
 
+from unirack import rack
 from unirack.catalog import (
     class_context, group_catalog, parse_label, representative,
 )
@@ -9,8 +8,8 @@ from unirack.detect import classify
 from unirack.ffield import Embedding
 from unirack.matgroup import Mat, class_orbit, group_spec
 from unirack.rack import (
-    Rack, RackError, conj_rack, decompose, inn_order, inner_group_perms,
-    perm_group_order, sober_check, subrack_closure,
+    Rack, RackError, conj_rack, conj_rows, decompose, inn_order,
+    inner_group_perms, perm_group_order, sober_check, subrack_closure,
 )
 
 
@@ -21,30 +20,39 @@ def transvection(spec):
     return Mat(F, n, flat)
 
 
-def class_rack(fam, n, q, rep=None):
+def checked_rack(mats):
+    "The conjugation rack on `mats`, its axioms checked in full."
+    r = conj_rack(mats)
+    assert r.verify_axioms()
+    return r
+
+
+def class_rack(fam, n, q):
     spec = group_spec(fam, n, q)
-    rep = rep or transvection(spec)
-    orb = class_orbit(rep, spec)
-    return conj_rack(orb.mats(), spec=spec, orbit=orb)
+    return checked_rack(class_orbit(transvection(spec), spec).mats())
 
 
 def sl2_unipotent_rack(q):
     spec = group_spec("SL", 2, q)
     u = Mat(spec.field, 2, (1, 1, 0, 1))
-    orb = class_orbit(u, spec)
-    return conj_rack(orb.mats(), spec=spec, orbit=orb)
+    return checked_rack(class_orbit(u, spec).mats())
+
+
+def trivial_rack(n):
+    "x > y = y on n points: every translation is the identity."
+    ident = tuple(range(n))
+    return Rack(range(n), lambda i: ident)
 
 
 def test_singleton_rack_is_trivial():
     spec = group_spec("Sp", 4, 2)
-    r = conj_rack([spec.identity()], spec=spec)
+    r = checked_rack([spec.identity()])
     assert r.size == 1 and r.op(0, 0) == 0
 
 
 def test_transvection_rack_sp42():
     r = class_rack("Sp", 4, 2)
     assert r.size == 15
-    assert r.verify_axioms()
     assert len(decompose(r)) == 1   # a full class is one inner orbit
 
 
@@ -53,7 +61,7 @@ def test_closure_violation_detected():
     orb = class_orbit(transvection(spec), spec)
     mats = list(orb.mats())[:7]     # not closed
     with pytest.raises(RackError):
-        conj_rack(mats, spec=spec)
+        conj_rack(mats)
 
 
 def test_subrack_closure_singleton_and_commuting_pair():
@@ -72,7 +80,7 @@ def test_subrack_closure_singleton_and_commuting_pair():
 
 
 def test_decompose_abelian_rack():
-    r = Rack(range(5), lambda x, y: y)
+    r = trivial_rack(5)
     assert len(decompose(r)) == 5
     assert inn_order(r) == 1
 
@@ -114,6 +122,14 @@ def test_sober_pairs_mode_larger_sl2(q):
     assert rep.sober and rep.basis == "2-generated"
 
 
+def test_sober_pairs_analyses_each_distinct_subrack_once():
+    """78 and 300 generating pairs close to 19 and 49 distinct subracks;
+    the SL_2(9) counterexample is the second subrack analysed."""
+    got = {q: sober_check(sl2_unipotent_rack(q), "pairs") for q in (5, 7, 9)}
+    assert [got[q].subracks_scanned for q in (5, 7, 9)] == [19, 49, 2]
+    assert got[9].counterexample == (0, 1, 4, 5, 8, 9, 12, 13)
+
+
 def test_sl2_9_subfield_subrack_breaks_soberness():
     """Computed fact: the SL_2(9) class rack is NOT sober.  The union of the
     two subfield SL_2(3)-classes is an 8-element subrack, decomposable into
@@ -150,7 +166,7 @@ def test_sl2_9_subfield_subrack_breaks_soberness():
 
 def test_sober_bound_enforced():
     r = class_rack("Sp", 4, 2)   # size 15 is fine, build a too-big dummy
-    big = Rack(range(21), lambda x, y: y)
+    big = trivial_rack(21)
     with pytest.raises(RackError):
         sober_check(big, "exhaustive")
     # Sp_4(2) = S_6 and its transvections are the transpositions, where
@@ -183,7 +199,7 @@ def regular_class_racks_sp42():
             continue
         orb = class_orbit(u, spec)
         seen.add(frozenset(orb.packed))
-        racks.append(conj_rack(orb.mats(), spec=spec, orbit=orb))
+        racks.append(checked_rack(orb.mats()))
     return racks
 
 
@@ -250,9 +266,9 @@ DIFFERENTIAL_CARRIERS = ("sp42-V4-0", "sp42-V4-1", "sp42-V4-union",
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_CARRIERS)
-def test_conj_table_equals_dense_products(name):
+def test_conj_table_equals_dense_products(name, monkeypatch):
     mats = differential_carrier(name)
-    r = conj_rack(mats)
+    r = checked_rack(mats)
     index = {x: i for i, x in enumerate(r.elements)}
     assert len(index) == len(mats)
     for i, x in enumerate(r.elements):
@@ -260,11 +276,24 @@ def test_conj_table_equals_dense_products(name):
         assert r.translation(i) == tuple(index[x * y * xi] for y in r.elements)
     if name == "sp42-V4-union":
         assert len(decompose(r)) > 1     # rows from more than one orbit
-    lazy = conj_rack(mats, verify=False, materialize=False)
-    rng = random.Random(len(mats))
-    for _ in range(200):
-        i, j = rng.randrange(r.size), rng.randrange(r.size)
-        assert lazy.op(i, j) == r.op(i, j)
+    # one matrix row per call gives the same rows as the derived table
+    monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", len(mats) - 1)
+    per_row = checked_rack(mats)
+    assert all(per_row.translation(i) == r.translation(i) for i in range(r.size))
+
+
+@pytest.mark.parametrize("source", ["table", "per-row"])
+def test_repeated_matrix_is_refused(source, monkeypatch):
+    "Both row sources refuse a carrier that lists one matrix twice."
+    if source == "per-row":
+        monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", 10)
+    spec = group_spec("Sp", 4, 2)
+    mats = sorted(class_orbit(transvection(spec), spec).mats())
+    mats.insert(4, mats[3])
+    with pytest.raises(RackError, match="repeated"):
+        conj_rows(mats)
+    with pytest.raises(RackError, match="repeated"):
+        conj_rack(mats)
 
 
 def test_carrier_with_a_foreign_element_is_not_closed():
@@ -273,7 +302,7 @@ def test_carrier_with_a_foreign_element_is_not_closed():
     mats = list(class_orbit(transvection(spec), spec).mats())
     stranger = differential_carrier("sp42-V4-0")[0]
     with pytest.raises(RackError, match="not closed"):
-        conj_rack(mats + [stranger], spec=spec)
+        conj_rack(mats + [stranger])
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +345,7 @@ def test_fano_generators_are_collineations():
 def test_inn_order_equals_closure_on_every_sp42_class():
     cat = group_catalog(4, 2)
     for e in cat.entries:
-        r = conj_rack(e.orbit.mats(), spec=cat.spec)
+        r = checked_rack(e.orbit.mats())
         assert inn_order(r) == len(inner_group_perms(r))
 
 
@@ -326,7 +355,7 @@ def test_inn_order_equals_closure_on_every_sp42_class():
 
 def corrupted(rows):
     "A rack on the same indices with the given table rows."
-    return Rack(range(len(rows)), None, table=tuple(map(tuple, rows)))
+    return Rack(range(len(rows)), tuple(map(tuple, rows)).__getitem__)
 
 
 def test_verify_axioms_catches_corrupt_tables():
@@ -387,5 +416,5 @@ def test_type_d_from_rack_table_matches_catalog_verdicts(q, classes):
     for e in small:
         verdict = classify(class_context(e, cat))
         assert verdict.kind in ("D", "cthulhu")
-        r = conj_rack(e.orbit.mats(), spec=cat.spec, orbit=e.orbit)
+        r = checked_rack(e.orbit.mats())
         assert type_d_from_table(r) == (verdict.kind == "D"), (str(e.label), e.split_index)
