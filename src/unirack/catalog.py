@@ -128,6 +128,8 @@ def parse_label(text: str, q: int) -> UnipotentLabel:
         return odd_label(int(p) for p in text.replace(" ", "").split(","))
     terms = []
     for bit in text.replace(" ", "").split("+"):
+        if not bit:
+            raise CatalogError(f"empty term in label {text!r}")
         kind = bit[0].upper()
         rest = bit[1:]
         mult = 1
@@ -464,9 +466,9 @@ class GroupCatalog:
 
 
 @functools.lru_cache(maxsize=None)
-def group_catalog(n2: int, q: int) -> GroupCatalog:
-    """Label every element of U^F, then split each label into conjugation
-    orbits; exhaustive because every unipotent class meets U^F."""
+def _labelled_u(n2: int, q: int):
+    """(spec, model, U^F, the nonidentity elements of U^F by label): U^F
+    is labelled once per group, a small fraction of a catalog's work."""
     spec = group_spec("Sp", n2, q)
     model = symplectic_model(n2 // 2, q)
     u_group = []
@@ -476,20 +478,42 @@ def group_catalog(n2: int, q: int) -> GroupCatalog:
         if u.is_identity():
             continue
         by_label.setdefault(label_of(u, spec), []).append(u)
-    entries = []
-    total = 1
-    for label in sorted(by_label):
-        by_pack = {u.pack(): u for u in by_label[label]}
-        split = sorted(split_classes(by_label[label], spec),
-                       key=lambda sc: min(sc.orbit.packed))
-        for k, sc in enumerate(split):
-            members = tuple(by_pack[b] for b in sc.members)
-            entries.append(ClassEntry(label, k, sc.orbit, members))
-            total += sc.size
+    return spec, model, tuple(u_group), by_label
+
+
+@functools.lru_cache(maxsize=None)
+def label_classes(n2: int, q: int, label: UnipotentLabel) -> tuple:
+    """The classes of one label, as ClassEntry values: its elements in U^F
+    split into conjugation orbits, numbered by least packed element.  Every
+    class of the label meets U^F, so the split is exhaustive; a label that
+    does not occur has no classes."""
+    spec, _, _, by_label = _labelled_u(n2, q)
+    elements = by_label.get(label, ())
+    by_pack = {u.pack(): u for u in elements}
+    split = sorted(split_classes(elements, spec),
+                   key=lambda sc: min(sc.orbit.packed))
+    return tuple(ClassEntry(label, k, sc.orbit,
+                            tuple(by_pack[b] for b in sc.members))
+                 for k, sc in enumerate(split))
+
+
+def label_catalog(n2: int, q: int, label: UnipotentLabel) -> GroupCatalog:
+    "The catalog of one label's classes, without splitting any other label."
+    spec, model, u_group, _ = _labelled_u(n2, q)
+    return GroupCatalog(spec, model, u_group, list(label_classes(n2, q, label)))
+
+
+@functools.lru_cache(maxsize=None)
+def group_catalog(n2: int, q: int) -> GroupCatalog:
+    """Every unipotent class: each label of U^F split into conjugation
+    orbits, checked by the class sizes summing to the unipotent count."""
+    spec, model, u_group, by_label = _labelled_u(n2, q)
+    entries = [e for label in sorted(by_label)
+               for e in label_classes(n2, q, label)]
     n_pos = (n2 // 2) ** 2
-    if total != q ** (2 * n_pos):
+    if 1 + sum(e.size for e in entries) != q ** (2 * n_pos):
         raise CatalogError("class sizes do not sum to the unipotent count")
-    return GroupCatalog(spec, model, tuple(u_group), entries)
+    return GroupCatalog(spec, model, u_group, entries)
 
 
 # -- block realizations for the product strategies
@@ -976,8 +1000,8 @@ def verify_row(label: UnipotentLabel, n2: int, q: int,
     reconciled.  Each class's expected verdict is the one `row_matched`
     pairs with its verdict: the k-th smallest verdict kind against the k-th
     smallest expected verdict."""
-    cat = group_catalog(n2, q)
-    entries = cat.by_label(label)
+    cat = label_catalog(n2, q, label)
+    entries = cat.entries
     if not entries:
         raise CatalogError(f"label {label} does not occur in Sp_{n2}({q})")
     exp = expected(label, n2, q)

@@ -20,8 +20,8 @@ import time
 from . import ARTIFACT_VERSION, SCHEMA_VERSION
 from .cache import Cache, canonical_json
 from .catalog import (
-    class_context, enumerate_labels, expected, group_catalog, gu3_witness,
-    parse_label, row_matched,
+    CatalogError, class_context, enumerate_labels, expected, group_catalog,
+    gu3_witness, label_catalog, parse_label, row_matched,
 )
 from .chevalley import (
     ChevalleyWord, FamilyRefusal, HypothesisError, commutator_data,
@@ -79,15 +79,24 @@ def _emit(args, report: dict, timings=None) -> None:
         sys.stdout.write(text)
 
 
-def _classify_rows(args, cache, budget, labels=None):
+def _label_arg(args):
+    """The parsed --label of a per-label command, read before any orbit
+    work, so that a missing or malformed label fails at once."""
+    if args.label is None:
+        raise CatalogError(f"{args.cmd} needs --label")
+    return parse_label(args.label, args.q)
+
+
+def _classify_rows(args, cache, budget, only=None):
+    """Classify every class of the group, checked by the full catalog, or
+    only the classes of the label `only`, split without the other labels."""
     n2 = 2 * args.n
-    cat = group_catalog(n2, args.q)
+    cat = (group_catalog(n2, args.q) if only is None
+           else label_catalog(n2, args.q, only))
     rows = []
     unknowns = 0
     mismatches = 0
     for label in cat.labels():
-        if labels is not None and label not in labels:
-            continue
         exp = expected(label, n2, args.q)
         records = []
         for entry in cat.by_label(label):
@@ -133,13 +142,11 @@ def _classify_rows(args, cache, budget, labels=None):
 
 def cmd_classify(args) -> int:
     budget = _budget_from_args(args)
-    labels = None
-    if args.label:
-        labels = [parse_label(args.label, args.q)]
+    only = parse_label(args.label, args.q) if args.label else None
     cache = _open_cache(args)
     t0 = time.time()
     try:
-        cat, rows, unknowns, mismatches = _classify_rows(args, cache, budget, labels)
+        cat, rows, unknowns, mismatches = _classify_rows(args, cache, budget, only)
     finally:
         if cache:
             cache.release()
@@ -173,14 +180,12 @@ def cmd_witness(args) -> int:
                      "result": rep.to_json()},
               {"wall_s": round(time.time() - t0, 3)})
         return 0
+    label = _label_arg(args)
     budget = _budget_from_args(args)
-    n2 = 2 * args.n
-    cat = group_catalog(n2, args.q)
-    label = parse_label(args.label, args.q)
-    entries = cat.by_label(label)
+    cat = label_catalog(2 * args.n, args.q, label)
     out = []
     code = 0
-    for entry in entries:
+    for entry in cat.entries:
         if args.split is not None and entry.split_index != args.split:
             continue
         ctx = class_context(entry, cat)
@@ -196,11 +201,10 @@ def cmd_witness(args) -> int:
 
 def cmd_refute(args) -> int:
     from .detect import refute_d, refute_f, Certificate, DWitness
+    label = _label_arg(args)
     budget = _budget_from_args(args)
-    n2 = 2 * args.n
-    cat = group_catalog(n2, args.q)
-    label = parse_label(args.label, args.q)
-    entries = [e for e in cat.by_label(label)
+    cat = label_catalog(2 * args.n, args.q, label)
+    entries = [e for e in cat.entries
                if args.split is None or e.split_index == args.split]
     if not entries:
         print("no such class", file=sys.stderr)
@@ -211,13 +215,11 @@ def cmd_refute(args) -> int:
     code = 0
     try:
         for entry in entries:
-            # the pair cap bounds the not-D scan only
-            caps = {"orbit": budget.orbit_cap}
-            if args.kind == "d":
-                caps["pairs"] = budget.refute_pair_cap
+            # no pair cap in the key: a capped not-D run leaves a partial
+            # entry that the next run resumes, capped or not
             payload = {"op": f"refute_{args.kind}", "group": cat.spec.name,
                        "label": str(label), "split": entry.split_index,
-                       "caps": caps, "seed": args.seed}
+                       "caps": {"orbit": budget.orbit_cap}, "seed": args.seed}
             key = cache.key(payload) if cache else None
             cached = cache.get(key) if cache else None
             if cached and cached.get("final"):

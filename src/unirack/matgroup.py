@@ -277,7 +277,8 @@ class GroupSpec:
         return f"{self.family}{self.n}({self.q})"
 
     def gen_pairs(self):
-        "Generators with precomputed inverses, in canonical order."
+        """Conjugation pairs (g, g^-1) of the non-scalar generators, in
+        canonical order: conjugation by a scalar is the identity."""
         return _gen_pairs(self)
 
     def identity(self) -> Mat:
@@ -291,7 +292,9 @@ class GroupSpec:
 def _gen_pairs(spec: GroupSpec):
     out = []
     for g in sorted(spec.generators):
-        out.append((g.flat, inv_flat(spec.field, spec.n, g.flat)))
+        scalar = tuple(g.flat[0] * x for x in identity_flat(spec.n))
+        if g.flat != scalar:
+            out.append((g.flat, inv_flat(spec.field, spec.n, g.flat)))
     return tuple(out)
 
 

@@ -27,14 +27,22 @@ def _load(name):
 spans, tasks, workloads = _load("spans"), _load("tasks"), _load("workloads")
 
 
-@pytest.mark.parametrize("mod,name", spans.SPAN_FUNCS + spans.COUNT_FUNCS,
-                         ids=".".join)
+def _dotted(names):
+    "One id per traced name, as `module.function`."
+    return [".".join(p) for p in names]
+
+
+TRACED_FUNCS = spans.SPAN_FUNCS + spans.COUNT_FUNCS
+
+
+@pytest.mark.parametrize("mod,name", TRACED_FUNCS, ids=_dotted(TRACED_FUNCS))
 def test_traced_function_resolves(mod, name):
     assert mod in spans.MODULES
     assert callable(getattr(importlib.import_module(f"unirack.{mod}"), name))
 
 
-@pytest.mark.parametrize("mod,cls,meth", spans.SPAN_METHODS, ids=".".join)
+@pytest.mark.parametrize("mod,cls,meth", spans.SPAN_METHODS,
+                         ids=_dotted(spans.SPAN_METHODS))
 def test_traced_method_resolves(mod, cls, meth):
     owner = getattr(importlib.import_module(f"unirack.{mod}"), cls)
     assert callable(getattr(owner, meth))

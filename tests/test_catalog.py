@@ -5,9 +5,10 @@ import pytest
 
 from unirack.catalog import (
     CatalogError, Expectation, decomposition_type, enumerate_labels,
-    even_label, expected, group_catalog, gu3_witness, label_of, odd_label,
-    parse_label, regular_pairs, representative, row_matched, sl_expected,
-    transvection_rep, transvection_split_rack_iso, verify_row,
+    even_label, expected, group_catalog, gu3_witness, label_catalog,
+    label_classes, label_of, odd_label, parse_label, regular_pairs,
+    representative, row_matched, sl_expected, transvection_rep,
+    transvection_split_rack_iso, verify_row,
 )
 from unirack.matgroup import (
     class_orbit, group_spec, jordan_partition, membership,
@@ -88,6 +89,25 @@ def test_split_counts_sp42():
     assert 15 == math.comb(6, 2)
     # the whole unipotent variety is covered
     assert sum(e.size for e in cat.entries) + 1 == 2 ** 8
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_label_classes_match_the_catalog(q):
+    """A label split on its own gives the catalog's classes of that label:
+    the same split indices, orbits and U-members."""
+    def classes(entries):
+        return [(e.label, e.split_index, e.orbit.packed, e.u_members)
+                for e in entries]
+
+    cat = group_catalog(4, q)
+    assert cat.labels() == sorted(enumerate_labels(4, q))
+    for label in cat.labels():
+        want = classes(cat.by_label(label))
+        assert classes(label_classes.__wrapped__(4, q, label)) == want
+        one = label_catalog(4, q, label)
+        assert (one.spec, one.model, one.u_group) == \
+            (cat.spec, cat.model, cat.u_group)
+        assert classes(one.entries) == want
 
 
 def test_split_counts_sp43():

@@ -158,9 +158,84 @@ def test_refute_f_scans_the_whole_class_under_an_orbit_cap(tmp_path):
 
 def test_resume_state_key_depends_on_caps(tmp_path):
     c = Cache(tmp_path / "c")
-    k1 = c.key({"op": "refute_d", "caps": {"pairs": 10}})
-    k2 = c.key({"op": "refute_d", "caps": {"pairs": 20}})
+    k1 = c.key({"op": "refute_d", "caps": {"orbit": 10}})
+    k2 = c.key({"op": "refute_d", "caps": {"orbit": 20}})
     assert k1 != k2
+
+
+def test_uncapped_refute_d_resumes_a_capped_entry(tmp_path, monkeypatch):
+    """The not-D key leaves the pair cap out: an uncapped run resumes where
+    a capped run stopped, and its final entry replaces the partial one."""
+    from unirack import detect
+    resumed = []
+    refute_d = detect.refute_d
+
+    def recording(*args, resume=None, **kwargs):
+        resumed.append(resume and resume["next_index"])
+        return refute_d(*args, resume=resume, **kwargs)
+
+    monkeypatch.setattr(detect, "refute_d", recording)
+    cache_dir = tmp_path / "cache"
+    argv = ["refute", "--kind", "d", "--n", "2", "--q", "3", "--label", "2,2",
+            "--split", "0"]
+    code1, text1 = run(tmp_path, "--cache-dir", str(cache_dir),
+                       "--pair-cap", "100", *argv)
+    code2, text2 = run(tmp_path, "--cache-dir", str(cache_dir), *argv)
+    code3, text3 = run(tmp_path, *argv)                 # no cache
+    first, second, fresh = (json.loads(t)["results"][0]
+                            for t in (text1, text2, text3))
+    assert (code1, first["complete"], first["stats"]["pairs"]) == (3, False, 100)
+    assert (code2, second["complete"], second["stats"]["pairs"]) == (0, True, 239)
+    assert second["verdict_basis"] == "exhaustive" and "cached" not in second
+    assert resumed == [None, 101, None]
+    assert len(list(cache_dir.glob("*.json"))) == 1
+    assert code3 == 0 and second == fresh
+
+
+def _record_class_orbits(monkeypatch):
+    "The sizes of the class orbits built from here on, through every binding."
+    from unirack import catalog, detect, matgroup, rack
+    sizes = []
+    class_orbit = matgroup.class_orbit
+
+    def recording(*args, **kwargs):
+        orbit = class_orbit(*args, **kwargs)
+        sizes.append(orbit.size)
+        return orbit
+
+    for mod in (matgroup, catalog, detect, rack):
+        if getattr(mod, "class_orbit", None) is class_orbit:
+            monkeypatch.setattr(mod, "class_orbit", recording)
+    return sizes
+
+
+def test_refute_splits_only_its_label(tmp_path, monkeypatch):
+    """A per-label command builds the orbits of its label's classes only:
+    the two (2^2) classes of Sp4(3), not all six classes of the catalog."""
+    from unirack.catalog import label_classes
+    label_classes.cache_clear()          # count the split, not the memo
+    sizes = _record_class_orbits(monkeypatch)
+    code, _ = run(tmp_path, "refute", "--kind", "d", "--n", "2", "--q", "3",
+                  "--label", "2,2", "--split", "0")
+    assert code == 0 and sorted(sizes) == [240, 480]
+
+
+@pytest.mark.parametrize("argv", [
+    ("refute", "--kind", "d", "--n", "2", "--q", "5", "--label", "1^2,2"),
+    ("refute", "--kind", "f", "--n", "2", "--q", "5"),
+    ("witness", "--n", "2", "--q", "5", "--label", "2,,2"),
+    ("witness", "--n", "2", "--q", "4"),
+    ("classify", "--n", "2", "--q", "5", "--label", "3"),
+    ("refute", "--kind", "d", "--n", "2", "--q", "4", "--label", "V(2)+"),
+], ids=" ".join)
+def test_bad_label_fails_before_any_orbit(tmp_path, monkeypatch, argv):
+    "A missing or malformed label is a usage error, found before any split."
+    from unirack import cli
+    sizes = _record_class_orbits(monkeypatch)
+    catalogs = []
+    monkeypatch.setattr(cli, "group_catalog", lambda *a: catalogs.append(a))
+    code, text = run(tmp_path, *argv)
+    assert (code, text, sizes, catalogs) == (64, "", [], [])
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):

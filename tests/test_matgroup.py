@@ -397,25 +397,37 @@ def test_closure_past_the_row_code_bound():
     assert (closure.complete, closure.packed) == (ref_complete, ref_seen)
 
 
-@pytest.mark.parametrize("fam,n,q", [("Sp", 4, 3), ("Sp", 6, 2), ("GU", 3, 3)])
+# specs with the scalar generator -I, which class orbits leave out
+WITH_SCALAR = {("Sp", 4, 3), ("SL", 2, 3)}
+
+
+@pytest.mark.parametrize("fam,n,q", [("Sp", 4, 3), ("Sp", 6, 2), ("GU", 3, 3),
+                                     ("SL", 2, 3)])
 def test_class_orbit_matches_reference_bfs(fam, n, q):
+    """Class orbits against a dense-product BFS under every generator, the
+    scalar ones included: conjugation by a scalar moves nothing, so leaving
+    it out keeps each orbit and the elements a capped one stops at."""
     spec = group_spec(fam, n, q)
     F = spec.field
+    pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(spec.generators)]
+    assert len(pairs) - len(spec.gen_pairs()) == ((fam, n, q) in WITH_SCALAR)
     rng = random.Random(47)
-    reps = [transvection(spec)] if fam == "Sp" else []
+    reps = [transvection(spec)] if fam != "GU" else []
     reps += [spec.identity()] + [random_element(spec, rng) for _ in range(2)]
     for rep in reps:
         ref_seen, ref_complete = reference_bfs(
-            F, n, [rep.flat], spec.gen_pairs(), cap=2000)
+            F, n, [rep.flat], pairs, cap=2000)
         orb = class_orbit(rep, spec, cap=2000)
         assert orb.complete == ref_complete
         assert orb.packed == ref_seen
-    # a capped orbit stops at exactly the same elements
-    rep = transvection(spec) if fam == "Sp" else reps[-1]
+    # a capped orbit stops at exactly the same elements; the SL_2(3)
+    # transvection class has 4
+    cap = 2 if fam == "SL" else 17
+    rep = transvection(spec) if fam != "GU" else reps[-1]
     ref_seen, ref_complete = reference_bfs(
-        F, n, [rep.flat], spec.gen_pairs(), cap=17)
-    orb = class_orbit(rep, spec, cap=17)
-    assert not ref_complete and not orb.complete and len(orb.packed) == 18
+        F, n, [rep.flat], pairs, cap=cap)
+    orb = class_orbit(rep, spec, cap=cap)
+    assert not ref_complete and not orb.complete and len(orb.packed) == cap + 1
     assert orb.packed == ref_seen
 
 
