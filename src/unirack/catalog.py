@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
 from .ffield import embedding, make_field, prime_power
 from .matgroup import (
-    Endo, GroupError, Mat, Orbit, apply_endo, class_orbit, format_partition,
+    Endo, Mat, Orbit, _x_minus_one, apply_endo, class_orbit, format_partition,
     group_spec, identity_flat, is_unipotent, jordan_partition, mul_flat,
-    membership, split_classes, subgroup_closure,
+    membership, row_reduce, rows_flat, split_classes, subgroup_closure,
 )
 from .detect import (
     Budget, ClassContext, DWitness, Verdict, classify, collapse_eq_holds,
@@ -322,31 +322,17 @@ def _mat_vec(F, n, A, v):
 
 
 def _nullspace(F, n, A) -> list[tuple]:
-    "Basis of the right kernel of A."
-    M = [list(A[i * n:(i + 1) * n]) for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if M[k][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = F.inv(M[r][c])
-        if inv != 1:
-            M[r] = [F.mul(inv, x) for x in M[r]]
-        for k in range(n):
-            if k != r and M[k][c]:
-                co = M[k][c]
-                M[k] = [F.sub(x, F.mul(co, y)) for x, y in zip(M[k], M[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    "Basis of the right kernel of A, one vector per non-pivot column."
+    M = rows_flat(n, A)
+    pivots, _ = row_reduce(F, M, n)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [0] * n
         v[fc] = 1
-        for row_i, pc in enumerate(pivots):
-            v[pc] = F.neg(M[row_i][fc])
+        for row, pc in zip(M, pivots):
+            v[pc] = F.neg(row[fc])
         basis.append(tuple(v))
     return basis
 
@@ -357,16 +343,11 @@ def _has_form_defect(u: Mat, form: Mat, two_k: int) -> bool:
     This detects a V(2k)-summand: on any W-summand and on V-summands of
     other sizes the pairing vanishes on that kernel layer."""
     F, n = u.field, u.n
-    N = list(u.flat)
-    for i in range(n):
-        N[i * n + i] = F.sub(N[i * n + i], 1)
-    N = tuple(N)
-    Nk = identity_flat(n)
-    for _ in range(two_k):
-        Nk = mul_flat(F, n, Nk, N)
-    Nk1 = identity_flat(n)
+    N = _x_minus_one(u).flat
+    Nk1 = identity_flat(n)                 # N^(2k-1), then N^(2k)
     for _ in range(two_k - 1):
         Nk1 = mul_flat(F, n, Nk1, N)
+    Nk = mul_flat(F, n, Nk1, N)
     kernel = _nullspace(F, n, Nk)
     B = form.flat
     for coeffs in itertools.product(range(F.q), repeat=len(kernel)):
@@ -400,8 +381,6 @@ def decomposition_type(u: Mat, spec) -> UnipotentLabel:
     V^2 or none)."""
     if spec.q % 2:
         raise CatalogError("decomposition types are an even-q notion")
-    if not is_unipotent(u):
-        raise GroupError("matrix is not unipotent")
     parts = jordan_partition(u)
     from collections import Counter
     c = Counter(parts)
@@ -533,17 +512,9 @@ def _sp_gens_on_slots(slots, n2: int, q: int) -> tuple:
     if len(slots) < 2:
         return ()
     if len(slots) == 2:
-        F = make_field(*prime_power(q, CatalogError))
-        scalars = [F.pow(F.generator, j) for j in range(F.m)] if F.q > 2 else [1]
-        gens = []
-        for c in scalars:
-            gens.append(Mat(F, 2, (1, c, 0, 1)))
-            gens.append(Mat(F, 2, (1, 0, c, 1)))
-        if F.q > 2:
-            gens.append(Mat(F, 2, (F.generator, 0, 0, F.inv(F.generator))))
+        gens = group_spec("SL", 2, q).generators
     else:
-        local = symplectic_model(len(slots) // 2, q)
-        gens = local.group_generators()
+        gens = symplectic_model(len(slots) // 2, q).group_generators()
     return tuple(embed_local(g, list(slots), n2) for g in gens)
 
 

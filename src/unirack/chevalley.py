@@ -20,7 +20,9 @@ import math
 from dataclasses import dataclass
 
 from .ffield import Field, make_field, prime_power
-from .matgroup import GroupError, Mat, identity_flat, symplectic_form
+from .matgroup import (
+    GroupError, Mat, _field_basis_scalars, identity_flat, symplectic_form,
+)
 
 Root = tuple[int, ...]
 
@@ -295,9 +297,8 @@ class SymplecticModel:
     def group_generators(self) -> list[Mat]:
         F = self.field
         gens = []
-        scalars = [F.pow(F.generator, j) for j in range(F.m)] if F.q > 2 else [1]
         for a in self.rs.simple:
-            for c in scalars:
+            for c in _field_basis_scalars(F):
                 gens.append(self.x(a, c))
                 gens.append(self.x(root_neg(a), c))
         if F.q > 2:
@@ -819,8 +820,7 @@ class SU3Model:
     def group_generators(self) -> list[Mat]:
         F = self.field
         gens = []
-        a_basis = [F.pow(F.generator, j) for j in range(2 * self.m)] if F.q > 2 else [1]
-        for a in a_basis:
+        for a in _field_basis_scalars(F):
             b = self.b_solutions(a)[0]
             gens.append(self.unipotent(a, b))
         for b in self.b_solutions(0):

@@ -100,11 +100,10 @@ def _classify_rows(args, cache, budget, only=None):
         exp = expected(label, n2, args.q)
         records = []
         for entry in cat.by_label(label):
+            # no pair cap in the key, as for refute --kind d
             payload = {"op": "classify", "group": cat.spec.name,
                        "label": str(label), "split": entry.split_index,
-                       "caps": {"orbit": budget.orbit_cap,
-                                "pairs": budget.refute_pair_cap},
-                       "seed": args.seed}
+                       "caps": {"orbit": budget.orbit_cap}, "seed": args.seed}
             key = cache.key(payload) if cache else None
             cached = cache.get(key, revalidate=_revalidate_verdict) if cache else None
             if cached and cached.get("final"):
@@ -170,7 +169,7 @@ def cmd_table(args) -> int:
 
 def cmd_witness(args) -> int:
     t0 = time.time()
-    if args.family.lower() == "gu":
+    if args.family == "gu":
         if args.n != 3 or args.q != 2:
             print("the explicit unitary witness is built for n=3, q=2",
                   file=sys.stderr)
@@ -375,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--sample-pairs", type=int, default=64)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_label=True):
-        p.add_argument("--family", default="sp")
+    def common(p, with_label=True, families=("sp",)):
+        p.add_argument("--family", default="sp", type=str.lower, choices=families)
         p.add_argument("--n", type=int, required=True,
                        help="rank (matrix size is 2n) for the symplectic family")
         p.add_argument("--q", type=int, required=True)
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table, label=None)
 
     p = sub.add_parser("witness")
-    common(p)
+    common(p, families=("sp", "gu"))
     p.add_argument("--split", type=int, default=None)
     p.set_defaults(fn=cmd_witness)
 

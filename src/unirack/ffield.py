@@ -17,11 +17,9 @@ from __future__ import annotations
 import functools
 from typing import Iterable
 
-MAX_Q = 1 << 20
-
-# full multiplication/addition tables are built up to this field size;
-# larger fields fall back to log/exp and digitwise addition
-_TABLE_Q = 256
+# every field carries full addition and multiplication tables; matrices
+# pack their entries into bytes, so a field has at most 256 elements
+MAX_Q = 256
 
 
 def is_prime(n: int) -> bool:
@@ -187,14 +185,10 @@ class Field:
             log[v] = k
         self.exp, self.log = exp, log
 
-        if q <= _TABLE_Q:
-            self._add_t = [self._add_poly(a, b) for a in range(q) for b in range(q)]
-            self._mul_t = [self._mul_poly(a, b) for a in range(q) for b in range(q)]
-        else:
-            self._add_t = None
-            self._mul_t = None
-        self._neg_t = [self._neg_poly(a) for a in range(q)] if q <= 1 << 16 else None
-        self._inv_t = [0] + [self.pow(a, q - 2) for a in range(1, q)] if q <= 1 << 16 else None
+        self._add_t = [self._add_poly(a, b) for a in range(q) for b in range(q)]
+        self._mul_t = [self._mul_poly(a, b) for a in range(q) for b in range(q)]
+        self._neg_t = [self._neg_poly(a) for a in range(q)]
+        self._inv_t = [0] + [self.pow(a, q - 2) for a in range(1, q)]
 
     # -- raw polynomial arithmetic (used to bootstrap the tables)
 
@@ -249,29 +243,21 @@ class Field:
     # -- public arithmetic on codes
 
     def add(self, a: int, b: int) -> int:
-        t = self._add_t
-        return t[a * self.q + b] if t is not None else self._add_poly(a, b)
+        return self._add_t[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        t = self._neg_t
-        return t[a] if t is not None else self._neg_poly(a)
+        return self._neg_t[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        t = self._mul_t
-        if t is not None:
-            return t[a * self.q + b]
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self._mul_t[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        t = self._inv_t
-        return t[a] if t is not None else self.exp[(-self.log[a]) % (self.q - 1)]
+        return self._inv_t[a]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

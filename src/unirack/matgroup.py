@@ -34,40 +34,18 @@ def identity_flat(n: int) -> tuple[int, ...]:
 
 def mul_flat(F: Field, n: int, A, B) -> tuple[int, ...]:
     out = [0] * (n * n)
-    if F.p == 2 and F.m == 1:
-        for i in range(n):
-            io = i * n
-            for k in range(n):
-                if A[io + k]:
-                    ko = k * n
-                    for j in range(n):
-                        if B[ko + j]:
-                            out[io + j] ^= 1
-        return tuple(out)
     mt, at, q = F._mul_t, F._add_t, F.q
-    if mt is not None:
-        for i in range(n):
-            io = i * n
-            for k in range(n):
-                a = A[io + k]
-                if a:
-                    ko = k * n
-                    aq = a * q
-                    for j in range(n):
-                        b = B[ko + j]
-                        if b:
-                            out[io + j] = at[out[io + j] * q + mt[aq + b]]
-        return tuple(out)
     for i in range(n):
         io = i * n
         for k in range(n):
             a = A[io + k]
             if a:
                 ko = k * n
+                aq = a * q
                 for j in range(n):
                     b = B[ko + j]
                     if b:
-                        out[io + j] = F.add(out[io + j], F.mul(a, b))
+                        out[io + j] = at[out[io + j] * q + mt[aq + b]]
     return tuple(out)
 
 
@@ -75,66 +53,59 @@ def transpose_flat(n: int, A) -> tuple[int, ...]:
     return tuple(A[j * n + i] for i in range(n) for j in range(n))
 
 
-def inv_flat(F: Field, n: int, A) -> tuple[int, ...]:
-    "Gauss-Jordan inverse; raises GroupError if singular."
-    M = [list(A[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
+def rows_flat(n: int, A) -> list[list[int]]:
+    "The rows of a flat n-by-n matrix, as fresh lists."
+    return [list(A[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def row_reduce(F: Field, rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Gauss-Jordan elimination of `rows` in place, to reduced echelon form,
+    pivoting only in the first `ncols` columns: each pivot row is scaled to
+    a leading 1 and its column cleared in every other row.
+
+    Returns the pivot columns and, for `ncols` rows, the determinant of
+    their first `ncols` columns: 0 when one of those columns has no pivot."""
+    mt, at, q = F._mul_t, F._add_t, F.q
+    pivots, det = [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((k for k in range(r, len(rows)) if rows[k][c]), None)
         if piv is None:
-            raise GroupError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = F.inv(M[col][col])
-        if inv != 1:
-            M[col] = [F.mul(inv, x) for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                c = M[r][col]
-                row, prow = M[r], M[col]
-                for j in range(col, 2 * n):
-                    if prow[j]:
-                        row[j] = F.sub(row[j], F.mul(c, prow[j]))
-    return tuple(M[i][n + j] for i in range(n) for j in range(n))
+            det = 0
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = F.neg(det)
+        lead = rows[r][c]
+        det = F.mul(det, lead)
+        if lead != 1:
+            iq = F.inv(lead) * q
+            rows[r] = [mt[iq + x] for x in rows[r]]
+        prow = rows[r]
+        for k, row in enumerate(rows):
+            if k != r and row[c]:
+                mq = F.neg(row[c]) * q
+                rows[k] = [at[x * q + mt[mq + y]] for x, y in zip(row, prow)]
+        pivots.append(c)
+    return pivots, det
+
+
+def inv_flat(F: Field, n: int, A) -> tuple[int, ...]:
+    "Gauss-Jordan inverse, by reducing [A | I]; raises GroupError if singular."
+    rows = rows_flat(n, A)
+    for i, row in enumerate(rows):
+        row += [1 if j == i else 0 for j in range(n)]
+    if not row_reduce(F, rows, n)[1]:
+        raise GroupError("matrix is singular")
+    return tuple(x for row in rows for x in row[n:])
 
 
 def rank_flat(F: Field, n: int, A) -> int:
-    M = [list(A[i * n:(i + 1) * n]) for i in range(n)]
-    rank, col = 0, 0
-    while rank < n and col < n:
-        piv = next((r for r in range(rank, n) if M[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = F.inv(M[rank][col])
-        if inv != 1:
-            M[rank] = [F.mul(inv, x) for x in M[rank]]
-        for r in range(n):
-            if r != rank and M[r][col]:
-                c = M[r][col]
-                M[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(M[r], M[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(row_reduce(F, rows_flat(n, A), n)[0])
 
 
 def det_flat(F: Field, n: int, A) -> int:
-    M = [list(A[i * n:(i + 1) * n]) for i in range(n)]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = F.neg(det)
-        det = F.mul(det, M[col][col])
-        inv = F.inv(M[col][col])
-        for r in range(col + 1, n):
-            if M[r][col]:
-                c = F.mul(inv, M[r][col])
-                M[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(M[r], M[col])]
-    return det
+    return row_reduce(F, rows_flat(n, A), n)[1]
 
 
 class Mat:
@@ -155,8 +126,7 @@ class Mat:
         return cls(field, n, identity_flat(n))
 
     def rows(self):
-        n = self.n
-        return [list(self.flat[i * n:(i + 1) * n]) for i in range(n)]
+        return rows_flat(self.n, self.flat)
 
     def entry(self, i: int, j: int) -> int:
         return self.flat[i * self.n + j]
@@ -583,9 +553,8 @@ class _RowCode:
 
 @functools.lru_cache(maxsize=None)
 def _row_code(F: Field, n: int) -> _RowCode | None:
-    """The row codes of n-by-n matrices over F; None for a field without
-    tables or with q^n > ROW_CODE_LIMIT."""
-    if F._mul_t is None or F.q ** n > ROW_CODE_LIMIT:
+    "The row codes of n-by-n matrices over F; None when q^n > ROW_CODE_LIMIT."
+    if F.q ** n > ROW_CODE_LIMIT:
         return None
     return _RowCode(F, n)
 
@@ -611,10 +580,7 @@ def _entrywise(F: Field, n: int, L, R):
     """x -> L x R on flat matrices, for matrices without row codes: only the
     rows of L and the columns of R that differ from the identity are
     touched, and each such line of the result combines the lines its
-    nonzero entries select, O(n) table look-ups per entry.  Fields too large
-    for tables take two dense products."""
-    if F._mul_t is None:
-        return lambda x: mul_flat(F, n, mul_flat(F, n, L, x), R)
+    nonzero entries select, O(n) table look-ups per entry."""
     add, mul = _table_rows(F)
     phases = []               # rows of L, then columns of R
     for M, (lines, ident_lines) in zip((L, R), _lines(n)):
@@ -678,7 +644,8 @@ def _closure(F: Field, n: int, starts, pairs, cap: int | None = None):
 
 
 class Orbit:
-    "A conjugation orbit: packed-element set plus canonical order."
+    """The elements a closure found, a conjugation orbit or a generated
+    subgroup: packed-element set plus canonical order."""
 
     __slots__ = ("field", "n", "packed", "complete")
 
@@ -722,26 +689,7 @@ def class_orbit(rep: Mat, spec: GroupSpec, cap: int = DEFAULT_CAP) -> Orbit:
     return Orbit(F, n, seen, complete)
 
 
-@dataclass
-class Closure:
-    field: Field
-    n: int
-    packed: set
-    complete: bool
-
-    @property
-    def size(self):
-        return len(self.packed)
-
-    def contains(self, X: Mat) -> bool:
-        return X.pack() in self.packed
-
-    def mats(self):
-        for b in sorted(self.packed):
-            yield Mat(self.field, self.n, tuple(b))
-
-
-def subgroup_closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> Closure:
+def subgroup_closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> Orbit:
     "The generated subgroup as an explicit set (product closure)."
     if not gens:
         raise GroupError("need at least one generator")
@@ -752,10 +700,10 @@ def subgroup_closure(gens: list[Mat], cap: int = DEFAULT_CAP) -> Closure:
     ident = identity_flat(n)
     gen_flats = sorted({g.flat for g in gens} | {ident})
     seen, complete = _closure(F, n, gen_flats, [(ident, g) for g in gen_flats], cap)
-    return Closure(F, n, seen, complete)
+    return Orbit(F, n, seen, complete)
 
 
-def enumerate_group(spec: GroupSpec, cap: int = 3 * 10**6) -> Closure:
+def enumerate_group(spec: GroupSpec, cap: int = 3 * 10**6) -> Orbit:
     "Full enumeration by closure of the generators (cross-validation)."
     return subgroup_closure(list(spec.generators), cap)
 

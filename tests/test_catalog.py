@@ -11,7 +11,8 @@ from unirack.catalog import (
     transvection_split_rack_iso, verify_row,
 )
 from unirack.matgroup import (
-    class_orbit, group_spec, jordan_partition, membership,
+    GroupError, class_orbit, group_spec, is_unipotent, jordan_partition,
+    membership,
 )
 
 
@@ -67,6 +68,13 @@ def test_decomposition_distinguishes_w_from_v_pairs():
     assert jordan_partition(v22) == jordan_partition(w2) == (2, 2)
     assert str(decomposition_type(v22, spec)) == "V(2)^2"
     assert str(decomposition_type(w2, spec)) == "W(2)"
+
+
+def test_decomposition_type_refuses_a_non_unipotent_element():
+    spec = group_spec("Sp", 4, 4)
+    torus = next(g for g in spec.generators if not is_unipotent(g))
+    with pytest.raises(GroupError, match="not unipotent"):
+        decomposition_type(torus, spec)
 
 
 def test_round_trip_all_even_labels():

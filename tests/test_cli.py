@@ -192,6 +192,19 @@ def test_uncapped_refute_d_resumes_a_capped_entry(tmp_path, monkeypatch):
     assert code3 == 0 and second == fresh
 
 
+def test_uncapped_classify_resumes_a_capped_entry(tmp_path):
+    """The classify key leaves the pair cap out as well: the uncapped run
+    finishes the capped run's entry, and one entry is left on disk."""
+    cache_dir = tmp_path / "cache"
+    argv = ["classify", "--n", "2", "--q", "2", "--label", "V(2)^2"]
+    code1, _ = run(tmp_path, "--cache-dir", str(cache_dir), "--pair-cap", "20", *argv)
+    code2, second = run(tmp_path, "--cache-dir", str(cache_dir), *argv)
+    code3, fresh = run(tmp_path, *argv)                 # no cache
+    assert (code1, code2, code3) == (3, 0, 0)
+    assert len(list(cache_dir.glob("*.json"))) == 1
+    assert second == fresh
+
+
 def _record_class_orbits(monkeypatch):
     "The sizes of the class orbits built from here on, through every binding."
     from unirack import catalog, detect, matgroup, rack
@@ -271,6 +284,24 @@ def test_usage_errors(tmp_path):
     code, _ = run(tmp_path, "table", "--paper-table", "IX",
                   "--family", "sp", "--n", "2", "--q", "2")
     assert code == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--family", "gu", "--n", "2", "--q", "2"),
+    ("refute", "--kind", "d", "--family", "su", "--n", "2", "--q", "2",
+     "--label", "V(2)^2"),
+    ("classify", "--family", "gl", "--n", "2", "--q", "2"),
+    ("witness", "--family", "su", "--n", "3", "--q", "2"),
+], ids=" ".join)
+def test_unsupported_family_is_a_usage_error(tmp_path, argv):
+    "Only sp is accepted, and gu for the unitary witness; nothing is reported."
+    assert run(tmp_path, *argv) == (64, "")
+
+
+def test_family_is_case_insensitive(tmp_path):
+    argv = ("--n", "2", "--q", "2", "--label", "V(2)^2")
+    assert run(tmp_path, "refute", "--kind", "f", "--family", "SP", *argv) \
+        == run(tmp_path, "refute", "--kind", "f", *argv)
 
 
 def test_reference_table_file_matches_rules():

@@ -157,6 +157,8 @@ def test_make_field_validation():
     with pytest.raises(FieldError):
         make_field(4, 1)
     with pytest.raises(FieldError):
+        make_field(2, 9)          # 512 elements do not fit in a byte
+    with pytest.raises(FieldError):
         make_field(2, 21)
     with pytest.raises(FieldError):
         make_field(2, 0)

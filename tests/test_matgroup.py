@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
+from unirack.catalog import _nullspace
 from unirack.detect import DetectError, _class_rows, _joint
-from unirack.ffield import make_field
+from unirack.ffield import make_field, prime_power
 from unirack.matgroup import (
     Endo, GroupError, Mat, ROW_CODE_LIMIT, _kernel, _row_code, apply_endo,
-    class_orbit, classical_order, enumerate_group, format_partition,
-    group_spec, identity_flat, inv_flat,
+    class_orbit, classical_order, det_flat, enumerate_group, format_partition,
+    group_spec, identity_flat, inv_flat, rank_flat,
     is_unipotent, j_mat, jordan_partition, mat_from_ints, membership,
     mul_flat, random_element, split_classes, subgroup_closure,
     symplectic_form,
@@ -357,23 +359,6 @@ def test_kernel_actions_match_dense_products(fam, n, q):
                 bytes(mul_flat(F, n, mul_flat(F, n, L, x), R))
 
 
-def test_dense_fallback_without_field_tables():
-    """A field too large for tables keeps flat points and the dense
-    products.  Its entries do not fit in bytes, so no closure packs them;
-    the closure past the bound is checked on SL_3(16) below."""
-    F = make_field(2, 9)
-    assert F._mul_t is None and _row_code(F, 2) is None
-    encode, _, action = _kernel(F, 2)
-    rng = random.Random(43)
-    L = (F.generator, 1, 0, 1)
-    R = inv_flat(F, 2, L)
-    act = action(L, R)
-    for _ in range(20):
-        x = tuple(rng.randrange(F.q) for _ in range(4))
-        assert encode(x) == x
-        assert act(x) == mul_flat(F, 2, mul_flat(F, 2, L, x), R)
-
-
 def test_closure_past_the_row_code_bound():
     """SL_3(16) has field tables, but 16^3 row codes are past the bound: a
     capped class orbit and a complete cyclic closure under the entry-wise
@@ -507,3 +492,77 @@ def test_family_orbits_disjoint_matches_reference_bfs(fam, n, q):
         _joint([row(a) for a in family], family, 1)
     with pytest.raises(DetectError):
         reference_family_orbits_disjoint([mats[a] for a in family], 1)
+
+
+# ---------------------------------------------------------------------------
+# the one row reduction against brute force
+
+
+def leibniz_det(F, n, A):
+    "The determinant as the signed sum over permutations."
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = F.mul(term, A[i * n + j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        det = F.add(det, F.neg(term) if inversions % 2 else term)
+    return det
+
+
+def times_vector(F, n, A, v):
+    out = []
+    for i in range(n):
+        acc = 0
+        for j in range(n):
+            acc = F.add(acc, F.mul(A[i * n + j], v[j]))
+        out.append(acc)
+    return tuple(out)
+
+
+def span(F, n, basis):
+    out = set()
+    for coeffs in itertools.product(range(F.q), repeat=len(basis)):
+        v = (0,) * n
+        for c, b in zip(coeffs, basis):
+            v = tuple(F.add(x, F.mul(c, y)) for x, y in zip(v, b))
+        out.add(v)
+    return out
+
+
+def reduction_cases(F, n, seed):
+    "Seeded random matrices, and singular ones made by repeating a row."
+    rng = random.Random(seed)
+    for _ in range(6):
+        yield tuple(rng.randrange(F.q) for _ in range(n * n))
+    for _ in range(3):
+        A = [rng.randrange(F.q) for _ in range(n * n)]
+        i, j = rng.sample(range(n), 2)
+        A[j * n:(j + 1) * n] = A[i * n:(i + 1) * n]
+        yield tuple(A)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_row_reduction_matches_brute_force(q, n):
+    """det_flat, rank_flat, inv_flat and the catalog's kernel basis, all
+    one row reduction, against the Leibniz determinant and the kernel
+    found by trying every vector of F^n (where q^n <= 4096)."""
+    F = make_field(*prime_power(q))
+    ident = identity_flat(n)
+    enumerable = q ** n <= 4096
+    for A in reduction_cases(F, n, 100 * q + n):
+        det = det_flat(F, n, A)
+        assert det == leibniz_det(F, n, A)
+        if det:
+            assert mul_flat(F, n, inv_flat(F, n, A), A) == ident
+        else:
+            with pytest.raises(GroupError):
+                inv_flat(F, n, A)
+        rank, basis = rank_flat(F, n, A), _nullspace(F, n, A)
+        assert len(basis) == n - rank and (det != 0) == (rank == n)
+        if enumerable:
+            kernel = {v for v in itertools.product(range(q), repeat=n)
+                      if not any(times_vector(F, n, A, v))}
+            assert len(kernel) == q ** (n - rank)
+            assert span(F, n, basis) == kernel
