@@ -248,28 +248,37 @@ def _w_block(m: int, q: int) -> Mat:
     return Mat(F, 2 * m, flat)
 
 
-def _label_blocks(label: UnipotentLabel, q: int) -> list[tuple[str, int, Mat]]:
-    "Per-block (kind, dim, local matrix), biggest block first."
-    blocks = []
+def _placed_blocks(label: UnipotentLabel, n2: int, q: int,
+                   scale_first_v: int = 1) -> list[tuple[str, list[int], Mat]]:
+    """Per-block (kind, slots, embedded matrix), biggest block first: the
+    label's V and W blocks on their symmetric slots, the first V block
+    built with `scale_first_v` as its last coefficient."""
+    label.validate()
+    if label.dim() != n2:
+        raise CatalogError(f"label {label} does not fit dimension {n2}")
+    terms = []                    # (kind, param) per block
     if label.parity == "odd":
         from collections import Counter
         c = Counter(label.partition)
         for part in sorted(c, reverse=True):
-            mult = c[part]
             if part % 2 == 0:
-                for _ in range(mult):
-                    blocks.append(("V", part, _regular_sp_block(part, q)))
+                terms += [("V", part)] * c[part]
             else:
-                for _ in range(mult // 2):
-                    blocks.append(("W", 2 * part, _w_block(part, q)))
+                terms += [("W", part)] * (c[part] // 2)
     else:
         for kind, param, mult in sorted(label.decomp, key=lambda t: (-t[1], t[0])):
-            for _ in range(mult):
-                if kind == "W":
-                    blocks.append(("W", 2 * param, _w_block(param, q)))
-                else:
-                    blocks.append(("V", param, _regular_sp_block(param, q)))
-    return blocks
+            terms += [(kind, param)] * mult
+    slots = _slot_sets([p if k == "V" else 2 * p for k, p in terms], n2)
+    placed = []
+    scale = scale_first_v
+    for (kind, param), sl in zip(terms, slots):
+        if kind == "W":
+            local = _w_block(param, q)
+        else:
+            local = _regular_sp_block(param, q, scale_last=scale)
+            scale = 1
+        placed.append((kind, sl, embed_local(local, sl, n2)))
+    return placed
 
 
 def representative(label: UnipotentLabel, n2: int, q: int,
@@ -277,20 +286,10 @@ def representative(label: UnipotentLabel, n2: int, q: int,
     """A membership-passing unipotent whose type matches the label, built
     from the block constructions; `scale_first_v` builds the twisted variant
     (coefficient a non-square) used to reach the second split class."""
-    label.validate()
-    if label.dim() != n2:
-        raise CatalogError(f"label {label} does not fit dimension {n2}")
-    blocks = _label_blocks(label, q)
-    dims = [d for _, d, _ in blocks]
-    slots = _slot_sets(dims, n2)
     spec = group_spec("Sp", n2, q)
     out = Mat.identity(spec.field, n2)
-    scaled = False
-    for (kind, d, local), sl in zip(blocks, slots):
-        if kind == "V" and not scaled and scale_first_v != 1:
-            local = _regular_sp_block(d, q, scale_last=scale_first_v)
-            scaled = True
-        out = out * embed_local(local, sl, n2)
+    for _, _, block in _placed_blocks(label, n2, q, scale_first_v):
+        out = out * block
     if not membership(out, spec):
         raise CatalogError("representative fails membership")
     return out
@@ -526,39 +525,25 @@ def block_realizations(entry: ClassEntry, catalog: GroupCatalog) -> tuple:
     if q % 2:
         F = catalog.spec.field
         candidates.append(F.least_nonsquare())
-    chosen = None
     for scale in candidates:
         try:
             cand = representative(label, n2, q, scale_first_v=scale)
         except CatalogError:
             continue
         if entry.orbit.contains(cand):
-            chosen = (cand, scale)
             break
-    if chosen is None:
+    else:
         return ()
-    _, scale = chosen
-    blocks = _label_blocks(label, q)
-    dims = [d for _, d, _ in blocks]
-    slots = _slot_sets(dims, n2)
-    scaled = False
-    locs = []
-    for (kind, d, local), sl in zip(blocks, slots):
-        if kind == "V" and not scaled and scale != 1:
-            local = _regular_sp_block(d, q, scale_last=scale)
-            scaled = True
-        locs.append((kind, d, local, sl))
-    ident = Mat.identity(catalog.spec.field, n2)
-    embedded = [embed_local(local, sl, n2) for kind, d, local, sl in locs]
+    placed = _placed_blocks(label, n2, q, scale)
     out = []
-    for i, (kind, d, local, sl) in enumerate(locs):
-        rest = ident
-        for j, e in enumerate(embedded):
+    for i, (kind, sl, block) in enumerate(placed):
+        rest = Mat.identity(catalog.spec.field, n2)
+        for j, (_, _, other) in enumerate(placed):
             if j != i:
-                rest = rest * e
+                rest = rest * other
         comp_slots = tuple(k for k in range(n2) if k not in sl)
         out.append(BlockRealization(
-            kind, tuple(sl), embedded[i], rest,
+            kind, tuple(sl), block, rest,
             _sp_gens_on_slots(tuple(sl), n2, q),
             _sp_gens_on_slots(comp_slots, n2, q)))
     return tuple(out)

@@ -12,10 +12,12 @@ found, 3 budget exhausted (unknowns remain), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
 import time
+from dataclasses import replace
 
 from . import ARTIFACT_VERSION, SCHEMA_VERSION
 from .cache import Cache, canonical_json
@@ -27,7 +29,9 @@ from .chevalley import (
     ChevalleyWord, FamilyRefusal, HypothesisError, commutator_data,
     root_add, symplectic_model, torus_family, torus_witness,
 )
-from .detect import Budget, DetectError, classify, d_pair
+from .detect import (
+    Budget, DetectError, FWitness, check_f_family, classify, d_pair,
+)
 from .ffield import make_field
 from .matgroup import Mat
 
@@ -38,27 +42,28 @@ def _budget_from_args(args) -> Budget:
                   sample_pairs=args.sample_pairs)
 
 
-def _revalidate_verdict(value) -> bool:
-    "Witnesses deserialized from cache are re-checked before reuse."
-    vj = value.get("verdict_json")
-    if not vj:
+def _entry_holds(entry, u_group) -> bool:
+    """Whether a cache entry may be used.  A partial entry always is: it
+    holds a scan state to resume.  A final entry is used when it has the
+    {"final": true, "value": ...} shape, not the older one with a
+    "verdict_json" field, and when its witness, if any, passes the check
+    that built it: `d_pair` for type D, and `check_f_family` over the
+    catalog's U^F, with the stored subrack sizes, for type F."""
+    if not entry.get("final"):
         return True
-    w = vj.get("witness")
-    if not w:
+    if "value" not in entry:
+        return False
+    w = entry["value"].get("witness")
+    if w is None:
         return True
-    if w.get("kind") == "witness_D":
-        r = _mat_from_json(w["r"])
-        s = _mat_from_json(w["s"])
-        res = d_pair(r, s, subgroup_cap=0)
+    if w["kind"] == "witness_D":
+        res = d_pair(_mat_from_json(w["r"]), _mat_from_json(w["s"]),
+                     subgroup_cap=0)
         return res.kind == "witness"
-    if w.get("kind") == "witness_F":
-        reps = [_mat_from_json(m) for m in w["reps"]]
-        for a in range(4):
-            for b in range(4):
-                if a != b and reps[a] * reps[b] * reps[a].inverse() == reps[b]:
-                    return False
-        return len({m.pack() for m in reps}) == 4
-    return True
+    got = check_f_family([_mat_from_json(m) for m in w["reps"]], u_group,
+                         builder=w["builder"])
+    return isinstance(got, FWitness) \
+        and [len(t) for t in got.subracks] == w["subrack_sizes"]
 
 
 def _mat_from_json(mj) -> Mat:
@@ -79,76 +84,90 @@ def _emit(args, report: dict, timings=None) -> None:
         sys.stdout.write(text)
 
 
-def _label_arg(args):
-    """The parsed --label of a per-label command, read before any orbit
-    work, so that a missing or malformed label fails at once."""
+def _selected(args):
+    """The label a per-label command names and the catalog of its selected
+    classes.  The label is checked to name a class of Sp_2n(q) before any
+    orbit is built, then split alone, then narrowed by --split; naming no
+    class is a usage error."""
     if args.label is None:
         raise CatalogError(f"{args.cmd} needs --label")
-    return parse_label(args.label, args.q)
-
-
-def _classify_rows(args, cache, budget, only=None):
-    """Classify every class of the group, checked by the full catalog, or
-    only the classes of the label `only`, split without the other labels."""
+    label = parse_label(args.label, args.q)
     n2 = 2 * args.n
-    cat = (group_catalog(n2, args.q) if only is None
-           else label_catalog(n2, args.q, only))
-    rows = []
-    unknowns = 0
-    mismatches = 0
-    for label in cat.labels():
-        exp = expected(label, n2, args.q)
-        records = []
-        for entry in cat.by_label(label):
-            # no pair cap in the key, as for refute --kind d
-            payload = {"op": "classify", "group": cat.spec.name,
-                       "label": str(label), "split": entry.split_index,
-                       "caps": {"orbit": budget.orbit_cap}, "seed": args.seed}
-            key = cache.key(payload) if cache else None
-            cached = cache.get(key, revalidate=_revalidate_verdict) if cache else None
-            if cached and cached.get("final"):
-                vj = cached["verdict_json"]
-                vj = dict(vj, cached=True)
-            else:
-                resume = cached.get("state") if cached else None
-                ctx = class_context(entry, cat)
-                cb = None
-                if cache:
-                    cb = lambda st, key=key: cache.put(key, {"final": False, "state": st})
-                verdict = classify(ctx, budget=budget, seed=args.seed,
-                                   resume=resume, checkpoint_cb=cb)
-                vj = verdict.to_json()
-                if cache:
-                    if verdict.kind != "unknown":
-                        cache.put(key, {"final": True, "verdict_json": vj})
-                    elif verdict.cert_not_d is not None and \
-                            verdict.cert_not_d.resume_state:
-                        cache.put(key, {"final": False,
-                                        "state": verdict.cert_not_d.resume_state})
-            records.append({"split_index": entry.split_index,
-                            "size": entry.size, **vj})
-        computed = tuple(r["verdict"] for r in records)
-        unknowns += computed.count("unknown")
-        matched = row_matched(exp, computed)
-        mismatches += not matched
-        rows.append({"label": str(label), "rule": exp.rule,
-                     "expected": list(exp.verdicts),
-                     "expected_count": exp.class_count,
-                     "matched": matched,
-                     "records": records})
-    return cat, rows, unknowns, mismatches
+    if label.dim() != n2 or label.is_identity():
+        raise CatalogError(f"{label} names no unipotent class of "
+                           f"Sp{n2}({args.q})")
+    cat = label_catalog(n2, args.q, label)
+    entries = [e for e in cat.entries
+               if args.split is None or e.split_index == args.split]
+    if not entries:
+        raise CatalogError(f"{label} has no class with split {args.split}")
+    return label, replace(cat, entries=entries)
+
+
+def _class_step(cache, op, cat, entry, args, compute):
+    """One class's step through the cache.  A usable final entry (see
+    `_entry_holds`) is served, marked cached.  Otherwise `compute(resume,
+    checkpoint)` runs, resuming a partial entry's state, and returns
+    (report value, final, resume state); the value of a final result is
+    stored as {"final": true, "value": ...}, and a resume state as
+    {"final": false, "state": ...}."""
+    if cache is None:
+        return compute(None, None)[0]
+    # no pair cap in the key: a capped not-D scan leaves a partial entry
+    # that the next run resumes, capped or not
+    key = cache.key({"op": op, "group": cat.spec.name,
+                     "label": str(entry.label), "split": entry.split_index,
+                     "caps": {"orbit": args.orbit_cap}, "seed": args.seed})
+    got = cache.get(key, revalidate=lambda e: _entry_holds(e, cat.u_group))
+    if got and got.get("final"):
+        return dict(got["value"], cached=True)
+    value, final, state = compute(
+        got.get("state") if got else None,
+        lambda st: cache.put(key, {"final": False, "state": st}))
+    if final:
+        cache.put(key, {"final": True, "value": value})
+    elif state:
+        cache.put(key, {"final": False, "state": state})
+    return value
 
 
 def cmd_classify(args) -> int:
-    budget = _budget_from_args(args)
-    only = parse_label(args.label, args.q) if args.label else None
-    cache = _open_cache(args)
+    """Classify every class of the group, checked by the full catalog, or
+    only the classes of --label, split without the other labels."""
+    n2 = 2 * args.n
     t0 = time.time()
-    try:
-        cat, rows, unknowns, mismatches = _classify_rows(args, cache, budget, only)
-    finally:
-        if cache:
-            cache.release()
+    if args.label is None:
+        cat = group_catalog(n2, args.q)
+    else:
+        _, cat = _selected(args)
+    budget = _budget_from_args(args)
+    rows = []
+    unknowns = 0
+    mismatches = 0
+    with _open_cache(args) as cache:
+        for label in cat.labels():
+            exp = expected(label, n2, args.q)
+            records = []
+            for entry in cat.by_label(label):
+                def compute(resume, checkpoint):
+                    verdict = classify(class_context(entry, cat), budget=budget,
+                                       seed=args.seed, resume=resume,
+                                       checkpoint_cb=checkpoint)
+                    cert = verdict.cert_not_d
+                    return (verdict.to_json(), verdict.kind != "unknown",
+                            cert and cert.resume_state)
+                vj = _class_step(cache, "classify", cat, entry, args, compute)
+                records.append({"split_index": entry.split_index,
+                                "size": entry.size, **vj})
+            computed = tuple(r["verdict"] for r in records)
+            unknowns += computed.count("unknown")
+            matched = row_matched(exp, computed)
+            mismatches += not matched
+            rows.append({"label": str(label), "rule": exp.rule,
+                         "expected": list(exp.verdicts),
+                         "expected_count": exp.class_count,
+                         "matched": matched,
+                         "records": records})
     report = {"command": "classify", "group": cat.spec.name,
               "field": cat.spec.field.header(),
               "seed": args.seed, "rows": rows,
@@ -179,14 +198,11 @@ def cmd_witness(args) -> int:
                      "result": rep.to_json()},
               {"wall_s": round(time.time() - t0, 3)})
         return 0
-    label = _label_arg(args)
+    label, cat = _selected(args)
     budget = _budget_from_args(args)
-    cat = label_catalog(2 * args.n, args.q, label)
     out = []
     code = 0
     for entry in cat.entries:
-        if args.split is not None and entry.split_index != args.split:
-            continue
         ctx = class_context(entry, cat)
         verdict = classify(ctx, budget=budget, seed=args.seed)
         if verdict.kind not in ("D", "F"):
@@ -199,59 +215,34 @@ def cmd_witness(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    from .detect import refute_d, refute_f, Certificate, DWitness
-    label = _label_arg(args)
+    from .detect import refute_d, refute_f, Certificate
+    label, cat = _selected(args)
     budget = _budget_from_args(args)
-    cat = label_catalog(2 * args.n, args.q, label)
-    entries = [e for e in cat.entries
-               if args.split is None or e.split_index == args.split]
-    if not entries:
-        print("no such class", file=sys.stderr)
-        return 64
-    cache = _open_cache(args)
     t0 = time.time()
     results = []
     code = 0
-    try:
-        for entry in entries:
-            # no pair cap in the key: a capped not-D run leaves a partial
-            # entry that the next run resumes, capped or not
-            payload = {"op": f"refute_{args.kind}", "group": cat.spec.name,
-                       "label": str(label), "split": entry.split_index,
-                       "caps": {"orbit": budget.orbit_cap}, "seed": args.seed}
-            key = cache.key(payload) if cache else None
-            cached = cache.get(key) if cache else None
-            if cached and cached.get("final"):
-                results.append(dict(cached["value"], cached=True))
-                continue
-            if args.kind == "d":
-                resume = cached.get("state") if cached else None
-                cb = None
-                if cache:
-                    cb = lambda st, key=key: cache.put(key, {"final": False, "state": st})
-                got = refute_d(cat.spec, entry.orbit, budget, resume=resume,
-                               checkpoint_cb=cb)
-            else:
-                got = refute_f(cat.spec, entry.rep(), budget, orbit=entry.orbit)
-            if isinstance(got, Certificate):
-                value = got.to_json()
-                if not got.complete:
-                    code = 3
-                    if cache and got.resume_state:
-                        cache.put(key, {"final": False, "state": got.resume_state})
-                elif cache:
-                    cache.put(key, {"final": True, "value": value})
-            elif isinstance(got, DWitness):
-                value = got.to_json()
+    with _open_cache(args) as cache:
+        for entry in cat.entries:
+            def compute(resume, checkpoint):
+                if args.kind == "d":
+                    got = refute_d(cat.spec, entry.orbit, budget,
+                                   resume=resume, checkpoint_cb=checkpoint)
+                else:
+                    got = refute_f(cat.spec, entry.rep(), budget,
+                                   orbit=entry.orbit)
+                if isinstance(got, Certificate):
+                    return got.to_json(), got.complete, got.resume_state
+                if isinstance(got, dict):
+                    return ({"kind": "clique_found", "stats": got["stats"]},
+                            False, None)
+                return got.to_json(), False, None          # a DWitness
+            value = _class_step(cache, f"refute_{args.kind}", cat, entry,
+                                args, compute)
+            if value["kind"] in ("witness_D", "clique_found"):
                 code = 2
-            else:
-                value = {"kind": "clique_found",
-                         "stats": got["stats"]}
-                code = 2
+            elif not value["complete"]:
+                code = 3
             results.append(value)
-    finally:
-        if cache:
-            cache.release()
     _emit(args, {"command": "refute", "kind": args.kind,
                  "group": cat.spec.name, "label": str(label),
                  "results": results},
@@ -353,10 +344,9 @@ def cmd_chevalley_verify(args) -> int:
 
 
 def _open_cache(args):
+    "The cache of --cache-dir or UNIRACK_CACHE, to be entered, or none."
     cache_dir = args.cache_dir or os.environ.get("UNIRACK_CACHE")
-    if not cache_dir:
-        return None
-    return Cache(cache_dir).acquire()
+    return Cache(cache_dir) if cache_dir else contextlib.nullcontext()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify")
     common(p)
-    p.set_defaults(fn=cmd_classify)
+    p.set_defaults(fn=cmd_classify, split=None)
 
     p = sub.add_parser("table")
     common(p, with_label=False)

@@ -172,29 +172,40 @@ class FWitness:
     subracks: tuple           # 4 sorted packed tuples
     builder: str
 
-    def verify(self) -> bool:
-        F, n = self.reps[0].field, self.reps[0].n
+    def check(self):
+        """This witness if every family condition holds, otherwise an
+        FFailure naming the first one violated, cheapest conditions first:
+        each representative in its subrack, disjointness, non-fixing, then
+        stability R_a > R_b = R_b for every ordered pair."""
         sets = [set(t) for t in self.subracks]
         for a in range(4):
             if self.reps[a].pack() not in sets[a]:
-                raise DetectError(f"representative {a+1} is outside its subrack")
+                return FFailure("membership", (a + 1,))
+        for a in range(4):
+            for b in range(a + 1, 4):
+                if sets[a] & sets[b]:
+                    return FFailure("disjointness", (a + 1, b + 1))
         for a in range(4):
             for b in range(4):
-                if a < b and sets[a] & sets[b]:
-                    raise DetectError(f"subracks {a+1} and {b+1} intersect")
+                if a != b:
+                    x, y = self.reps[a], self.reps[b]
+                    if x * y * x.inverse() == y:
+                        return FFailure("fixing", (a + 1, b + 1))
+        F, n = self.reps[0].field, self.reps[0].n
         mats = [[Mat(F, n, tuple(p)) for p in t] for t in self.subracks]
         for a in range(4):
             for b in range(4):
                 image = {(x * y * x.inverse()).pack()
                          for x in mats[a] for y in mats[b]}
                 if image != sets[b]:
-                    raise DetectError(f"stability fails for ({a+1},{b+1})")
-        for a in range(4):
-            for b in range(4):
-                if a != b:
-                    x, y = self.reps[a], self.reps[b]
-                    if x * y * x.inverse() == y:
-                        raise DetectError(f"representatives {a+1},{b+1} commute")
+                    return FFailure("stability", (a + 1, b + 1))
+        return self
+
+    def verify(self) -> bool:
+        "`check`, raising DetectError on a violated condition."
+        got = self.check()
+        if isinstance(got, FFailure):
+            raise DetectError(f"{got.condition} fails for {got.indices}")
         return True
 
     def to_json(self) -> dict:
@@ -208,7 +219,7 @@ class FWitness:
 
 @dataclass(frozen=True)
 class FFailure:
-    condition: str            # disjointness | stability | fixing | degenerate
+    condition: str            # membership | disjointness | fixing | stability
     indices: tuple
 
     def __bool__(self):
@@ -226,27 +237,9 @@ def check_f_family(reps, u_group, builder: str = "torus_translates",
     if len(reps) != 4:
         raise DetectError("a type-F family has exactly 4 representatives")
     if subracks is None:
-        subracks = []
-        for r in reps:
-            orb = {(u * r * u.inverse()).pack() for u in u_group}
-            subracks.append(tuple(sorted(orb)))
-    subracks = tuple(tuple(t) for t in subracks)
-    sets = [set(t) for t in subracks]
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if reps[a] == reps[b]:
-                return FFailure("disjointness", (a + 1, b + 1))
-            if sets[a] & sets[b]:
-                return FFailure("disjointness", (a + 1, b + 1))
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                x, y = reps[a], reps[b]
-                if x * y * x.inverse() == y:
-                    return FFailure("fixing", (a + 1, b + 1))
-    w = FWitness(reps, subracks, builder)
-    w.verify()
-    return w
+        subracks = [sorted({(u * r * u.inverse()).pack() for u in u_group})
+                    for r in reps]
+    return FWitness(reps, tuple(tuple(t) for t in subracks), builder).check()
 
 
 # ---------------------------------------------------------------------------

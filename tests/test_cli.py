@@ -6,6 +6,9 @@ import pytest
 
 from unirack.cache import Cache, CacheLocked, canonical_json
 from unirack.cli import main
+from unirack.detect import mat_json
+from unirack.ffield import make_field
+from unirack.matgroup import mat_from_ints
 
 
 def run(tmp_path, *argv):
@@ -240,15 +243,78 @@ def test_refute_splits_only_its_label(tmp_path, monkeypatch):
     ("witness", "--n", "2", "--q", "4"),
     ("classify", "--n", "2", "--q", "5", "--label", "3"),
     ("refute", "--kind", "d", "--n", "2", "--q", "4", "--label", "V(2)+"),
+    ("classify", "--n", "2", "--q", "3", "--label", "6"),
+    ("witness", "--n", "2", "--q", "3", "--label", "6"),
+    ("classify", "--n", "2", "--q", "3", "--label", "1,1,1,1"),
+    ("classify", "--n", "2", "--q", "2", "--label", ""),
+    ("refute", "--kind", "f", "--n", "2", "--q", "2", "--label", "W(1)^2"),
 ], ids=" ".join)
 def test_bad_label_fails_before_any_orbit(tmp_path, monkeypatch, argv):
-    "A missing or malformed label is a usage error, found before any split."
+    """A missing or malformed label, or one of the wrong dimension or the
+    identity's, is a usage error, found before any split."""
     from unirack import cli
     sizes = _record_class_orbits(monkeypatch)
     catalogs = []
     monkeypatch.setattr(cli, "group_catalog", lambda *a: catalogs.append(a))
     code, text = run(tmp_path, *argv)
     assert (code, text, sizes, catalogs) == (64, "", [], [])
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", "--n", "2", "--q", "3", "--label", "4", "--split", "7"),
+    ("refute", "--kind", "d", "--n", "2", "--q", "3", "--label", "4",
+     "--split", "7"),
+], ids=" ".join)
+def test_split_naming_no_class_is_a_usage_error(tmp_path, argv):
+    assert run(tmp_path, *argv) == (64, "")
+
+
+def _swap_fourth_rep(entry):
+    "Rep 4 of the Sp4(4) V(4) #0 family becomes another element of the class."
+    F = make_field(2, 2)
+    x = mat_from_ints(F, [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 1],
+                          [1, 0, 1, 1]])
+    entry["value"]["witness"]["reps"][3] = mat_json(x)
+    return entry
+
+
+def _commuting_s(entry):
+    "The D witness's s becomes r, which commutes with r."
+    w = entry["value"]["witness"]
+    w["s"] = w["r"]
+    return entry
+
+
+def _older_shape(entry):
+    "A final classify entry as earlier versions wrote it."
+    return {"final": True, "verdict_json": entry["value"]}
+
+
+@pytest.mark.parametrize("q, label, tamper", [
+    (4, "V(4)", _swap_fourth_rep),
+    (2, "V(4)", _commuting_s),
+    (2, "V(4)", _older_shape),
+], ids=["F-rep-swapped", "D-s-commutes", "older-shape"])
+def test_unusable_cached_verdict_is_recomputed(tmp_path, q, label, tamper):
+    """A final entry whose witness fails the check that built it, or that
+    has the older shape, reads as a miss: the class is classified again and
+    its entry rewritten, while the other split is served from the cache."""
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "classify", "--n", "2",
+            "--q", str(q), "--label", label]
+    code1, cold = run(tmp_path, *argv)
+    c = Cache(cache_dir)
+    key = c.key({"op": "classify", "group": f"Sp4({q})", "label": label,
+                 "split": 0, "caps": {"orbit": 10**6}, "seed": 0})
+    genuine = c.get(key)
+    c.put(key, tamper(json.loads(canonical_json(genuine))))
+    code2, warm = run(tmp_path, *argv)
+    cold_records, warm_records = (json.loads(t)["rows"][0]["records"]
+                                  for t in (cold, warm))
+    assert code1 == code2 == 0
+    assert warm_records[0] == cold_records[0]            # no cached flag
+    assert warm_records[1] == dict(cold_records[1], cached=True)
+    assert c.get(key) == genuine
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):
@@ -358,3 +424,34 @@ def test_cached_report_digests_are_pinned(tmp_path):
     assert digests == [
         "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
         "fffd414756062cfce7f6ed894d4ec94016c2abab9f45cd160227f6bb68f95934"]
+
+
+# each step's global options, exit code and report digest, recorded before
+# the two commands shared one cached per-class step
+CACHED_STEP_DIGESTS = {
+    # a capped not-D scan, its resume, and the certificate served cached
+    ("refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "V(2)^2"): [
+        (("--pair-cap", "10"), 3,
+         "76d06aee4d02724cbe6b919559bca6102cb84b5ab6fd0f0314ae0d502807dcb1"),
+        ((), 0,
+         "676599fdf9e823a57e5e7172a0282e9152f930ffcb9c71fb7b9de5b03baa9b2d"),
+        ((), 0,
+         "2dc59659aebbcdc3bdfbbc8ed405441ecc6eba806a0d96f3ac4231ca9fbbd1df")],
+    # two type-F verdicts, then both served cached after their families
+    # passed check_f_family again
+    ("classify", "--n", "2", "--q", "4", "--label", "V(4)"): [
+        ((), 0,
+         "38c496a54040f7ce0121a5194e44d5dd77dd6f35aa81f10e1c481efdafdd7f42"),
+        ((), 0,
+         "8319e9c59aa949b9a27b3bba7b42b75cb11155ec623014b51fd5ab1a497ef753")],
+}
+
+
+@pytest.mark.parametrize("argv", list(CACHED_STEP_DIGESTS), ids=" ".join)
+def test_cached_step_digests_are_pinned(tmp_path, argv):
+    got = []
+    for options, _, _ in CACHED_STEP_DIGESTS[argv]:
+        code = main(["--cache-dir", str(tmp_path / "cache"), "--output",
+                     str(tmp_path / "out.json"), *options, *argv])
+        got.append((options, code, _digest(tmp_path / "out.json")))
+    assert got == CACHED_STEP_DIGESTS[argv]

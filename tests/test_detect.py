@@ -12,7 +12,7 @@ from unirack.detect import (
     group_identity_spot_check, refute_d, refute_f, su3_f_family,
 )
 from unirack.matgroup import (
-    Mat, class_orbit, group_spec, orbit_under, random_element,
+    Mat, class_orbit, group_spec, mat_from_ints, orbit_under, random_element,
 )
 
 
@@ -186,6 +186,21 @@ def test_check_f_family_failure_modes(sp42):
     r = e.rep()
     got = check_f_family([r, r, r, r], sp42.u_group)
     assert isinstance(got, FFailure) and got.condition == "disjointness"
+
+
+def test_check_f_family_reports_stability():
+    """A family that is disjoint and non-fixing but not stable is an
+    FFailure, not an error: the genuine Sp4(4) V(4) #0 family with its
+    fourth representative swapped for another element of the class."""
+    cat = group_catalog(4, 4)
+    e = entry(cat, "V(4)")
+    reps = classify(class_context(e, cat)).witness_f.reps
+    assert isinstance(check_f_family(reps, cat.u_group), FWitness)
+    x = mat_from_ints(cat.spec.field, [[0, 0, 0, 1], [0, 0, 1, 0],
+                                       [0, 1, 1, 1], [1, 0, 1, 1]])
+    assert e.orbit.contains(x)
+    got = check_f_family(reps[:3] + (x,), cat.u_group)
+    assert got == FFailure("stability", (4, 1))
 
 
 def test_diagonal_translate_f_family_sp44():
