@@ -76,10 +76,13 @@ class Cache:
             return None
         value = entry.get("value")
         if revalidate is not None and value is not None:
+            # a malformed entry is a miss; any other error is a fault of
+            # the recheck and propagates (ValueError covers the package's
+            # DetectError, GroupError and FieldError)
             try:
                 if not revalidate(value):
                     return None
-            except Exception:
+            except (LookupError, TypeError, AttributeError, ValueError):
                 return None
         return value
 

@@ -14,7 +14,6 @@ conjugation orbits is exhaustive.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
@@ -23,6 +22,7 @@ from .matgroup import (
     Endo, Mat, Orbit, _x_minus_one, apply_endo, class_orbit, format_partition,
     group_spec, identity_flat, is_unipotent, jordan_partition, mul_flat,
     membership, row_reduce, rows_flat, split_classes, subgroup_closure,
+    transpose_flat,
 )
 from .detect import (
     Budget, ClassContext, DWitness, Verdict, classify, collapse_eq_holds,
@@ -249,8 +249,8 @@ def _w_block(m: int, q: int) -> Mat:
 
 
 def _placed_blocks(label: UnipotentLabel, n2: int, q: int,
-                   scale_first_v: int = 1) -> list[tuple[str, list[int], Mat]]:
-    """Per-block (kind, slots, embedded matrix), biggest block first: the
+                   scale_first_v: int = 1) -> list[tuple[list[int], Mat]]:
+    """Per-block (slots, embedded matrix), biggest block first: the
     label's V and W blocks on their symmetric slots, the first V block
     built with `scale_first_v` as its last coefficient."""
     label.validate()
@@ -277,7 +277,7 @@ def _placed_blocks(label: UnipotentLabel, n2: int, q: int,
         else:
             local = _regular_sp_block(param, q, scale_last=scale)
             scale = 1
-        placed.append((kind, sl, embed_local(local, sl, n2)))
+        placed.append((sl, embed_local(local, sl, n2)))
     return placed
 
 
@@ -288,7 +288,7 @@ def representative(label: UnipotentLabel, n2: int, q: int,
     (coefficient a non-square) used to reach the second split class."""
     spec = group_spec("Sp", n2, q)
     out = Mat.identity(spec.field, n2)
-    for _, _, block in _placed_blocks(label, n2, q, scale_first_v):
+    for _, block in _placed_blocks(label, n2, q, scale_first_v):
         out = out * block
     if not membership(out, spec):
         raise CatalogError("representative fails membership")
@@ -305,19 +305,6 @@ def transvection_rep(n2: int, q: int, coeff: int = 1) -> Mat:
 
 # ---------------------------------------------------------------------------
 # even-q type detection
-
-
-def _mat_vec(F, n, A, v):
-    out = [0] * n
-    for i in range(n):
-        acc = 0
-        row = A[i * n:(i + 1) * n]
-        for j in range(n):
-            a = row[j]
-            if a and v[j]:
-                acc = F.add(acc, F.mul(a, v[j]))
-        out[i] = acc
-    return tuple(out)
 
 
 def _nullspace(F, n, A) -> list[tuple]:
@@ -340,35 +327,25 @@ def _has_form_defect(u: Mat, form: Mat, two_k: int) -> bool:
     """Is there v in ker((u+1)^{2k}) with ((u+1)^{2k-1} v, v) != 0?
 
     This detects a V(2k)-summand: on any W-summand and on V-summands of
-    other sizes the pairing vanishes on that kernel layer."""
+    other sizes the pairing vanishes on that kernel layer.  With the kernel
+    basis as the columns of K, the pairing at v = K c is c^T G c for the
+    Gram matrix G = K^T (N^{2k-1})^T B K.  This quadratic form has degree
+    below q in each c_a (c_a^2 read as c_a when q = 2), so it vanishes on
+    all of F_q^d iff its coefficients G_aa and G_ab + G_ba all vanish."""
     F, n = u.field, u.n
     N = _x_minus_one(u).flat
-    Nk1 = identity_flat(n)                 # N^(2k-1), then N^(2k)
+    Nk1 = identity_flat(n)                 # N^(2k-1)
     for _ in range(two_k - 1):
         Nk1 = mul_flat(F, n, Nk1, N)
-    Nk = mul_flat(F, n, Nk1, N)
-    kernel = _nullspace(F, n, Nk)
-    B = form.flat
-    for coeffs in itertools.product(range(F.q), repeat=len(kernel)):
-        if not any(coeffs):
-            continue
-        v = [0] * n
-        for c, b in zip(coeffs, kernel):
-            if c:
-                for i in range(n):
-                    if b[i]:
-                        v[i] = F.add(v[i], F.mul(c, b[i]))
-        w = _mat_vec(F, n, Nk1, v)
-        acc = 0
-        for i in range(n):
-            if w[i]:
-                row = B[i * n:(i + 1) * n]
-                for j in range(n):
-                    if row[j] and v[j]:
-                        acc = F.add(acc, F.mul(w[i], F.mul(row[j], v[j])))
-        if acc:
-            return True
-    return False
+    kernel = _nullspace(F, n, mul_flat(F, n, Nk1, N))
+    # K is n x n with zero columns after the basis, so G is 0 past them
+    K = [kernel[a][i] if a < len(kernel) else 0
+         for i in range(n) for a in range(n)]
+    G = mul_flat(F, n, transpose_flat(n, mul_flat(F, n, Nk1, K)),
+                 mul_flat(F, n, form.flat, K))
+    return any(G[a * n + a] for a in range(n)) \
+        or any(F.add(G[a * n + b], G[b * n + a])
+               for a in range(n) for b in range(a + 1, n))
 
 
 def decomposition_type(u: Mat, spec) -> UnipotentLabel:
@@ -499,8 +476,6 @@ def group_catalog(n2: int, q: int) -> GroupCatalog:
 
 @dataclass(frozen=True)
 class BlockRealization:
-    kind: str
-    slots: tuple
     component: Mat
     rest: Mat
     gens: tuple
@@ -536,14 +511,14 @@ def block_realizations(entry: ClassEntry, catalog: GroupCatalog) -> tuple:
         return ()
     placed = _placed_blocks(label, n2, q, scale)
     out = []
-    for i, (kind, sl, block) in enumerate(placed):
+    for i, (sl, block) in enumerate(placed):
         rest = Mat.identity(catalog.spec.field, n2)
-        for j, (_, _, other) in enumerate(placed):
+        for j, (_, other) in enumerate(placed):
             if j != i:
                 rest = rest * other
         comp_slots = tuple(k for k in range(n2) if k not in sl)
         out.append(BlockRealization(
-            kind, tuple(sl), block, rest,
+            block, rest,
             _sp_gens_on_slots(tuple(sl), n2, q),
             _sp_gens_on_slots(comp_slots, n2, q)))
     return tuple(out)
@@ -554,13 +529,10 @@ def class_context(entry: ClassEntry, catalog: GroupCatalog) -> ClassContext:
         spec=catalog.spec,
         rep=entry.rep(),
         orbit=entry.orbit,
-        label=entry.label,
-        split_index=entry.split_index,
         u_members=entry.u_members,
         model=catalog.model,
         blocks=block_realizations(entry, catalog),
         u_group=catalog.u_group,
-        name=f"{catalog.spec.name} {entry.label} #{entry.split_index}",
     )
 
 

@@ -48,18 +48,20 @@ def _entry_holds(entry, u_group) -> bool:
     {"final": true, "value": ...} shape, not the older one with a
     "verdict_json" field, and when its witness, if any, passes the check
     that built it: `d_pair` for type D, and `check_f_family` over the
-    catalog's U^F, with the stored subrack sizes, for type F."""
+    catalog's U^F, with the stored subrack sizes, for type F.  The witness
+    of a verdict is its "witness" field; a refutation's value that is a
+    witness is one itself."""
     if not entry.get("final"):
         return True
     if "value" not in entry:
         return False
-    w = entry["value"].get("witness")
-    if w is None:
-        return True
-    if w["kind"] == "witness_D":
+    w = entry["value"].get("witness", entry["value"])
+    if w.get("kind") == "witness_D":
         res = d_pair(_mat_from_json(w["r"]), _mat_from_json(w["s"]),
                      subgroup_cap=0)
         return res.kind == "witness"
+    if w.get("kind") != "witness_F":
+        return True
     got = check_f_family([_mat_from_json(m) for m in w["reps"]], u_group,
                          builder=w["builder"])
     return isinstance(got, FWitness) \
@@ -235,7 +237,7 @@ def cmd_refute(args) -> int:
                 if isinstance(got, dict):
                     return ({"kind": "clique_found", "stats": got["stats"]},
                             False, None)
-                return got.to_json(), False, None          # a DWitness
+                return got.to_json(), True, None           # a DWitness
             value = _class_step(cache, f"refute_{args.kind}", cat, entry,
                                 args, compute)
             if value["kind"] in ("witness_D", "clique_found"):

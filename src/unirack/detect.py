@@ -45,6 +45,7 @@ class Budget:
 SUBGROUP_CAP = 20000      # cap on a D witness's <r,s> and on block orbits
 TORUS_U_LIMIT = 24        # U-members tried by the torus constructions
 BLOCK_PAIRS = 200         # block-orbit pairs tried by product and block
+CHECKPOINT_EVERY = 100000  # not-D pairs between two resume checkpoints
 
 
 def mat_json(m: Mat) -> dict:
@@ -226,9 +227,8 @@ class FFailure:
         return False
 
 
-def check_f_family(reps, u_group, builder: str = "torus_translates",
-                   subracks=None):
-    """Verify a 4-family: R_a = U > r_a (or explicit subracks).
+def check_f_family(reps, u_group, builder: str = "torus_translates"):
+    """Verify a 4-family: R_a = U > r_a.
 
     Returns an FWitness on success, otherwise a structured FFailure naming
     the violated condition and the indices involved.
@@ -236,9 +236,8 @@ def check_f_family(reps, u_group, builder: str = "torus_translates",
     reps = tuple(reps)
     if len(reps) != 4:
         raise DetectError("a type-F family has exactly 4 representatives")
-    if subracks is None:
-        subracks = [sorted({(u * r * u.inverse()).pack() for u in u_group})
-                    for r in reps]
+    subracks = [sorted({(u * r * u.inverse()).pack() for u in u_group})
+                for r in reps]
     return FWitness(reps, tuple(tuple(t) for t in subracks), builder).check()
 
 
@@ -275,43 +274,20 @@ def _class_rows(orbit: Orbit):
     return mats, rack.conj_rows(mats)
 
 
-def _orbit(perms, start: int, cap: int, stop=frozenset()):
-    """Breadth-first orbit of the index `start` under the permutations
-    `perms`, in the order of `_closure`.  Returns (orbit, complete): orbit
-    is None as soon as a point of `stop` is found, and complete is False
-    once more than `cap` points are found, where the search stops."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in perms:
-                y = p[x]
-                if y not in seen:
-                    if y in stop:
-                        return None, True
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        return seen, False
-        frontier = nxt
-    return seen, True
-
-
 def _pair_split(px, py, x: int, y: int, cap: int):
     """Whether x and y lie in different orbits of <phi_x, phi_y>, the
     <x,y>-conjugation orbits that `d_pair` builds from the matrices; None
     when either orbit has more than `cap` points."""
-    orb, complete = _orbit((px, py), x, cap)
+    orb, complete = rack.orbit((px, py), x, cap)
     if not complete:
         return None
     if y in orb:
         return False
-    return True if _orbit((px, py), y, cap)[1] else None
+    return True if rack.orbit((px, py), y, cap)[1] else None
 
 
 def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
-             checkpoint_cb=None, checkpoint_every: int = 100000):
+             checkpoint_cb=None):
     """Scan all pairs (rep, s) over the class; returns a not_D Certificate,
     or the DWitness if one turns up after all.
 
@@ -355,7 +331,7 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
                     raise DetectError("rack rows and matrices disagree on a pair")
                 return res.witness
             stats["same_orbit" if split is False else "cap_skipped"] += 1
-        if checkpoint_cb and stats["pairs"] % checkpoint_every == 0:
+        if checkpoint_cb and stats["pairs"] % CHECKPOINT_EVERY == 0:
             checkpoint_cb({"next_index": j + 1, "stats": dict(stats)})
     basis = "exhaustive" if stats["cap_skipped"] == 0 else "sampled"
     return Certificate("not_D", basis, stats, _d_log(rep),
@@ -383,7 +359,7 @@ def _joint(perms, family, cap: int) -> bool:
     orbit search stops as soon as it meets another family member."""
     done = set()
     for a in family:
-        orb, complete = _orbit(perms, a, cap, set(family) - {a})
+        orb, complete = rack.orbit(perms, a, cap, set(family) - {a})
         if orb is None:
             return False
         if not complete:
@@ -484,13 +460,10 @@ class ClassContext:
     spec: object
     rep: Mat
     orbit: Orbit
-    label: object = None
-    split_index: int = 0
     u_members: tuple = ()
     model: object = None
     blocks: tuple = ()
     u_group: tuple = ()
-    name: str = ""
 
 
 def _supp_pairs(model, word):

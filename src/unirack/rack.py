@@ -5,7 +5,9 @@ is the translation j -> i > j as a tuple of indices.  A conjugation rack
 takes its rows from `conj_rows`: the whole table up to MATERIALIZE_LIMIT
 elements, mostly derived from a few rows of matrix products, and above it
 one row computed from the matrices per call.  All analyses (closure,
-decomposition, soberness, inner group) are pure functions of the rack.
+decomposition, soberness, inner group) are pure functions of the rack.  A
+subrack and its inner blocks are the orbits of its seeds under the seeds'
+rows (`seed_orbits`), so an analysis fetches each row it reads once.
 """
 
 from __future__ import annotations
@@ -171,6 +173,50 @@ def conj_rows(mats):
     return lambda x: _matrix_row(mats, points, index, x)
 
 
+def orbit(perms, start: int, cap: int, stop=frozenset()):
+    """Breadth-first orbit of the index `start` under the permutations
+    `perms`.  Returns (orbit, complete): orbit is None as soon as a point of
+    `stop` is found, and complete is False once more than `cap` points are
+    found, where the search stops."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in perms:
+                y = p[x]
+                if y not in seen:
+                    if y in stop:
+                        return None, True
+                    seen.add(y)
+                    nxt.append(y)
+                    if len(seen) > cap:
+                        return seen, False
+        frontier = nxt
+    return seen, True
+
+
+def seed_orbits(rack: Rack, seeds) -> list[tuple]:
+    """The orbits of the seed indices under the group G their rows generate,
+    as sorted index tuples in sorted order; each row is fetched once.
+
+    Since phi_{x>y} = phi_x phi_y phi_x^-1, every member x of the union X of
+    these orbits has its row phi_x in G.  So X is closed under the
+    operation, it is the smallest subrack holding the seeds, its inner
+    group is G on X, and the orbits are its inner blocks."""
+    seeds = sorted(set(seeds))
+    if not seeds:
+        raise RackError("seed must be nonempty")
+    perms = [rack.translation(s) for s in seeds]
+    orbits, covered = [], set()
+    for s in seeds:
+        if s not in covered:
+            orb, _ = orbit(perms, s, rack.size)
+            covered |= orb
+            orbits.append(tuple(sorted(orb)))
+    return sorted(orbits)
+
+
 @dataclass
 class SubrackAnalysis:
     members: tuple            # sorted indices
@@ -179,71 +225,35 @@ class SubrackAnalysis:
 
 
 def subrack_closure(rack: Rack, seed) -> SubrackAnalysis:
-    "Smallest subrack containing the seed indices, with its analysis flags."
-    idx = _closure(rack, seed)
-    return SubrackAnalysis(idx, _abelian(rack, idx),
-                           len(_inner_blocks(rack, idx)) == 1)
+    """Smallest subrack containing the seed indices, with its analysis
+    flags: it is indecomposable iff the seeds have one orbit, and abelian
+    iff its inner group is trivial, that is iff every orbit is one point."""
+    blocks = seed_orbits(rack, seed)
+    members = tuple(sorted(x for blk in blocks for x in blk))
+    return SubrackAnalysis(members, len(blocks) == len(members),
+                           len(blocks) == 1)
 
 
 def _closure(rack: Rack, seed) -> tuple:
     "Smallest subrack containing the seed indices, as sorted indices."
-    members = set(seed)
-    if not members:
-        raise RackError("seed must be nonempty")
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        cur = list(members)
-        for a in cur:
-            for b in frontier:
-                for z in (rack.op(a, b), rack.op(b, a)):
-                    if z not in members:
-                        members.add(z)
-                        nxt.append(z)
-        frontier = nxt
-    return tuple(sorted(members))
-
-
-def _abelian(rack: Rack, idx) -> bool:
-    return all(rack.op(a, b) == b for a in idx for b in idx)
+    return subrack_closure(rack, seed).members
 
 
 def _inner_blocks(rack: Rack, subset) -> list[tuple]:
-    "Orbits of the inner group of the sub-carrier, by union-find."
-    subset = sorted(subset)
-    pos = {x: i for i, x in enumerate(subset)}
-    parent = list(range(len(subset)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in subset:
-        for b in subset:
-            z = rack.op(a, b)
-            ra, rb = find(pos[b]), find(pos[z])
-            if ra != rb:
-                parent[ra] = rb
-    groups = {}
-    for i, x in enumerate(subset):
-        groups.setdefault(find(i), []).append(x)
-    return sorted(tuple(v) for v in groups.values())
+    """Orbits of the inner group of a subrack, given as indices: the orbits
+    of its members under their rows, which stay inside it iff it is one."""
+    subset = set(subset)
+    blocks = seed_orbits(rack, subset)
+    if sum(map(len, blocks)) != len(subset):
+        raise RackError("subset is not a subrack")
+    return blocks
 
 
 def decompose(rack: Rack, subset=None) -> list[tuple]:
-    """Partition into inner-group orbits; decomposable iff 2 or more blocks.
-    Each block is itself a subrack (asserted)."""
-    subset = range(rack.size) if subset is None else subset
-    blocks = _inner_blocks(rack, subset)
-    for blk in blocks:
-        s = set(blk)
-        for a in blk:
-            for b in blk:
-                if rack.op(a, b) not in s:
-                    raise RackError("inner block is not a subrack")
-    return blocks
+    """Partition a subrack into inner-group orbits; decomposable iff 2 or
+    more blocks.  Each block is itself a subrack: it is an orbit of a group
+    that holds the rows of its members, so a > b lies in the orbit of b."""
+    return _inner_blocks(rack, range(rack.size) if subset is None else subset)
 
 
 @dataclass
@@ -268,20 +278,20 @@ def sober_check(rack: Rack, mode: str = "exhaustive") -> SoberReport:
     """
     if mode == "pairs":
         basis = "2-generated"
-        subracks = (_closure(rack, (i, j)) for i in range(rack.size)
-                    for j in range(i, rack.size))
+        seeds = ((i, j) for i in range(rack.size) for j in range(i, rack.size))
     elif mode == "exhaustive":
         basis = "all-subracks"
-        subracks = _all_subracks(rack)
+        seeds = _all_subracks(rack)
     else:
         raise RackError(f"unknown mode {mode!r}")
-    seen = set()                 # each distinct subrack is analysed once
-    for idx in subracks:
-        if idx in seen:
+    seen = set()                 # each distinct subrack is counted once
+    for seed in seeds:
+        sub = subrack_closure(rack, seed)
+        if sub.members in seen:
             continue
-        seen.add(idx)
-        if not _abelian(rack, idx) and len(_inner_blocks(rack, idx)) != 1:
-            return SoberReport(False, mode, basis, idx, len(seen))
+        seen.add(sub.members)
+        if not sub.abelian and not sub.indecomposable:
+            return SoberReport(False, mode, basis, sub.members, len(seen))
     return SoberReport(True, mode, basis, None, len(seen))
 
 

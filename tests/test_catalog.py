@@ -247,3 +247,56 @@ def test_label_of_rejects_non_unipotent():
     t = Mat(spec.field, 4, (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2))
     with pytest.raises(GroupError):
         label_of(t, spec)
+
+
+def defect_by_enumeration(u, form, two_k):
+    """Some v in ker(N^{2k}) with (N^{2k-1} v, v) != 0, N = u - 1, found by
+    trying every v in the kernel."""
+    import itertools
+    from unirack.catalog import _nullspace
+    from unirack.matgroup import _x_minus_one
+    F, n = u.field, u.n
+    N = _x_minus_one(u)
+    Nk1 = N ** (two_k - 1)
+    kernel = _nullspace(F, n, (Nk1 * N).flat)
+    for coeffs in itertools.product(range(F.q), repeat=len(kernel)):
+        v = [0] * n
+        for c, b in zip(coeffs, kernel):
+            v = [F.add(x, F.mul(c, y)) for x, y in zip(v, b)]
+        pairing = 0
+        for i in range(n):
+            w_i = 0
+            for j in range(n):
+                w_i = F.add(w_i, F.mul(Nk1.entry(i, j), v[j]))
+            for j in range(n):
+                pairing = F.add(pairing,
+                                F.mul(w_i, F.mul(form.entry(i, j), v[j])))
+        if pairing:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("rank, q, random_forms", [
+    (2, 2, False), (2, 4, False), (3, 2, False), (2, 2, True), (2, 3, True),
+])
+def test_form_defect_gram_test_matches_enumeration(rank, q, random_forms):
+    """The Gram test of `_has_form_defect` agrees with trying every kernel
+    vector, on every element of U^F and every even layer 2k <= 2n.  On the
+    symplectic form G is symmetric; seeded random forms in its place also
+    give G with G_ab != G_ba, where only the off-diagonal test can fire."""
+    from unirack.catalog import _has_form_defect
+    from unirack.chevalley import symplectic_model
+    from unirack.matgroup import Mat
+    spec = group_spec("Sp", 2 * rank, q)
+    rng = random.Random(0)
+    found = set()
+    for _, u in symplectic_model(rank, q).u_elements():
+        form = spec.form
+        if random_forms:
+            form = Mat(spec.field, 2 * rank,
+                       [rng.randrange(q) for _ in range(4 * rank * rank)])
+        for two_k in range(2, 2 * rank + 1, 2):
+            got = _has_form_defect(u, form, two_k)
+            assert got == defect_by_enumeration(u, form, two_k), (u, two_k)
+            found.add(got)
+    assert found == {False, True}

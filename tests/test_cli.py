@@ -290,11 +290,18 @@ def _older_shape(entry):
     return {"final": True, "verdict_json": entry["value"]}
 
 
+def _truncated_rows(entry):
+    "The D witness's r loses its last row."
+    entry["value"]["witness"]["r"]["rows"].pop()
+    return entry
+
+
 @pytest.mark.parametrize("q, label, tamper", [
     (4, "V(4)", _swap_fourth_rep),
     (2, "V(4)", _commuting_s),
     (2, "V(4)", _older_shape),
-], ids=["F-rep-swapped", "D-s-commutes", "older-shape"])
+    (2, "V(4)", _truncated_rows),
+], ids=["F-rep-swapped", "D-s-commutes", "older-shape", "truncated-rows"])
 def test_unusable_cached_verdict_is_recomputed(tmp_path, q, label, tamper):
     """A final entry whose witness fails the check that built it, or that
     has the older shape, reads as a miss: the class is classified again and
@@ -315,6 +322,43 @@ def test_unusable_cached_verdict_is_recomputed(tmp_path, q, label, tamper):
     assert warm_records[0] == cold_records[0]            # no cached flag
     assert warm_records[1] == dict(cold_records[1], cached=True)
     assert c.get(key) == genuine
+
+
+def test_a_fault_in_the_recheck_is_not_a_miss(tmp_path, monkeypatch):
+    """Only a malformed entry reads as a miss: an error of another kind in
+    the witness recheck propagates instead of making the warm run cold."""
+    from unirack import cli
+
+    def broken(*args, **kwargs):
+        raise NameError("recheck fault")
+
+    argv = ["--cache-dir", str(tmp_path / "cache"), "classify", "--n", "2",
+            "--q", "4", "--label", "V(4)"]
+    assert run(tmp_path, *argv)[0] == 0
+    monkeypatch.setattr(cli, "check_f_family", broken)
+    with pytest.raises(NameError):
+        run(tmp_path, *argv)
+
+
+def test_refute_d_witness_is_cached(tmp_path):
+    """A not-D scan that finds a witness stores it as final: the rerun serves
+    it cached, after the same recheck as a classify verdict's witness."""
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "refute", "--kind", "d", "--n", "2",
+            "--q", "3", "--label", "4", "--split", "0"]
+    code1, cold = run(tmp_path, *argv)
+    code2, warm = run(tmp_path, *argv)
+    first, second = (json.loads(t)["results"][0] for t in (cold, warm))
+    assert (code1, code2, first["kind"]) == (2, 2, "witness_D")
+    assert "cached" not in first and second == dict(first, cached=True)
+    paths = list(cache_dir.glob("*.json"))
+    assert len(paths) == 1
+    entry = json.loads(paths[0].read_text())
+    w = entry["value"]["value"]
+    w["s"] = w["r"]
+    paths[0].write_text(canonical_json(entry))
+    code3, again = run(tmp_path, *argv)
+    assert (code3, json.loads(again)["results"][0]) == (2, first)
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):

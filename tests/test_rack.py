@@ -418,3 +418,128 @@ def test_type_d_from_rack_table_matches_catalog_verdicts(q, classes):
         assert verdict.kind in ("D", "cthulhu")
         r = checked_rack(e.orbit.mats())
         assert type_d_from_table(r) == (verdict.kind == "D"), (str(e.label), e.split_index)
+
+
+# ---------------------------------------------------------------------------
+# subracks as seed orbits, against the pairwise closure and union-find
+
+
+def table(r):
+    return [r.translation(i) for i in range(r.size)]
+
+
+def pairwise_closure(t, seed):
+    """The smallest subrack holding `seed` in the rack with table `t`,
+    closed pair by pair under > both ways."""
+    members = set(seed)
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for a in list(members):
+            for b in frontier:
+                for z in (t[a][b], t[b][a]):
+                    if z not in members:
+                        members.add(z)
+                        nxt.append(z)
+        frontier = nxt
+    return tuple(sorted(members))
+
+
+def union_find_blocks(t, subset):
+    "Inner blocks of a subrack: join b with a > b for every pair a, b."
+    parent = {x: x for x in subset}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a in subset:
+        for b in subset:
+            parent[find(b)] = find(t[a][b])
+    groups = {}
+    for x in sorted(subset):
+        groups.setdefault(find(x), []).append(x)
+    return sorted(tuple(v) for v in groups.values())
+
+
+def seed_sets(r, triples=200):
+    "Every pair of indices, then seeded random triples."
+    import random
+    rng = random.Random(0)
+    pairs = [(i, j) for i in range(r.size) for j in range(i, r.size)]
+    return pairs + [tuple(rng.sample(range(r.size), 3)) for _ in range(triples)]
+
+
+@pytest.mark.parametrize("name", ["sp42-V4-0", "sl2-q9"])
+def test_seed_orbits_match_pairwise_closure_and_union_find(name):
+    r = checked_rack(differential_carrier(name))
+    t = table(r)
+    subracks = set()
+    for seed in seed_sets(r):
+        members = rack._closure(r, seed)
+        assert members == pairwise_closure(t, seed), seed
+        subracks.add(members)
+    for members in subracks:
+        blocks = rack._inner_blocks(r, members)
+        assert blocks == union_find_blocks(t, members), members
+        ana = subrack_closure(r, members)
+        assert ana.members == members
+        assert ana.indecomposable == (len(blocks) == 1)
+        assert ana.abelian == all(t[a][b] == b for a in members
+                                  for b in members)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_seed_orbits_on_every_subrack_of_small_sl2(q):
+    r = sl2_unipotent_rack(q)
+    t = table(r)
+    for members in rack._all_subracks(r):
+        assert members == pairwise_closure(t, members)
+        assert rack._inner_blocks(r, members) == union_find_blocks(t, members)
+
+
+def test_closure_of_a_pair_fetches_its_two_rows():
+    """A pair's subrack comes from the rows of the pair alone, however large
+    the subrack: here the whole 40-element class of Sp4(3) transvections."""
+    base = class_rack("Sp", 4, 3)
+    fetched = []
+
+    def row(i):
+        fetched.append(i)
+        return base.translation(i)
+
+    r = Rack(base.elements, row)
+    j = next(j for j in range(1, r.size) if base.op(0, j) != j)
+    ana = subrack_closure(r, (0, j))
+    assert not ana.abelian and ana.indecomposable
+    assert len(fetched) <= 4
+
+
+def test_decompose_refuses_a_subset_that_is_not_a_subrack():
+    r = class_rack("Sp", 4, 2)
+    j = next(j for j in range(1, r.size) if r.op(0, j) != j)
+    with pytest.raises(RackError, match="not a subrack"):
+        decompose(r, (0, j))
+    # two transpositions of S_6 that do not commute generate an S_3 class
+    assert len(decompose(r, rack._closure(r, (0, j)))) == 1
+
+
+# subracks scanned and counterexample of the exhaustive scan, recorded
+# before subracks became seed orbits
+SOBER_EXHAUSTIVE = {
+    "sl2-q3": (True, 5, None),
+    "sl2-q4": (True, 52, None),
+    "sp42-transvections": (False, 96, (0, 1, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(SOBER_EXHAUSTIVE))
+def test_sober_exhaustive_is_pinned(name):
+    if name == "sp42-transvections":
+        r = class_rack("Sp", 4, 2)
+    else:
+        r = sl2_unipotent_rack(int(name.removeprefix("sl2-q")))
+    rep = sober_check(r, "exhaustive")
+    assert (rep.sober, rep.subracks_scanned, rep.counterexample) \
+        == SOBER_EXHAUSTIVE[name]
