@@ -11,7 +11,8 @@ certificates and reports are reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-from itertools import chain
+import random
+from itertools import chain, product
 from dataclasses import dataclass, field as dc_field
 
 from .ffield import Field, FieldError, make_field, prime_power
@@ -247,8 +248,9 @@ class GroupSpec:
         return f"{self.family}{self.n}({self.q})"
 
     def gen_pairs(self):
-        """Conjugation pairs (g, g^-1) of the non-scalar generators, in
-        canonical order: conjugation by a scalar is the identity."""
+        """Conjugation pairs (g, g^-1) of a certified generating pair modulo
+        the centre, in canonical order (`_gen_pairs`): central elements
+        conjugate trivially, so the pair gives every G-class."""
         return _gen_pairs(self)
 
     def identity(self) -> Mat:
@@ -258,14 +260,55 @@ class GroupSpec:
         return self.name
 
 
+# seeded word pairs tried before the fallback to every generator, and the
+# word lengths: each bundled spec certifies by its third pair
+GEN_PAIR_TRIES = 4
+GEN_WORD_LENGTHS = (9, 11)
+# Schreier-Sims holds whole permutations of the lines, about 8 MB of
+# references per level at this many; past it no pair is certified
+LINE_LIMIT = 1024
+
+
 @functools.lru_cache(maxsize=None)
 def _gen_pairs(spec: GroupSpec):
-    out = []
-    for g in sorted(spec.generators):
-        scalar = tuple(g.flat[0] * x for x in identity_flat(spec.n))
-        if g.flat != scalar:
-            out.append((g.flat, inv_flat(spec.field, spec.n, g.flat)))
-    return tuple(out)
+    """Two seeded words a, b in the sorted generators, independent of any
+    run's seed, certified to generate G modulo its centre Z: the group they
+    induce on the lines of F^n has order |G| / |Z|, where Z is the scalars
+    in G, the kernel of the action on lines.  Falls back to every generator
+    if no pair of GEN_PAIR_TRIES passes, or past LINE_LIMIT lines."""
+    F, n = spec.field, spec.n
+    gens = sorted(spec.generators)
+    if (F.q ** n - 1) // (F.q - 1) <= LINE_LIMIT:
+        from .rack import perm_group_order
+        ident = identity_flat(n)
+        scalars = sum(membership(Mat(F, n, [c * x for x in ident]), spec)
+                      for c in range(1, F.q))
+        for k in range(GEN_PAIR_TRIES):
+            words = [random_element(spec, random.Random(2 * k + i), length)
+                     for i, length in enumerate(GEN_WORD_LENGTHS)]
+            if perm_group_order(_line_perms(F, n, words)) * scalars == spec.order:
+                gens = words
+                break
+    return tuple((g.flat, inv_flat(F, n, g.flat)) for g in gens)
+
+
+def _line_perms(F: Field, n: int, mats) -> list[tuple[int, ...]]:
+    """The permutations v -> v M of the lines of F^n, one per M in `mats`;
+    a line is its vector whose first nonzero entry is 1."""
+    q, mt, at = F.q, F._mul_t, F._add_t
+    lines = [(0,) * k + (1,) + rest for k in range(n)
+             for rest in product(range(q), repeat=n - k - 1)]
+    index = {v: i for i, v in enumerate(lines)}
+
+    def image(v, M):
+        w = [0] * n
+        for i, c in enumerate(v):
+            if c:
+                cq, row = c * q, M.flat[i * n:(i + 1) * n]
+                w = [at[x * q + mt[cq + m]] for x, m in zip(w, row)]
+        lead = F.inv(next(x for x in w if x)) * q
+        return index[tuple(mt[lead + x] for x in w)]
+    return [tuple(image(v, M) for v in lines) for M in mats]
 
 
 def classical_order(family: str, n: int, q: int) -> int:
@@ -680,8 +723,10 @@ class Orbit:
 
 
 def class_orbit(rep: Mat, spec: GroupSpec, cap: int = DEFAULT_CAP) -> Orbit:
-    """Breadth-first conjugation closure of `rep` under the spec's
-    generators.  Exceeding the cap is reported on the orbit, not fatal."""
+    """Breadth-first conjugation closure of `rep` under the spec's certified
+    generating pair modulo the centre (`GroupSpec.gen_pairs`): a complete
+    orbit is the G-class of `rep`.  Exceeding the cap is reported on the
+    orbit, not fatal."""
     if not membership(rep, spec):
         raise GroupError("representative fails membership")
     F, n = spec.field, spec.n
@@ -725,9 +770,9 @@ def split_classes(elements, spec: GroupSpec, mode: str = "conjugation",
                   endo=None, cap: int = DEFAULT_CAP) -> list[SplitClass]:
     """Partition `elements` into orbits.
 
-    conjugation: orbits of x -> g x g^-1 under the spec's generators, i.e.
-    the G-classes meeting the input.  twisted: orbits of the twisted action
-    x -> g x e(g)^-1 for the given endomorphism e.
+    conjugation: the G-classes meeting the input, as class orbits.
+    twisted: orbits of the twisted action x -> g x e(g)^-1 under the spec's
+    generators, for the given endomorphism e.
     """
     mats = sorted(elements)
     if not mats:

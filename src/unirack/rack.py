@@ -207,11 +207,15 @@ def seed_orbits(rack: Rack, seeds) -> list[tuple]:
     seeds = sorted(set(seeds))
     if not seeds:
         raise RackError("seed must be nonempty")
-    perms = [rack.translation(s) for s in seeds]
+    return _orbits([rack.translation(s) for s in seeds], seeds, rack.size)
+
+
+def _orbits(perms, seeds, size: int) -> list[tuple]:
+    "The sorted orbits of the sorted `seeds` under `perms`."
     orbits, covered = [], set()
     for s in seeds:
         if s not in covered:
-            orb, _ = orbit(perms, s, rack.size)
+            orb, _ = orbit(perms, s, size)
             covered |= orb
             orbits.append(tuple(sorted(orb)))
     return sorted(orbits)
@@ -240,11 +244,25 @@ def _closure(rack: Rack, seed) -> tuple:
 
 
 def _inner_blocks(rack: Rack, subset) -> list[tuple]:
-    """Orbits of the inner group of a subrack, given as indices: the orbits
-    of its members under their rows, which stay inside it iff it is one."""
-    subset = set(subset)
-    blocks = seed_orbits(rack, subset)
-    if sum(map(len, blocks)) != len(subset):
+    """Orbits of the inner group of a subrack, given as indices: the seed
+    orbits of its members, which stay inside it iff it is one.
+
+    The members are taken as seeds greedily, in order: a member in the
+    orbit of a seed under the seeds so far lies in their subrack, so its
+    row is in their group already and adds nothing.  So only the rows of
+    the seeds are fetched, each once, and the orbits are those of every
+    member."""
+    members = sorted(set(subset))
+    if not members:
+        raise RackError("seed must be nonempty")
+    seeds, perms, covered = [], [], set()
+    for x in members:
+        if x not in covered:
+            seeds.append(x)
+            perms.append(rack.translation(x))
+            covered |= orbit(perms, x, rack.size)[0]
+    blocks = _orbits(perms, seeds, rack.size)
+    if sum(map(len, blocks)) != len(members):
         raise RackError("subset is not a subrack")
     return blocks
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from unirack import matgroup
 from unirack.catalog import _nullspace
 from unirack.detect import DetectError, _class_rows, _joint
 from unirack.ffield import make_field, prime_power
@@ -14,6 +15,7 @@ from unirack.matgroup import (
     mul_flat, random_element, split_classes, subgroup_closure,
     symplectic_form,
 )
+from unirack.rack import perm_group_order
 
 
 def transvection(spec):
@@ -346,6 +348,8 @@ def test_kernel_actions_match_dense_products(fam, n, q):
     xs = [random_element(spec, rng).flat for _ in range(50)]
     r, s = xs[0], xs[1]
     actions = list(spec.gen_pairs())                       # conjugation
+    actions += [(g.flat, inv_flat(F, n, g.flat))           # generators
+                for g in sorted(spec.generators)]
     actions += [(g, ident) for g, _ in spec.gen_pairs()]   # left products
     actions += [(ident, g) for g, _ in spec.gen_pairs()]   # products
     actions += [(r, inv_flat(F, n, r)), (s, inv_flat(F, n, s))]  # dense pairs
@@ -382,20 +386,16 @@ def test_closure_past_the_row_code_bound():
     assert (closure.complete, closure.packed) == (ref_complete, ref_seen)
 
 
-# specs with the scalar generator -I, which class orbits leave out
-WITH_SCALAR = {("Sp", 4, 3), ("SL", 2, 3)}
-
-
 @pytest.mark.parametrize("fam,n,q", [("Sp", 4, 3), ("Sp", 6, 2), ("GU", 3, 3),
                                      ("SL", 2, 3)])
 def test_class_orbit_matches_reference_bfs(fam, n, q):
     """Class orbits against a dense-product BFS under every generator, the
-    scalar ones included: conjugation by a scalar moves nothing, so leaving
-    it out keeps each orbit and the elements a capped one stops at."""
+    scalar ones included: the certified pair generates G modulo scalars,
+    which conjugate trivially, so every complete orbit is the same set.  A
+    capped orbit stops at the elements a BFS under the pair stops at."""
     spec = group_spec(fam, n, q)
     F = spec.field
     pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(spec.generators)]
-    assert len(pairs) - len(spec.gen_pairs()) == ((fam, n, q) in WITH_SCALAR)
     rng = random.Random(47)
     reps = [transvection(spec)] if fam != "GU" else []
     reps += [spec.identity()] + [random_element(spec, rng) for _ in range(2)]
@@ -404,16 +404,70 @@ def test_class_orbit_matches_reference_bfs(fam, n, q):
             F, n, [rep.flat], pairs, cap=2000)
         orb = class_orbit(rep, spec, cap=2000)
         assert orb.complete == ref_complete
+        if not ref_complete:
+            ref_seen, _ = reference_bfs(
+                F, n, [rep.flat], spec.gen_pairs(), cap=2000)
         assert orb.packed == ref_seen
-    # a capped orbit stops at exactly the same elements; the SL_2(3)
-    # transvection class has 4
+    # a capped orbit stops at exactly the elements of the BFS under the
+    # pair; the SL_2(3) transvection class has 4
     cap = 2 if fam == "SL" else 17
     rep = transvection(spec) if fam != "GU" else reps[-1]
     ref_seen, ref_complete = reference_bfs(
-        F, n, [rep.flat], pairs, cap=cap)
+        F, n, [rep.flat], spec.gen_pairs(), cap=cap)
     orb = class_orbit(rep, spec, cap=cap)
     assert not ref_complete and not orb.complete and len(orb.packed) == cap + 1
     assert orb.packed == ref_seen
+
+
+def line_perm(F, n, M):
+    """The permutation of the lines of F^n under v -> M v, each line keyed
+    by its vector scaled to a first nonzero entry 1."""
+    def line(v):
+        c = F.inv(next(x for x in v if x))
+        return tuple(F.mul(c, x) for x in v)
+    lines = sorted({line(v) for v in itertools.product(range(F.q), repeat=n)
+                    if any(v)})
+    index = {v: i for i, v in enumerate(lines)}
+    return tuple(index[line(times_vector(F, n, M, v))] for v in lines)
+
+
+@pytest.mark.parametrize("fam,n,q", BUNDLED + PAST_BOUND)
+def test_gen_pair_is_certified(fam, n, q):
+    """Class orbits conjugate by two words of G whose action on the lines of
+    F^n has order |G| / |scalars in G|: the scalars are the kernel of that
+    action, so the words generate G modulo its centre."""
+    spec = group_spec(fam, n, q)
+    F, ident = spec.field, identity_flat(n)
+    pairs = spec.gen_pairs()
+    assert len(pairs) == 2
+    words = [Mat(F, n, a) for a, _ in pairs]
+    assert all(membership(w, spec) for w in words)
+    assert all(mul_flat(F, n, a, b) == ident for a, b in pairs)
+    scalars = sum(membership(Mat(F, n, [c * x for x in ident]), spec)
+                  for c in range(1, F.q))
+    order = perm_group_order([line_perm(F, n, w.flat) for w in words])
+    assert order * scalars == spec.order
+
+
+@pytest.mark.parametrize("knob", ["GEN_PAIR_TRIES", "LINE_LIMIT"])
+def test_gen_pairs_fall_back_to_every_generator(monkeypatch, knob):
+    """With no candidate pair, or too many lines to certify one, class
+    orbits conjugate by every generator, complete and capped alike."""
+    monkeypatch.setattr(matgroup, knob, 0)
+    matgroup._gen_pairs.cache_clear()
+    try:
+        spec = group_spec("Sp", 4, 3)
+        F, n = spec.field, spec.n
+        pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(spec.generators)]
+        assert spec.gen_pairs() == tuple(pairs)
+        rep = transvection(spec)
+        for cap in (2000, 17):
+            ref_seen, ref_complete = reference_bfs(F, n, [rep.flat], pairs, cap=cap)
+            orb = class_orbit(rep, spec, cap=cap)
+            assert (orb.complete, orb.packed) == (ref_complete, ref_seen)
+            assert ref_complete == (cap > 40)
+    finally:
+        matgroup._gen_pairs.cache_clear()
 
 
 @pytest.mark.parametrize("cap", [10**6, 40])

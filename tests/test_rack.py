@@ -516,6 +516,30 @@ def test_closure_of_a_pair_fetches_its_two_rows():
     assert len(fetched) <= 4
 
 
+def test_decompose_fetches_the_rows_of_a_few_seeds():
+    """decompose takes a member as a seed only outside the orbits of the
+    seeds so far: on the two classes of Sp4(3) transvections, 80 elements
+    in two inner blocks, it reads a few rows and gives the blocks of the
+    whole table."""
+    spec = group_spec("Sp", 4, 3)
+    mats = []
+    for c in (1, 2):
+        flat = list(spec.identity().flat)
+        flat[3] = c
+        mats += class_orbit(Mat(spec.field, 4, flat), spec).mats()
+    base = checked_rack(mats)
+    fetched = []
+
+    def row(i):
+        fetched.append(i)
+        return base.translation(i)
+
+    blocks = decompose(Rack(base.elements, row))
+    assert blocks == union_find_blocks(table(base), range(base.size))
+    assert [len(b) for b in blocks] == [40, 40]
+    assert len(fetched) == len(set(fetched)) <= 6
+
+
 def test_decompose_refuses_a_subset_that_is_not_a_subrack():
     r = class_rack("Sp", 4, 2)
     j = next(j for j in range(1, r.size) if r.op(0, j) != j)
