@@ -264,8 +264,9 @@ class GroupSpec:
 # word lengths: each bundled spec certifies by its third pair
 GEN_PAIR_TRIES = 4
 GEN_WORD_LENGTHS = (9, 11)
-# Schreier-Sims holds whole permutations of the lines, about 8 MB of
-# references per level at this many; past it no pair is certified
+# past this many lines no pair is certified: at Sp6(4)'s 1,365 the
+# certificate costs more time than the pair saves on a class orbit, and
+# at SL7(3)'s 1,093 no candidate passes (BENCH_two_gen.json, "line_limit")
 LINE_LIMIT = 1024
 
 
@@ -274,19 +275,23 @@ def _gen_pairs(spec: GroupSpec):
     """Two seeded words a, b in the sorted generators, independent of any
     run's seed, certified to generate G modulo its centre Z: the group they
     induce on the lines of F^n has order |G| / |Z|, where Z is the scalars
-    in G, the kernel of the action on lines.  Falls back to every generator
-    if no pair of GEN_PAIR_TRIES passes, or past LINE_LIMIT lines."""
+    in G, the kernel of the action on lines.  Falls back to every
+    non-scalar generator if no pair of GEN_PAIR_TRIES passes, or past
+    LINE_LIMIT lines."""
     F, n = spec.field, spec.n
-    gens = sorted(spec.generators)
+    ident = identity_flat(n)
+    # conjugation by a scalar is the identity
+    gens = [g for g in sorted(spec.generators)
+            if g.flat != tuple(g.flat[0] * x for x in ident)]
     if (F.q ** n - 1) // (F.q - 1) <= LINE_LIMIT:
         from .rack import perm_group_order
-        ident = identity_flat(n)
         scalars = sum(membership(Mat(F, n, [c * x for x in ident]), spec)
                       for c in range(1, F.q))
+        bound = spec.order // scalars      # no subgroup of G/Z is larger
         for k in range(GEN_PAIR_TRIES):
             words = [random_element(spec, random.Random(2 * k + i), length)
                      for i, length in enumerate(GEN_WORD_LENGTHS)]
-            if perm_group_order(_line_perms(F, n, words)) * scalars == spec.order:
+            if perm_group_order(_line_perms(F, n, words), bound) == bound:
                 gens = words
                 break
     return tuple((g.flat, inv_flat(F, n, g.flat)) for g in gens)

@@ -342,8 +342,10 @@ def _all_subracks(rack: Rack) -> list[tuple]:
 
 
 def perm_mul(a, b):
-    "a after b: (a*b)(x) = a(b(x))."
-    return tuple(map(a.__getitem__, b))
+    "a after b: (a*b)(x) = a(b(x)), by one C-level gather."
+    if len(b) < 2:
+        return tuple(a[x] for x in b)
+    return itemgetter(*b)(a)
 
 
 def perm_inv(a):
@@ -351,14 +353,19 @@ def perm_inv(a):
     return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
-def perm_group_order(gens) -> int:
+def perm_group_order(gens, bound: int | None = None) -> int:
     """Order of the group the permutations generate: deterministic
-    incremental Schreier-Sims with sifting.
+    incremental Schreier-Sims with sifting.  Given a `bound` the order is
+    known not to pass, it stops as soon as the product of the basic orbit
+    lengths reaches the bound: that product never exceeds the order.
 
     Level l has a base point, its strong generators (those fixing the
     earlier base points) with their inverses, and the orbit of the base
     point under them, as a map from each point p to u^-1 for the transversal
-    element u that takes the base point to p.  Orbits only grow, so an
+    element u that takes the base point to p, held as bytes, one a point,
+    or past 256 points as an array of 2-byte points (4-byte past 65,536):
+    the transversals are most of the memory, and a tuple takes 8 bytes a
+    point.  Orbits only grow, so an
     element that once sifted to the identity always does, and each (point,
     generator) pair of a level is tested once.  Schreier generators are
     sifted one at a time, as they are made."""
@@ -367,6 +374,14 @@ def perm_group_order(gens) -> int:
         return 1
     n = len(gens[0])
     ident = tuple(range(n))
+    if n <= 256:
+        pack = bytes
+    else:
+        from array import array
+        code = "H" if n <= 1 << 16 else "I"
+
+        def pack(perm):
+            return array(code, perm)
     base, strong, orbits, tested = [], [], [], []
 
     def sift(g, l):
@@ -396,7 +411,7 @@ def perm_group_order(gens) -> int:
                 for x, x_inv in strong[l]:
                     q = x[p]
                     if q not in orbit:
-                        orbit[q] = perm_mul(orbit[p], x_inv)
+                        orbit[q] = pack(perm_mul(orbit[p], x_inv))
                         points.append(q)
 
     def schreier(l):
@@ -417,6 +432,12 @@ def perm_group_order(gens) -> int:
                     return j
         return None
 
+    def order():
+        out = 1
+        for orbit in orbits:
+            out *= len(orbit)
+        return out
+
     for g in gens:
         h, j = sift(g, 0)
         if h == ident:
@@ -424,12 +445,11 @@ def perm_group_order(gens) -> int:
         add(h, 0, j)
         l = j                 # check from the deepest changed level down
         while l >= 0:
+            if bound is not None and order() >= bound:
+                return order()
             j = schreier(l)
             l = l - 1 if j is None else j
-    order = 1
-    for orbit in orbits:
-        order *= len(orbit)
-    return order
+    return order()
 
 
 def inn_order(rack: Rack) -> int:

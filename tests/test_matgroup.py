@@ -452,14 +452,17 @@ def test_gen_pair_is_certified(fam, n, q):
 @pytest.mark.parametrize("knob", ["GEN_PAIR_TRIES", "LINE_LIMIT"])
 def test_gen_pairs_fall_back_to_every_generator(monkeypatch, knob):
     """With no candidate pair, or too many lines to certify one, class
-    orbits conjugate by every generator, complete and capped alike."""
+    orbits conjugate by every non-scalar generator, and equal a BFS under
+    every generator, complete and capped alike."""
     monkeypatch.setattr(matgroup, knob, 0)
     matgroup._gen_pairs.cache_clear()
     try:
         spec = group_spec("Sp", 4, 3)
         F, n = spec.field, spec.n
         pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(spec.generators)]
-        assert spec.gen_pairs() == tuple(pairs)
+        minus_one = tuple(2 * x for x in identity_flat(n))
+        assert minus_one in [a for a, _ in pairs]
+        assert spec.gen_pairs() == tuple(p for p in pairs if p[0] != minus_one)
         rep = transvection(spec)
         for cap in (2000, 17):
             ref_seen, ref_complete = reference_bfs(F, n, [rep.flat], pairs, cap=cap)

@@ -216,6 +216,28 @@ def test_perm_group_order_basics():
     assert perm_group_order([(1, 2, 0)]) == 3
     assert perm_group_order([(1, 0, 2), (0, 2, 1)]) == 6
     assert perm_group_order([]) == 1
+    assert rack.perm_mul((0,), (0,)) == (0,) and rack.perm_mul((), ()) == ()
+    assert rack.perm_mul((2, 0, 1), (1, 2, 0)) == (0, 1, 2)
+
+
+def test_perm_group_order_stops_at_a_known_bound(monkeypatch):
+    """Given a bound the order cannot pass, Schreier-Sims returns once the
+    product of the basic orbit lengths reaches it, before the sifts that
+    would verify the chain; a bound above the order changes nothing."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return tuple(a[x] for x in b)
+    monkeypatch.setattr(rack, "perm_mul", counted)
+    s8 = [(1, 0) + tuple(range(2, 8)), tuple(range(1, 8)) + (0,)]
+    work = {}
+    for bound in (None, 40320, 10**6):     # |S_8| = 40320
+        calls.clear()
+        assert perm_group_order(s8, bound) == 40320
+        work[bound] = len(calls)
+    assert work[40320] < work[None] == work[10**6]
+    assert perm_group_order(s8[:1], 40320) == 2
 
 
 def test_inn_order_divides_factorial():
