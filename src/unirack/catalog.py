@@ -1,5 +1,6 @@
 """Unipotent class labels of the symplectic groups, representatives,
-splitting, reference verdicts, and the per-row verification pipeline.
+splitting, reference verdicts, and the matching of computed verdicts
+against them.
 
 Odd q: classes are labelled by symplectic partitions (odd parts occur with
 even multiplicity).  Even q: by the orthogonal decomposition of the natural
@@ -19,14 +20,13 @@ from dataclasses import dataclass
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
 from .ffield import embedding, make_field, prime_power
 from .matgroup import (
-    Endo, Mat, Orbit, _x_minus_one, apply_endo, class_orbit, format_partition,
-    group_spec, identity_flat, is_unipotent, jordan_partition, mul_flat,
-    membership, row_reduce, rows_flat, split_classes, subgroup_closure,
-    transpose_flat,
+    Mat, Orbit, _x_minus_one, class_orbit, format_partition, group_spec,
+    identity_flat, is_unipotent, jordan_partition, mul_flat, membership,
+    row_reduce, rows_flat, split_classes, subgroup_closure, transpose_flat,
+    unitary_twist,
 )
 from .detect import (
-    Budget, ClassContext, DWitness, Verdict, classify, collapse_eq_holds,
-    d_pair, mat_json,
+    ClassContext, DWitness, collapse_eq_holds, d_pair, mat_json,
 )
 
 
@@ -610,8 +610,7 @@ def _expected_even(label, n2, q) -> Expectation:
         return Expectation(("D",), 1, "w2v2-D")
     if not w or set(w) <= {1}:
         if v == {2: 2}:
-            return Expectation(("D",) * (1 if w else 1), 1 if q == 2 else None,
-                               "v2v2-D")
+            return Expectation(("D",), 1 if q == 2 else None, "v2v2-D")
         if len(v) == 1:
             k2 = next(iter(v))
             if v[k2] == 1 and k2 >= 4:
@@ -734,25 +733,19 @@ def regular_pairs(spec, kind: str) -> PairReport:
             construction = "conjugate-transpose"
             if (x2 * x1 * x2).flat[1 * n + 0] == 0:
                 raise CatalogError("lower-corner test failed")
-        notes = []
-        if collapse_eq_holds(x1, x2) or x1 * x2 == x2 * x1:
-            # fall back to a scan of the class
-            for y in orb.mats():
-                if y != x1 and y * x1 != x1 * y and not collapse_eq_holds(x1, y):
-                    x2, construction = y, "class scan"
-                    break
-            else:
+        degenerate = collapse_eq_holds(x1, x2) or x1 * x2 == x2 * x1
+        if degenerate or not orb.contains(x2):
+            # fall back to the first class member that violates the equation
+            y = next((y for y in orb.mats() if y != x1 and y * x1 != x1 * y
+                      and not collapse_eq_holds(x1, y)), None)
+            if y is not None:
+                x2, construction = y, "class scan"
+            elif degenerate:
                 raise CatalogError("no collapse-violating pair in the class")
-            notes.append("printed construction was degenerate here; scanned")
-        same = orb.contains(x2)
-        level = "group"
-        if not same:
-            for y in orb.mats():
-                if y != x1 and y * x1 != x1 * y and not collapse_eq_holds(x1, y):
-                    x2, construction = y, "class scan"
-                    same, level = True, "group"
-                    break
-        rep = PairReport(kind, x1, x2, same, level, construction, tuple(notes))
+        notes = (("printed construction was degenerate here; scanned",)
+                 if degenerate else ())
+        rep = PairReport(kind, x1, x2, orb.contains(x2), "group", construction,
+                         notes)
         rep.verify()
         return rep
     # commuting
@@ -829,8 +822,7 @@ def gu3_witness() -> GU3Report:
     eta_inv64 = F64.inv(eta64)
     x = next(c for c in range(1, 64) if F64.pow(c, 3) == eta_inv64)
     g = Mat(F64, 3, (F64.pow(x, 4), 0, 0, 0, x, 0, 0, 0, F64.pow(x, 4)))
-    tw = Endo.unitary_twist(2)
-    zg = g.inverse() * apply_endo(g, tw)
+    zg = g.inverse() * unitary_twist(g, 2)
     checks["g_twist_is_eta_scalar"] = zg == Mat(
         F64, 3, (eta64, 0, 0, 0, eta64, 0, 0, 0, eta64))
     r64 = r.map_to(emb)
@@ -863,37 +855,7 @@ def gu3_witness() -> GU3Report:
 
 
 # ---------------------------------------------------------------------------
-# per-row verification
-
-
-@dataclass
-class ClassRecord:
-    group: str
-    label: str
-    split_index: int
-    size: int
-    verdict: Verdict
-    expected_verdict: str
-
-    def to_json(self):
-        return {"group": self.group, "label": self.label,
-                "split_index": self.split_index, "size": self.size,
-                "expected": self.expected_verdict, **self.verdict.to_json()}
-
-
-@dataclass
-class RowReport:
-    label: UnipotentLabel
-    expectation: Expectation
-    records: list
-    matched: bool
-
-    def to_json(self):
-        return {"label": str(self.label), "rule": self.expectation.rule,
-                "expected": list(self.expectation.verdicts),
-                "expected_count": self.expectation.class_count,
-                "matched": self.matched,
-                "records": [r.to_json() for r in self.records]}
+# matching computed verdicts against the reference
 
 
 def _wanted(exp: Expectation, count: int) -> list:
@@ -919,30 +881,6 @@ def row_matched(exp: Expectation, computed: tuple) -> bool:
     return len(want) == len(computed) and all(
         g == w or (w == "DF" and g in ("D", "F"))
         for g, w in zip(sorted(computed), want))
-
-
-def verify_row(label: UnipotentLabel, n2: int, q: int,
-               budget: Budget = Budget(), seed: int = 0) -> RowReport:
-    """Split the label empirically, classify every split class, and compare
-    against the reference verdicts; mismatches are reported, never
-    reconciled.  Each class's expected verdict is the one `row_matched`
-    pairs with its verdict: the k-th smallest verdict kind against the k-th
-    smallest expected verdict."""
-    cat = label_catalog(n2, q, label)
-    entries = cat.entries
-    if not entries:
-        raise CatalogError(f"label {label} does not occur in Sp_{n2}({q})")
-    exp = expected(label, n2, q)
-    verdicts = [classify(class_context(e, cat), budget=budget, seed=seed)
-                for e in entries]
-    computed = tuple(v.kind for v in verdicts)
-    want = _wanted(exp, len(computed))
-    by_kind = sorted(range(len(computed)), key=computed.__getitem__)
-    wanted = {k: want[min(pos, len(want) - 1)] for pos, k in enumerate(by_kind)}
-    records = [ClassRecord(cat.spec.name, str(label), e.split_index, e.size,
-                           v, wanted[k])
-               for k, (e, v) in enumerate(zip(entries, verdicts))]
-    return RowReport(label, exp, records, row_matched(exp, computed))
 
 
 REFERENCE_TABLE_GROUPS = ((4, 2), (4, 3), (4, 4), (4, 5), (6, 2), (6, 3))

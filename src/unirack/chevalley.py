@@ -394,12 +394,6 @@ def symplectic_model(rank: int, q: int) -> SymplecticModel:
     return SymplecticModel(rank, q)
 
 
-def support_factorize(model: SymplecticModel, u: Mat,
-                      ordering_id: int = 0) -> ChevalleyWord:
-    "The unique ordered root-factor expression of a Borel-radical element."
-    return model.factorize(u, ordering_id)
-
-
 # ---------------------------------------------------------------------------
 # commutator data
 
@@ -675,25 +669,14 @@ def _split_family_collision(q: int):
 
 def torus_family(alpha: Root | None, beta: Root | None, q: int,
                   case: str = "chevalley",
-                  model: SymplecticModel | None = None,
-                  exponent_pairs=None, modulus: int | None = None) -> TorusFamily:
+                  model: SymplecticModel | None = None) -> TorusFamily:
     """Four torus elements satisfying the separation inequality for (alpha,
     beta), for the type-F construction.
 
     chevalley: t_a = a^vee(zeta^(a-1)) with alpha longest; requires q not in
     {2,3,4,5,7} and refuses excluded q with the congruence collision shown.
     su3: the twisted pairs over F_{q^2}; requires q not in {2,5,8}.
-    congruence_only: verifies caller-supplied exponent pairs modulo the
-    supplied modulus (the twisted-group arithmetic without matrix models).
     """
-    if case == "congruence_only":
-        if exponent_pairs is None or modulus is None:
-            raise ValueError("congruence_only needs exponent pairs and a modulus")
-        fam = TorusFamily("congruence_only", modulus, tuple(exponent_pairs),
-                          None, None, False)
-        fam.check()
-        return fam
-
     if case == "chevalley":
         if q in (2, 3, 4, 5, 7):
             col = _split_family_collision(q)

@@ -26,14 +26,15 @@ from .catalog import (
     gu3_witness, label_catalog, parse_label, row_matched,
 )
 from .chevalley import (
-    ChevalleyWord, FamilyRefusal, HypothesisError, commutator_data,
-    root_add, symplectic_model, torus_family, torus_witness,
+    ChevalleyWord, ConstructionBug, FamilyRefusal, HypothesisError,
+    RootError, commutator_data, root_add, symplectic_model, torus_family,
+    torus_witness,
 )
 from .detect import (
     Budget, DetectError, FWitness, check_f_family, classify, d_pair,
 )
 from .ffield import make_field
-from .matgroup import Mat
+from .matgroup import GroupError, Mat
 
 
 def _budget_from_args(args) -> Budget:
@@ -307,7 +308,7 @@ def cmd_chevalley_verify(args) -> int:
                 for b in rs.positive:
                     if a != b:
                         commutator_data(model, a, b, exhaustive=True)
-        except Exception:
+        except (GroupError, RootError):
             ok = False
         checks["commutator_expansion_exhaustive"] = ok
 
@@ -325,7 +326,7 @@ def cmd_chevalley_verify(args) -> int:
                     torus_witness(a, b, q, "chevalley", model=model)
                 except HypothesisError:
                     pass          # orthogonal pairs are excluded at small q
-                except Exception:
+                except (ConstructionBug, RootError):
                     ok = False
         checks["torus_witness_sweep"] = ok
 

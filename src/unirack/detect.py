@@ -659,27 +659,6 @@ def strategies() -> tuple:
     )
 
 
-def find_d(ctx: ClassContext, strategy: str = "auto",
-           budget: Budget = Budget(), seed: int = 0):
-    """Strategy dispatcher for the type-D search.
-
-    torus / product / block / sampled run one strategy; exhaustive runs the
-    fixed-representative scan and returns its witness or None; auto runs
-    them in pipeline order and stops at the first witness."""
-    if strategy == "exhaustive":
-        got = refute_d(ctx.spec, ctx.orbit, budget)
-        return got if isinstance(got, DWitness) else None
-    finders = [f for name, kind, f, _ in strategies()
-               if kind == "D" and strategy in (name, "auto")]
-    if not finders:
-        raise DetectError(f"unknown strategy {strategy!r}")
-    for finder in finders:
-        w = finder(ctx, budget, seed)
-        if w is not None:
-            return w
-    return find_d(ctx, "exhaustive", budget) if strategy == "auto" else None
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 

@@ -152,8 +152,8 @@ def prime_power(q: int, error: type[Exception] = FieldError) -> tuple[int, int]:
 class Field:
     """The field F_{p^m} with its canonical modulus and a fixed generator.
 
-    Elements are integer codes; use `element` for wrapped values.  All
-    tables are immutable after construction, so a Field is safe to share.
+    Elements are integer codes.  All tables are immutable after
+    construction, so a Field is safe to share.
     """
 
     __slots__ = (
@@ -290,45 +290,15 @@ class Field:
                 return a
         raise AssertionError
 
-    def norm_minus_one(self) -> int:
-        """Least xi in F_{q0^2} \\ F_{q0} with xi^(q0-1) = -1, where this
-        field is the quadratic extension of F_{q0}.  Odd characteristic only;
-        then xi^2 descends to a non-square of F_{q0}."""
-        if self.p == 2:
-            raise FieldError("norm_minus_one needs odd characteristic")
-        if self.m % 2:
-            raise FieldError("norm_minus_one needs a quadratic extension")
-        q0 = self.p ** (self.m // 2)
-        minus_one = self.neg(1)
-        for xi in range(1, self.q):
-            if self.pow(xi, q0) == xi:
-                continue  # lies in the subfield
-            if self.pow(xi, q0 - 1) == minus_one:
-                return xi
-        raise AssertionError
-
     # -- element helpers
-
-    def element(self, code: int) -> "FieldElement":
-        if not 0 <= code < self.q:
-            raise FieldError(f"code {code} out of range for {self}")
-        return FieldElement(self, code)
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> int:
-        return _poly_to_code([c % self.p for c in coeffs], self.p)
 
     def coeffs(self, code: int) -> tuple[int, ...]:
         f = _code_to_poly(code, self.p)
         return tuple(f + [0] * (self.m - len(f)))
 
-    def elements(self) -> range:
-        return range(self.q)
-
-    def format_element(self, code: int, style: str = "auto") -> str:
+    def format_element(self, code: int) -> str:
         """Report format: plain integers for prime fields, 'g^k' discrete-log
-        form otherwise ('coeffs' forces the coefficient-tuple form)."""
-        if style == "coeffs":
-            return "[" + ",".join(map(str, self.coeffs(code))) + "]"
+        form otherwise."""
         if self.m == 1:
             return str(code)
         if code == 0:
@@ -346,99 +316,6 @@ class Field:
 
     def __reduce__(self):
         return (make_field, (self.p, self.m))
-
-
-class FieldElement:
-    """A value of one Field; arithmetic with elements of other fields raises."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: Field, code: int):
-        self.field = field
-        self.code = code
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldError(
-                    f"mixed fields {self.field} and {other.field}; embed explicitly")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p  # prime-subfield constants only
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(c, self.code))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        return FieldElement(self.field, self.field.div(c, self.code))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p and self.code < self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __repr__(self):
-        return f"{self.field.format_element(self.code)}@{self.field}"
-
-
-def arith(op: str, a: FieldElement, b=None) -> FieldElement:
-    "Dispatch form of the element operations (add/sub/mul/div/neg/inv/pow)."
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a ** -1
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def frobenius(a: FieldElement, r: int) -> FieldElement:
-    return FieldElement(a.field, a.field.frobenius(a.code, r))
 
 
 def make_field(p: int, m: int = 1) -> Field:
@@ -500,11 +377,6 @@ class Embedding:
             return self._down[code]
         except KeyError:
             raise FieldError(f"value {code} of {self.dst} is not in the image of {self.src}")
-
-    def __call__(self, a: FieldElement) -> FieldElement:
-        if a.field is not self.src:
-            raise FieldError("element does not belong to the source field")
-        return FieldElement(self.dst, self.table[a.code])
 
 
 @functools.lru_cache(maxsize=None)

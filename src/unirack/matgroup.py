@@ -157,10 +157,6 @@ class Mat:
             e >>= 1
         return out
 
-    def conj(self, g: "Mat") -> "Mat":
-        "g * self * g^-1."
-        return g * self * g.inverse()
-
     def frobenius(self, r: int = 1) -> "Mat":
         F = self.field
         return Mat(F, self.n, tuple(F.frobenius(x, r) for x in self.flat))
@@ -208,16 +204,6 @@ class Mat:
 
     def __repr__(self):
         return f"Mat{self.n}x{self.n}[{self.text()}]"
-
-
-def mat_from_ints(field: Field, rows) -> Mat:
-    "Rows of small integers; negatives are reduced into the prime field."
-    n = len(rows)
-    flat = []
-    for row in rows:
-        for x in row:
-            flat.append(x if 0 <= x < field.q else x % field.p)
-    return Mat(field, n, flat)
 
 
 def antidiag_flat(n: int) -> tuple[int, ...]:
@@ -767,96 +753,31 @@ class SplitClass:
     def size(self):
         return self.orbit.size
 
-    def rep(self) -> Mat:
-        return self.orbit.canonical_rep()
 
-
-def split_classes(elements, spec: GroupSpec, mode: str = "conjugation",
-                  endo=None, cap: int = DEFAULT_CAP) -> list[SplitClass]:
-    """Partition `elements` into orbits.
-
-    conjugation: the G-classes meeting the input, as class orbits.
-    twisted: orbits of the twisted action x -> g x e(g)^-1 under the spec's
-    generators, for the given endomorphism e.
-    """
+def split_classes(elements, spec: GroupSpec,
+                  cap: int = DEFAULT_CAP) -> list[SplitClass]:
+    "Partition `elements` into the G-classes meeting them, as class orbits."
     mats = sorted(elements)
-    if not mats:
-        return []
-    F, n = spec.field, spec.n
     pending: dict[bytes, Mat] = {m.pack(): m for m in mats}
     if len(pending) != len(mats):
         raise GroupError("duplicate elements in split_classes input")
     out = []
-    if mode == "conjugation":
-        while pending:
-            x = pending[min(pending)]
-            orb = class_orbit(x, spec, cap=cap)
-            members = tuple(sorted(b for b in pending if b in orb.packed))
-            for b in members:
-                del pending[b]
-            out.append(SplitClass(orb, members))
-        return out
-    if mode == "twisted":
-        if endo is None:
-            raise GroupError("twisted mode needs an endomorphism")
-        pairs = [(g.flat, inv_flat(F, n, apply_endo(g, endo).flat))
-                 for g in sorted(spec.generators)]
-        while pending:
-            x = pending[min(pending)]
-            seen, _ = _closure(F, n, [x.flat], pairs)
-            members = tuple(sorted(b for b in pending if b in seen))
-            for b in members:
-                del pending[b]
-            out.append(SplitClass(Orbit(F, n, seen), members))
-        return out
-    raise GroupError(f"unknown split mode {mode!r}")
+    while pending:
+        x = pending[min(pending)]
+        orb = class_orbit(x, spec, cap=cap)
+        members = tuple(sorted(b for b in pending if b in orb.packed))
+        for b in members:
+            del pending[b]
+        out.append(SplitClass(orb, members))
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Steinberg endomorphisms
-
-
-@dataclass(frozen=True)
-class Endo:
-    """frobenius_power(r), unitary_twist (J ^t Fr_q(X)^-1 J), conjugation_by,
-    or a composite applied left to right."""
-    kind: str
-    r: int = 0
-    q: int = 0
-    g: Mat | None = None
-    parts: tuple = ()
-
-    @classmethod
-    def frobenius_power(cls, r: int) -> "Endo":
-        return cls("frobenius_power", r=r)
-
-    @classmethod
-    def unitary_twist(cls, q: int) -> "Endo":
-        return cls("unitary_twist", q=q)
-
-    @classmethod
-    def conjugation_by(cls, g: Mat) -> "Endo":
-        return cls("conjugation_by", g=g)
-
-    @classmethod
-    def composite(cls, *parts: "Endo") -> "Endo":
-        return cls("composite", parts=parts)
-
-
-def apply_endo(X: Mat, e: Endo) -> Mat:
-    if e.kind == "frobenius_power":
-        return X.frobenius(e.r)
-    if e.kind == "unitary_twist":
-        p, m = prime_power(e.q, GroupError)
-        J = j_mat(X.field, X.n)
-        return J * X.frobenius(m).inverse().transpose() * J
-    if e.kind == "conjugation_by":
-        return e.g * X * e.g.inverse()
-    if e.kind == "composite":
-        for part in e.parts:
-            X = apply_endo(X, part)
-        return X
-    raise GroupError(f"unknown endomorphism kind {e.kind!r}")
+def unitary_twist(X: Mat, q: int) -> Mat:
+    """The Steinberg endomorphism X -> J ^t Fr_q(X)^-1 J of GL_n(q^2), with
+    J the anti-diagonal involution: its fixed points are GU_n(q)."""
+    _, m = prime_power(q, GroupError)
+    J = j_mat(X.field, X.n)
+    return J * X.frobenius(m).inverse().transpose() * J
 
 
 def orbit_under(rep: Mat, gens, cap: int = DEFAULT_CAP) -> Orbit:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .matgroup import Mat, _kernel, inv_flat
+from .matgroup import _kernel, inv_flat
 
 MATERIALIZE_LIMIT = 1024
 
@@ -76,14 +76,6 @@ class Rack:
             if (self.op(i, j) == j) != (self.op(j, i) == i):
                 raise RackError("crossed-set law fails")
         return True
-
-    def dump(self, with_table: bool = False) -> dict:
-        "Carrier legend (indices to matrices) and, on request, the op rows."
-        legend = [x.text() if isinstance(x, Mat) else repr(x) for x in self.elements]
-        out = {"size": self.size, "legend": legend}
-        if with_table:
-            out["table"] = [list(self.translation(i)) for i in range(self.size)]
-        return out
 
 
 def conj_rack(orbit_mats, spec=None, orbit=None) -> Rack:
@@ -457,22 +449,3 @@ def inn_order(rack: Rack) -> int:
     gens = [rack.translation(i) for i in range(rack.size)]
     return perm_group_order(gens)
 
-
-def inner_group_perms(rack: Rack, cap: int = 10**6) -> set:
-    "Full closure of the translation permutations (small racks only)."
-    gens = sorted({rack.translation(i) for i in range(rack.size)})
-    n = rack.size
-    seen = set(gens) | {tuple(range(n))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = perm_mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-                    if len(seen) > cap:
-                        raise RackError("inner group exceeds cap")
-        frontier = nxt
-    return seen

@@ -1,0 +1,13 @@
+"""Helpers shared by the test modules."""
+
+from unirack.matgroup import Mat
+
+
+def mat_from_ints(field, rows) -> Mat:
+    "Rows of small integers; negatives are reduced into the prime field."
+    n = len(rows)
+    flat = []
+    for row in rows:
+        for x in row:
+            flat.append(x if 0 <= x < field.q else x % field.p)
+    return Mat(field, n, flat)

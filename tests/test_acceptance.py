@@ -16,8 +16,8 @@ import pytest
 
 from unirack.catalog import (
     class_context, enumerate_labels, expected, group_catalog, gu3_witness,
-    parse_label, representative, decomposition_type, transvection_rep,
-    verify_row,
+    parse_label, representative, decomposition_type, row_matched,
+    transvection_rep,
 )
 from unirack.chevalley import (
     ChevalleyWord, FamilyRefusal, commutator_data, torus_witness,
@@ -44,25 +44,24 @@ def test_acceptance_01_pair_split_row_q3():
     label = parse_label("2,2", 3)
     entries = cat.by_label(label)
     ok = len(entries) == 2
-    report = verify_row(label, 4, 3)
-    verdicts = {r.split_index: r.verdict for r in report.records}
-    kinds = sorted(v.kind for v in verdicts.values())
-    ok = ok and kinds == ["D", "cthulhu"]
-    d_rec = next(r for r in report.records if r.verdict.kind == "D")
-    c_rec = next(r for r in report.records if r.verdict.kind == "cthulhu")
-    ok = ok and d_rec.verdict.witness_d.verify()
+    verdicts = [classify(class_context(e, cat)) for e in entries]
+    kinds = tuple(v.kind for v in verdicts)
+    ok = ok and sorted(kinds) == ["D", "cthulhu"]
+    ok = ok and row_matched(expected(label, 4, 3), kinds)
+    d_entry, d_verdict = next((e, v) for e, v in zip(entries, verdicts)
+                              if v.kind == "D")
+    c_verdict = next(v for v in verdicts if v.kind == "cthulhu")
+    ok = ok and d_verdict.witness_d.verify()
     # the printed pair: the first-simple-root element lands in the D class
     model = cat.model
     F = model.field
     x = model.x((1, -1), 1)
     w = Mat(F, 4, (1, 0, 0, 2, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
-    d_entry = entries[[r.split_index for r in report.records].index(d_rec.split_index)]
-    d_orbit = [e for e in entries if e.split_index == d_rec.split_index][0].orbit
-    ok = ok and d_orbit.contains(x) and d_orbit.contains(w)
+    ok = ok and d_entry.orbit.contains(x) and d_entry.orbit.contains(w)
     res = d_pair(x, w)
     ok = ok and res.kind == "witness" and res.witness.verify()
-    ok = ok and c_rec.verdict.cert_not_d.basis == "exhaustive"
-    ok = ok and c_rec.verdict.cert_not_f.basis == "necessary-condition"
+    ok = ok and c_verdict.cert_not_d.basis == "exhaustive"
+    ok = ok and c_verdict.cert_not_f.basis == "necessary-condition"
     elapsed = time.time() - t0
     ok = ok and elapsed < 600
     assert crit(1, ok, f"rank-2 q=3 double-part row: split 2, one D (explicit "
@@ -375,7 +374,8 @@ def test_acceptance_13_property_suite(tmp_path):
         s = mats[rng.randrange(len(mats))]
         g = random_element(cat3.spec, rng)
         ok = ok and (d_pair(r, s, subgroup_cap=0).kind
-                     == d_pair(r.conj(g), s.conj(g), subgroup_cap=0).kind)
+                     == d_pair(g * r * g.inverse(), g * s * g.inverse(),
+                               subgroup_cap=0).kind)
     # determinism: byte-identical reports for a fixed seed
     _, rep_a = run_cli(tmp_path, "--seed", "3", "classify", "--family", "sp",
                        "--n", "2", "--q", "2")

@@ -8,7 +8,7 @@ from unirack.catalog import (
     even_label, expected, group_catalog, gu3_witness, label_catalog,
     label_classes, label_of, odd_label, parse_label, regular_pairs,
     representative, row_matched, sl_expected, transvection_rep,
-    transvection_split_rack_iso, verify_row,
+    transvection_split_rack_iso,
 )
 from unirack.matgroup import (
     GroupError, class_orbit, group_spec, is_unipotent, jordan_partition,
@@ -175,19 +175,6 @@ def test_row_matched():
     uncovered = Expectation(("uncovered",), None, "none", uncovered=True)
     assert row_matched(uncovered, ("cthulhu",))
     assert not row_matched(uncovered, ("unknown",))       # never matches
-
-
-def test_verify_row_records_expect_their_own_verdicts():
-    """On the matched Sp4(3) (2^2) row, split 0 is cthulhu and split 1 is D,
-    while the expected multiset is listed as (D, cthulhu): each record gets
-    the expected verdict that the multiset comparison pairs with it."""
-    report = verify_row(parse_label("2,2", 3), 4, 3)
-    assert report.matched
-    got = [(r.split_index, r.verdict.kind, r.expected_verdict)
-           for r in report.records]
-    assert got == [(0, "cthulhu", "cthulhu"), (1, "D", "D")]
-    assert [rec["expected"] for rec in report.to_json()["records"]] == [
-        "cthulhu", "D"]
 
 
 def test_transvection_sizes_match_size_formula():

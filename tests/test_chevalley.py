@@ -335,13 +335,6 @@ def test_torus_family_twisted_refuses(q):
         torus_family(None, None, q, "su3")
 
 
-def test_torus_family_congruence_only():
-    fam = torus_family(None, None, 0, "congruence_only",
-                        exponent_pairs=[(0, 0), (2, 7), (4, 14), (6, 21)],
-                        modulus=63)
-    assert fam.check()
-
-
 def test_su3_model_membership_and_sizes():
     for q in (2, 3):
         su3 = su3_model(q)
@@ -382,16 +375,15 @@ def test_ab_property_ordering_invariance():
 
 
 def test_support_factorize_surface():
-    from unirack.chevalley import support_factorize
     model = symplectic_model(2, 3)
     rs = model.rs
     # canonical (height, lex) sequence puts the long simple root first
     word_in = ChevalleyWord(((rs.simple[1], 2), (rs.simple[0], 1)), 0)
     u = model.evaluate(word_in)
-    word = support_factorize(model, u)
+    word = model.factorize(u)
     assert word.factors == word_in.factors
     assert word.support() == {rs.simple[0], rs.simple[1]}
     # out-of-order products pick up commutator corrections in their support
     u2 = model.evaluate(ChevalleyWord(((rs.simple[0], 1), (rs.simple[1], 2)), 0))
-    supp2 = support_factorize(model, u2).support()
+    supp2 = model.factorize(u2).support()
     assert {rs.simple[0], rs.simple[1]} < supp2

@@ -5,10 +5,13 @@ import pathlib
 import pytest
 
 from unirack.cache import Cache, CacheLocked, canonical_json
+from unirack.chevalley import ConstructionBug
 from unirack.cli import main
 from unirack.detect import mat_json
 from unirack.ffield import make_field
-from unirack.matgroup import mat_from_ints
+from unirack.matgroup import GroupError
+
+from helpers import mat_from_ints
 
 
 def run(tmp_path, *argv):
@@ -74,6 +77,47 @@ def test_chevalley_verify_command(tmp_path):
     assert code == 0
     rep = json.loads(text)
     assert rep["all_ok"] and rep["checks"]["commutation_rule_100"]
+
+
+def _failing(real, error, **when):
+    "`real`, but raising `error` on the calls whose keywords include `when`."
+    def call(*args, **kwargs):
+        if all(kwargs.get(k) == v for k, v in when.items()):
+            raise error("injected")
+        return real(*args, **kwargs)
+    return call
+
+
+# (patched name, the check it backs, keywords of the calls to fail, an error
+# that the check itself raises)
+CHECKS = (("commutator_data", "commutator_expansion_exhaustive",
+           {"exhaustive": True}, GroupError),
+          ("torus_witness", "torus_witness_sweep", {}, ConstructionBug))
+
+
+@pytest.mark.parametrize("name,check,when,error", CHECKS,
+                         ids=[c[0] for c in CHECKS])
+def test_chevalley_verify_lets_coding_errors_through(tmp_path, monkeypatch,
+                                                     name, check, when, error):
+    "A TypeError in a check is a crash, not a failed check with exit 2."
+    from unirack import cli
+    monkeypatch.setattr(cli, name, _failing(getattr(cli, name), TypeError,
+                                            **when))
+    with pytest.raises(TypeError):
+        run(tmp_path, "chevalley-verify", "--n", "2", "--q", "3")
+
+
+@pytest.mark.parametrize("name,check,when,error", CHECKS,
+                         ids=[c[0] for c in CHECKS])
+def test_chevalley_verify_reports_a_failed_check(tmp_path, monkeypatch,
+                                                 name, check, when, error):
+    "An error the check raises reads as that check failed, with exit 2."
+    from unirack import cli
+    monkeypatch.setattr(cli, name, _failing(getattr(cli, name), error, **when))
+    code, text = run(tmp_path, "chevalley-verify", "--n", "2", "--q", "3")
+    assert code == 2
+    rep = json.loads(text)
+    assert rep["checks"][check] is False and not rep["all_ok"]
 
 
 def test_witness_command_gu(tmp_path):

@@ -8,12 +8,14 @@ from unirack.catalog import (
 )
 from unirack.detect import (
     Budget, Certificate, DWitness, FFailure, FWitness, _class_rows, _edge,
-    check_f_family, classify, collapse_eq_holds, d_pair,
+    check_f_family, classify, collapse_eq_holds, d_pair, find_d_torus,
     group_identity_spot_check, refute_d, refute_f, su3_f_family,
 )
 from unirack.matgroup import (
-    Mat, class_orbit, group_spec, mat_from_ints, orbit_under, random_element,
+    Mat, class_orbit, group_spec, orbit_under, random_element,
 )
+
+from helpers import mat_from_ints
 
 
 @pytest.fixture(autouse=True)
@@ -148,7 +150,8 @@ def test_refute_d_equivariance_spot_check(sp43):
         s = mats[rng.randrange(len(mats))]
         base = d_pair(r, s, subgroup_cap=0).kind
         g = random_element(sp43.spec, rng)
-        conj = d_pair(r.conj(g), s.conj(g), subgroup_cap=0).kind
+        conj = d_pair(g * r * g.inverse(), g * s * g.inverse(),
+                      subgroup_cap=0).kind
         assert base == conj
 
 
@@ -271,15 +274,15 @@ def test_classify_exit_code_path_budget(tmp_path):
 
 
 def test_find_d_dispatcher(sp43):
-    from unirack.detect import find_d
+    "The torus finder and the exhaustive scan, called directly."
     e = entry(sp43, "(4)")
     ctx = class_context(e, sp43)
-    assert find_d(ctx, "torus").strategy == "torus"
-    assert find_d(ctx, "auto") is not None
+    got = find_d_torus(ctx, Budget(), 0)
+    assert got.strategy == "torus" and got.verify()
     e0 = entry(sp43, "(1^2,2)")
     ctx0 = class_context(e0, sp43)
-    assert find_d(ctx0, "torus") is None
-    assert find_d(ctx0, "exhaustive") is None
+    assert find_d_torus(ctx0, Budget(), 0) is None
+    assert isinstance(refute_d(ctx0.spec, ctx0.orbit, Budget()), Certificate)
 
 
 # ---------------------------------------------------------------------------

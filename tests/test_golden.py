@@ -7,7 +7,9 @@ matrix entry for entry."""
 from unirack.catalog import group_catalog, parse_label, representative, transvection_rep
 from unirack.chevalley import symplectic_model
 from unirack.detect import d_pair
-from unirack.matgroup import Mat, group_spec, mat_from_ints, membership
+from unirack.matgroup import Mat, group_spec, membership
+
+from helpers import mat_from_ints
 
 
 def test_block_mix_class_explicit_pair_rank3_q2():

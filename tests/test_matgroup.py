@@ -8,14 +8,16 @@ from unirack.catalog import _nullspace
 from unirack.detect import DetectError, _class_rows, _joint
 from unirack.ffield import make_field, prime_power
 from unirack.matgroup import (
-    Endo, GroupError, Mat, ROW_CODE_LIMIT, _kernel, _row_code, apply_endo,
-    class_orbit, classical_order, det_flat, enumerate_group, format_partition,
+    GroupError, Mat, ROW_CODE_LIMIT, _kernel, _row_code, class_orbit,
+    classical_order, det_flat, enumerate_group, format_partition,
     group_spec, identity_flat, inv_flat, rank_flat,
-    is_unipotent, j_mat, jordan_partition, mat_from_ints, membership,
+    is_unipotent, j_mat, jordan_partition, membership,
     mul_flat, random_element, split_classes, subgroup_closure,
-    symplectic_form,
+    symplectic_form, unitary_twist,
 )
 from unirack.rack import perm_group_order
+
+from helpers import mat_from_ints
 
 
 def transvection(spec):
@@ -80,10 +82,9 @@ def test_gu32_matches_twist_fixed_points():
     "Brute scan of GL_3(F_4): the twist-fixed invertibles are exactly GU_3(2)."
     gu = group_spec("GU", 3, 2)
     F = gu.field
-    tw = Endo.unitary_twist(2)
     closure = enumerate_group(gu)
     for X in list(closure.mats())[:100]:
-        assert apply_endo(X, tw) == X
+        assert unitary_twist(X, 2) == X
     rng = random.Random(5)
     outside = 0
     while outside < 50:
@@ -93,7 +94,7 @@ def test_gu32_matches_twist_fixed_points():
             X.inverse()
         except GroupError:
             continue
-        fixed = apply_endo(X, tw) == X
+        fixed = unitary_twist(X, 2) == X
         assert fixed == closure.contains(X)
         outside += 1
 
@@ -130,7 +131,7 @@ def test_jordan_partition_conjugation_invariant():
     rng = random.Random(11)
     for _ in range(20):
         g = random_element(spec, rng)
-        assert jordan_partition(u.conj(g)) == (2, 1, 1)
+        assert jordan_partition(g * u * g.inverse()) == (2, 1, 1)
 
 
 def test_block_jordan_oracle():
@@ -157,7 +158,8 @@ def test_block_jordan_oracle():
                 g = cand
             except GroupError:
                 pass
-        assert jordan_partition(X.conj(g)) == tuple(sorted(parts, reverse=True))
+        assert (jordan_partition(g * X * g.inverse())
+                == tuple(sorted(parts, reverse=True)))
 
 
 def test_orbit_central_and_transvections():
@@ -177,7 +179,8 @@ def test_orbit_times_stabilizer_is_group_order():
     spec = group_spec("Sp", 4, 2)
     u = transvection(spec)
     orb = class_orbit(u, spec)
-    stab = sum(1 for g in enumerate_group(spec).mats() if u.conj(g) == u)
+    stab = sum(1 for g in enumerate_group(spec).mats()
+               if g * u * g.inverse() == u)
     assert orb.size * stab == spec.order
 
 
@@ -187,7 +190,7 @@ def test_membership_conjugation_stable():
     for _ in range(25):
         g = random_element(spec, rng)
         x = random_element(spec, rng)
-        assert membership(x.conj(g), spec)
+        assert membership(g * x * g.inverse(), spec)
 
 
 def test_subgroup_closure_basics():
@@ -215,7 +218,6 @@ def test_split_classes_partitions_input():
 
 def test_unitary_twist_square_is_field_frobenius():
     F4 = make_field(2, 2)
-    tw = Endo.unitary_twist(2)
     rng = random.Random(17)
     count = 0
     while count < 100:
@@ -225,32 +227,23 @@ def test_unitary_twist_square_is_field_frobenius():
             X.inverse()
         except GroupError:
             continue
-        twice = apply_endo(apply_endo(X, tw), tw)
-        assert twice == apply_endo(X, Endo.frobenius_power(2))
+        assert unitary_twist(unitary_twist(X, 2), 2) == X.frobenius(2)
         count += 1
 
 
-def test_endo_identity_and_composite():
-    spec = group_spec("Sp", 4, 3)
-    u = transvection(spec)
-    assert apply_endo(u, Endo.frobenius_power(0)) == u
-    g = sorted(spec.generators)[0]
-    e = Endo.composite(Endo.conjugation_by(g), Endo.conjugation_by(g.inverse()))
-    assert apply_endo(u, e) == u
-
-
 def test_twisted_split_trivial_center_action():
-    """The twisted orbits of the scalar mu_3 subgroup of SL_3(F_4) under the
-    unitary twist are singletons: the twist fixes the center pointwise."""
+    """The twisted orbits x -> g x tw(g)^-1 of the scalar mu_3 subgroup of
+    SL_3(F_4), under the generators g of SU_3(2) and the unitary twist tw,
+    are singletons: the twist fixes the center pointwise and each
+    generator, so every generator step maps a scalar to itself."""
     F4 = make_field(2, 2)
     spec = group_spec("SU", 3, 2)
     w = F4.generator
     scalars = [Mat(F4, 3, (c, 0, 0, 0, c, 0, 0, 0, c)) for c in (1, w, F4.mul(w, w))]
-    tw = Endo.unitary_twist(2)
     for z in scalars:
-        assert apply_endo(z, tw) == z
-    parts = split_classes(scalars, spec, mode="twisted", endo=tw)
-    assert len(parts) == 3
+        assert unitary_twist(z, 2) == z
+        for g in spec.generators:
+            assert g * z * unitary_twist(g, 2).inverse() == z
 
 
 def test_symplectic_form_shapes():
@@ -486,29 +479,6 @@ def test_subgroup_closure_matches_reference_bfs(cap):
     closure = subgroup_closure(gens, cap=cap)
     assert closure.complete == ref_complete == (cap > 1000)
     assert closure.packed == ref_seen
-
-
-def test_twisted_split_matches_reference_bfs():
-    """Twisted orbits x -> g x Fr(g)^-1 in SL_2(4); the identity's orbit
-    has the index of its stabilizer, the Frobenius-fixed SL_2(2)."""
-    spec = group_spec("SL", 2, 4)
-    F, n = spec.field, spec.n
-    fr = Endo.frobenius_power(1)
-    rng = random.Random(59)
-    elements = {spec.identity()} | {random_element(spec, rng) for _ in range(5)}
-    parts = split_classes(elements, spec, mode="twisted", endo=fr)
-    pairs = [(g.flat, inv_flat(F, n, apply_endo(g, fr).flat))
-             for g in sorted(spec.generators)]
-    pending = {m.pack() for m in elements}
-    for part in parts:
-        start = min(pending)
-        ref_seen, _ = reference_bfs(F, n, [tuple(start)], pairs)
-        assert part.orbit.packed == ref_seen
-        assert part.members == tuple(sorted(b for b in pending if b in ref_seen))
-        pending -= set(part.members)
-    assert not pending
-    ident = spec.identity().pack()
-    assert [p.size for p in parts if ident in p.members] == [60 // 6]
 
 
 def reference_family_orbits_disjoint(elems, cap):

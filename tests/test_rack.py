@@ -9,7 +9,7 @@ from unirack.ffield import Embedding
 from unirack.matgroup import Mat, class_orbit, group_spec
 from unirack.rack import (
     Rack, RackError, conj_rack, conj_rows, decompose, inn_order,
-    inner_group_perms, perm_group_order, sober_check, subrack_closure,
+    perm_group_order, perm_mul, sober_check, subrack_closure,
 )
 
 
@@ -18,6 +18,25 @@ def transvection(spec):
     flat = list(Mat.identity(F, n).flat)
     flat[n - 1] = 1
     return Mat(F, n, flat)
+
+
+def inner_group_perms(r: Rack, cap: int = 10**6) -> set:
+    "Full closure of the translation permutations: the reference inner group."
+    gens = sorted({r.translation(i) for i in range(r.size)})
+    seen = set(gens) | {tuple(range(r.size))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = perm_mul(a, g)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+                    if len(seen) > cap:
+                        raise RackError("inner group exceeds cap")
+        frontier = nxt
+    return seen
 
 
 def checked_rack(mats):
@@ -244,13 +263,6 @@ def test_inn_order_divides_factorial():
     import math
     r = sl2_unipotent_rack(3)
     assert math.factorial(r.size) % inn_order(r) == 0
-
-
-def test_rack_dump_format():
-    r = sl2_unipotent_rack(3)
-    d = r.dump(with_table=True)
-    assert d["size"] == 4 and len(d["legend"]) == 4
-    assert len(d["table"]) == 4 and all(len(row) == 4 for row in d["table"])
 
 
 def test_noncommuting_transvection_pair_generates_indecomposable():
