@@ -15,7 +15,7 @@ conjugation orbits is exhaustive.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
 from .ffield import embedding, make_field, prime_power
@@ -38,8 +38,7 @@ class CatalogError(ValueError):
 # labels
 
 
-@dataclass(frozen=True, order=True)
-class UnipotentLabel:
+class UnipotentLabel(NamedTuple):
     """Either an odd-q symplectic partition or an even-q W/V decomposition.
 
     decomp terms are (kind, param, mult): a W-term of size param m occupies
@@ -391,8 +390,7 @@ def label_of(u: Mat, spec) -> UnipotentLabel:
 # the group catalog: every unipotent class, split empirically
 
 
-@dataclass
-class ClassEntry:
+class ClassEntry(NamedTuple):
     label: UnipotentLabel
     split_index: int
     orbit: Orbit
@@ -406,8 +404,7 @@ class ClassEntry:
         return self.orbit.canonical_rep()
 
 
-@dataclass
-class GroupCatalog:
+class GroupCatalog(NamedTuple):
     spec: object
     model: object
     u_group: tuple
@@ -474,8 +471,7 @@ def group_catalog(n2: int, q: int) -> GroupCatalog:
 # -- block realizations for the product strategies
 
 
-@dataclass(frozen=True)
-class BlockRealization:
+class BlockRealization(NamedTuple):
     component: Mat
     rest: Mat
     gens: tuple
@@ -540,8 +536,7 @@ def class_context(entry: ClassEntry, catalog: GroupCatalog) -> ClassContext:
 # reference verdicts
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     verdicts: tuple           # multiset of per-class verdicts, or a single
     #                           entry when the class count is unknown
     class_count: int | None
@@ -673,8 +668,7 @@ def sl_expected(partition, n: int, q: int) -> str | None:
 # regular pairs and the twisted rank-2 witness
 
 
-@dataclass
-class PairReport:
+class PairReport(NamedTuple):
     kind: str
     x1: Mat
     x2: Mat
@@ -782,8 +776,7 @@ def regular_pairs(spec, kind: str) -> PairReport:
     return rep
 
 
-@dataclass
-class GU3Report:
+class GU3Report(NamedTuple):
     r: Mat
     s: Mat
     g: Mat

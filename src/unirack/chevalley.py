@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ffield import Field, make_field, prime_power
 from .matgroup import (
@@ -187,8 +187,7 @@ def root_system(n: int) -> RootSystemC:
     return RootSystemC(n)
 
 
-@dataclass(frozen=True)
-class ChevalleyWord:
+class ChevalleyWord(NamedTuple):
     "An ordered product of root-subgroup factors (root, coefficient code)."
     factors: tuple
     ordering_id: int = 0
@@ -203,8 +202,7 @@ class ChevalleyWord:
         return 0
 
 
-@dataclass(frozen=True)
-class TorusElt:
+class TorusElt(NamedTuple):
     "A product of coroot values, with its diagonal matrix realization."
     word: tuple                  # ((root, z_code), ...)
     mat: Mat
@@ -398,8 +396,7 @@ def symplectic_model(rank: int, q: int) -> SymplecticModel:
 # commutator data
 
 
-@dataclass(frozen=True)
-class CommutatorData:
+class CommutatorData(NamedTuple):
     alpha: Root
     beta: Root
     q: int
@@ -532,8 +529,7 @@ class ConstructionBug(AssertionError):
     "A witness that the construction guarantees failed verification."
 
 
-@dataclass(frozen=True)
-class TorusWitness:
+class TorusWitness(NamedTuple):
     """A torus element t with 1 != a(t) != b(t), exponent-certified.
 
     alpha/beta are the roles after any length-driven interchange; exponents
@@ -632,8 +628,7 @@ class FamilyRefusal(ValueError):
         self.collision = collision
 
 
-@dataclass(frozen=True)
-class TorusFamily:
+class TorusFamily(NamedTuple):
     "Four torus elements whose value pairs separate as in the 4-subrack test."
     case: str
     modulus: int

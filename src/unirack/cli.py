@@ -17,24 +17,39 @@ import os
 import random
 import sys
 import time
-from dataclasses import replace
 
 from . import ARTIFACT_VERSION, SCHEMA_VERSION
 from .cache import Cache, canonical_json
 from .catalog import (
-    CatalogError, class_context, enumerate_labels, expected, group_catalog,
-    gu3_witness, label_catalog, parse_label, row_matched,
+    class_context, enumerate_labels, expected, group_catalog, gu3_witness,
+    label_catalog, parse_label, row_matched,
 )
 from .chevalley import (
     ChevalleyWord, ConstructionBug, FamilyRefusal, HypothesisError,
     RootError, commutator_data, root_add, symplectic_model, torus_family,
     torus_witness,
 )
-from .detect import (
-    Budget, DetectError, FWitness, check_f_family, classify, d_pair,
-)
-from .ffield import make_field
-from .matgroup import GroupError, Mat
+from .detect import Budget, FWitness, check_f_family, classify, d_pair
+from .ffield import FieldError, make_field
+from .matgroup import GroupError, Mat, group_spec
+
+
+class UsageError(ValueError):
+    "A command line naming no supported group, label or class: exit 64."
+
+
+def _check_group(args) -> None:
+    """Reject --n and --q before any work: Sp_2n(q) must be a supported
+    group, or for chevalley-verify, which is not bounded by the group
+    range, rank n and F_q must be.  Both lookups are memoized, so the run
+    reuses what they build."""
+    try:
+        if args.cmd == "chevalley-verify":
+            symplectic_model(args.n, args.q)
+        elif args.family == "sp":
+            group_spec("Sp", 2 * args.n, args.q)
+    except (GroupError, RootError, FieldError) as err:
+        raise UsageError(err) from err
 
 
 def _budget_from_args(args) -> Budget:
@@ -93,18 +108,21 @@ def _selected(args):
     orbit is built, then split alone, then narrowed by --split; naming no
     class is a usage error."""
     if args.label is None:
-        raise CatalogError(f"{args.cmd} needs --label")
-    label = parse_label(args.label, args.q)
+        raise UsageError(f"{args.cmd} needs --label")
+    try:
+        label = parse_label(args.label, args.q)
+    except ValueError as err:          # CatalogError, or a malformed number
+        raise UsageError(err) from err
     n2 = 2 * args.n
     if label.dim() != n2 or label.is_identity():
-        raise CatalogError(f"{label} names no unipotent class of "
-                           f"Sp{n2}({args.q})")
+        raise UsageError(f"{label} names no unipotent class of "
+                         f"Sp{n2}({args.q})")
     cat = label_catalog(n2, args.q, label)
     entries = [e for e in cat.entries
                if args.split is None or e.split_index == args.split]
     if not entries:
-        raise CatalogError(f"{label} has no class with split {args.split}")
-    return label, replace(cat, entries=entries)
+        raise UsageError(f"{label} has no class with split {args.split}")
+    return label, cat._replace(entries=entries)
 
 
 def _class_step(cache, op, cat, entry, args, compute):
@@ -414,8 +432,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 64 if e.code not in (0,) else 0
     try:
+        _check_group(args)
         return args.fn(args)
-    except (ValueError, DetectError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 64
 

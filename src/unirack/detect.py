@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chevalley import (
     HypothesisError, FamilyRefusal, ab_property, torus_witness,
@@ -34,8 +34,7 @@ class DetectError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     "Deterministic search budgets; no wall-clock dependence anywhere."
     orbit_cap: int = 10**6
     sample_pairs: int = 64
@@ -81,8 +80,7 @@ def _pair_orbits(r: Mat, s: Mat, cap: int):
     return orb_r, orb_s
 
 
-@dataclass(frozen=True)
-class DWitness:
+class DWitness(NamedTuple):
     """A verified type-D witness: r, s in one class with disjoint <r,s>-orbits
     and the collapse equation violated."""
     r: Mat
@@ -124,8 +122,7 @@ class DWitness:
         }
 
 
-@dataclass(frozen=True)
-class DPairResult:
+class DPairResult(NamedTuple):
     kind: str                  # degenerate_commuting | degenerate_square |
     #                            witness | same_orbit | cap_exceeded
     witness: DWitness | None = None
@@ -165,8 +162,7 @@ def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
 # type-F families
 
 
-@dataclass(frozen=True)
-class FWitness:
+class FWitness(NamedTuple):
     """Four mutually disjoint, mutually stable subracks with pairwise
     non-fixing representatives; all three conditions verified brute-force."""
     reps: tuple               # 4 Mats
@@ -218,8 +214,7 @@ class FWitness:
         }
 
 
-@dataclass(frozen=True)
-class FFailure:
+class FFailure(NamedTuple):
     condition: str            # membership | disjointness | fixing | stability
     indices: tuple
 
@@ -245,8 +240,7 @@ def check_f_family(reps, u_group, builder: str = "torus_translates"):
 # certificates and refutations
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     kind: str                 # not_D | not_F
     basis: str                # exhaustive | necessary-condition | sampled
     stats: dict
@@ -454,8 +448,7 @@ def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
 # find strategies
 
 
-@dataclass
-class ClassContext:
+class ClassContext(NamedTuple):
     "Everything classify needs about one split class."
     spec: object
     rep: Mat
@@ -663,8 +656,7 @@ def strategies() -> tuple:
 # the pipeline
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     kind: str                           # D | F | cthulhu | unknown
     witness_d: DWitness | None = None
     witness_f: FWitness | None = None

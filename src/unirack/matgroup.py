@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import random
 from itertools import chain, product
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .ffield import Field, FieldError, make_field, prime_power
 
@@ -219,15 +219,14 @@ def j_mat(field: Field, n: int) -> Mat:
 # group specifications
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     family: str                    # GL | SL | Sp | GU | SU
     n: int                         # matrix size
     q: int                         # defining field size (entries over q^2 for GU/SU)
-    field: Field = dc_field(compare=False)
-    form: Mat | None = dc_field(compare=False)
-    generators: tuple[Mat, ...] = dc_field(compare=False)
-    order: int = dc_field(compare=False)
+    field: Field
+    form: Mat | None
+    generators: tuple[Mat, ...]
+    order: int
 
     @property
     def name(self) -> str:
@@ -744,8 +743,7 @@ def enumerate_group(spec: GroupSpec, cap: int = 3 * 10**6) -> Orbit:
     return subgroup_closure(list(spec.generators), cap)
 
 
-@dataclass
-class SplitClass:
+class SplitClass(NamedTuple):
     orbit: Orbit
     members: tuple          # packed members of the input covered by this orbit
 
@@ -754,8 +752,7 @@ class SplitClass:
         return self.orbit.size
 
 
-def split_classes(elements, spec: GroupSpec,
-                  cap: int = DEFAULT_CAP) -> list[SplitClass]:
+def split_classes(elements, spec: GroupSpec) -> list[SplitClass]:
     "Partition `elements` into the G-classes meeting them, as class orbits."
     mats = sorted(elements)
     pending: dict[bytes, Mat] = {m.pack(): m for m in mats}
@@ -764,7 +761,7 @@ def split_classes(elements, spec: GroupSpec,
     out = []
     while pending:
         x = pending[min(pending)]
-        orb = class_orbit(x, spec, cap=cap)
+        orb = class_orbit(x, spec)
         members = tuple(sorted(b for b in pending if b in orb.packed))
         for b in members:
             del pending[b]

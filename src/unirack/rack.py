@@ -12,8 +12,8 @@ rows (`seed_orbits`), so an analysis fetches each row it reads once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .matgroup import _kernel, inv_flat
 
@@ -213,8 +213,7 @@ def _orbits(perms, seeds, size: int) -> list[tuple]:
     return sorted(orbits)
 
 
-@dataclass
-class SubrackAnalysis:
+class SubrackAnalysis(NamedTuple):
     members: tuple            # sorted indices
     abelian: bool
     indecomposable: bool
@@ -266,8 +265,7 @@ def decompose(rack: Rack, subset=None) -> list[tuple]:
     return _inner_blocks(rack, range(rack.size) if subset is None else subset)
 
 
-@dataclass
-class SoberReport:
+class SoberReport(NamedTuple):
     sober: bool
     mode: str                    # exhaustive | pairs
     basis: str                   # all-subracks | 2-generated

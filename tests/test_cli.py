@@ -292,14 +292,23 @@ def test_refute_splits_only_its_label(tmp_path, monkeypatch):
     ("classify", "--n", "2", "--q", "3", "--label", "1,1,1,1"),
     ("classify", "--n", "2", "--q", "2", "--label", ""),
     ("refute", "--kind", "f", "--n", "2", "--q", "2", "--label", "W(1)^2"),
+    ("table", "--n", "2", "--q", "6"),
+    ("classify", "--n", "1", "--q", "3"),
+    ("catalog", "--n", "2", "--q", "17"),
+    ("refute", "--kind", "d", "--n", "2", "--q", "6", "--label", "2,2"),
+    ("witness", "--n", "1", "--q", "3", "--label", "2"),
+    ("chevalley-verify", "--n", "1", "--q", "3"),
+    ("chevalley-verify", "--n", "2", "--q", "6"),
 ], ids=" ".join)
 def test_bad_label_fails_before_any_orbit(tmp_path, monkeypatch, argv):
     """A missing or malformed label, or one of the wrong dimension or the
-    identity's, is a usage error, found before any split."""
+    identity's, is a usage error, found before any split; so are --n and
+    --q that name no supported group, found before any catalog."""
     from unirack import cli
     sizes = _record_class_orbits(monkeypatch)
     catalogs = []
     monkeypatch.setattr(cli, "group_catalog", lambda *a: catalogs.append(a))
+    monkeypatch.setattr(cli, "label_catalog", lambda *a: catalogs.append(a))
     code, text = run(tmp_path, *argv)
     assert (code, text, sizes, catalogs) == (64, "", [], [])
 
@@ -311,6 +320,20 @@ def test_bad_label_fails_before_any_orbit(tmp_path, monkeypatch, argv):
 ], ids=" ".join)
 def test_split_naming_no_class_is_a_usage_error(tmp_path, argv):
     assert run(tmp_path, *argv) == (64, "")
+
+
+def test_chevalley_verify_is_not_bounded_by_the_group_range(tmp_path):
+    "Sp4(17) is past the group range, but its root calculus checks run."
+    code, text = run(tmp_path, "chevalley-verify", "--n", "2", "--q", "17")
+    assert code == 0 and json.loads(text)["all_ok"]
+
+
+def test_error_mid_run_is_not_a_usage_error(tmp_path, monkeypatch):
+    "A GroupError raised after the usage checks is a fault, and propagates."
+    from unirack import cli
+    monkeypatch.setattr(cli, "classify", _failing(cli.classify, GroupError))
+    with pytest.raises(GroupError):
+        run(tmp_path, "classify", "--n", "2", "--q", "2")
 
 
 def _swap_fourth_rep(entry):

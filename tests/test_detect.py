@@ -189,6 +189,7 @@ def test_check_f_family_failure_modes(sp42):
     r = e.rep()
     got = check_f_family([r, r, r, r], sp42.u_group)
     assert isinstance(got, FFailure) and got.condition == "disjointness"
+    assert not got             # a failure is falsy, a witness is not
 
 
 def test_check_f_family_reports_stability():

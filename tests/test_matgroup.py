@@ -442,6 +442,20 @@ def test_gen_pair_is_certified(fam, n, q):
     assert order * scalars == spec.order
 
 
+def test_gen_pairs_memo_keys_on_the_whole_spec():
+    """A spec equals and hashes as the tuple of all its fields, so an equal
+    spec that is not the memoized object still hits the `_gen_pairs` memo,
+    and specs of different groups differ."""
+    spec = group_spec("Sp", 4, 3)
+    twin = matgroup.GroupSpec(*spec)
+    assert twin == spec and twin is not spec and hash(twin) == hash(spec)
+    assert spec != group_spec("SL", 4, 3) and spec != group_spec("Sp", 4, 2)
+    pairs = spec.gen_pairs()
+    misses = matgroup._gen_pairs.cache_info().misses
+    assert twin.gen_pairs() is pairs
+    assert matgroup._gen_pairs.cache_info().misses == misses
+
+
 @pytest.mark.parametrize("knob", ["GEN_PAIR_TRIES", "LINE_LIMIT"])
 def test_gen_pairs_fall_back_to_every_generator(monkeypatch, knob):
     """With no candidate pair, or too many lines to certify one, class
