@@ -64,7 +64,7 @@ class Cache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, key: str, revalidate=None):
+    def get(self, key: str):
         path = self._path(key)
         if not path.exists():
             return None
@@ -74,17 +74,7 @@ class Cache:
             return None            # corrupt entry: treated as a miss
         if entry.get("artifact_version") != ARTIFACT_VERSION:
             return None
-        value = entry.get("value")
-        if revalidate is not None and value is not None:
-            # a malformed entry is a miss; any other error is a fault of
-            # the recheck and propagates (ValueError covers the package's
-            # DetectError, GroupError and FieldError)
-            try:
-                if not revalidate(value):
-                    return None
-            except (LookupError, TypeError, AttributeError, ValueError):
-                return None
-        return value
+        return entry.get("value")
 
     def put(self, key: str, value) -> None:
         path = self._path(key)

@@ -123,20 +123,25 @@ def even_label(terms) -> UnipotentLabel:
 def parse_label(text: str, q: int) -> UnipotentLabel:
     "CLI form: '2,2' for partitions, 'W(1)^2+V(2)' or 'W1^2+V2' for even q."
     text = text.strip()
+
+    def number(word: str) -> int:
+        try:
+            return int(word)
+        except ValueError:
+            form = ("a partition such as 2,2" if q % 2 else
+                    "W(m) and V(2k) terms joined by +, such as W(1)^2+V(2)")
+            raise CatalogError(f"label {text!r} is malformed for q = {q}, "
+                               f"which takes {form}") from None
+
     if q % 2:
-        return odd_label(int(p) for p in text.replace(" ", "").split(","))
+        return odd_label(number(p) for p in text.replace(" ", "").split(","))
     terms = []
     for bit in text.replace(" ", "").split("+"):
         if not bit:
             raise CatalogError(f"empty term in label {text!r}")
-        kind = bit[0].upper()
-        rest = bit[1:]
-        mult = 1
-        if "^" in rest:
-            rest, m = rest.split("^")
-            mult = int(m)
-        param = int(rest.strip("()"))
-        terms.append((kind, param, mult))
+        rest, hat, mult = bit[1:].partition("^")
+        terms.append((bit[0].upper(), number(rest.strip("()")),
+                      number(mult) if hat else 1))
     return even_label(terms)
 
 

@@ -155,12 +155,6 @@ class RootSystemC:
         "Pairs whose commutator constant c_11 vanishes in characteristic p."
         return p == 2 and dot(alpha, beta) == 0
 
-    def sigma(self, alpha: Root, p: int) -> list[Root]:
-        "Positive beta with alpha + beta a root, excluding degenerate pairs."
-        return [b for b in self.positive
-                if self.is_root(root_add(alpha, b))
-                and not self.is_degenerate_pair(alpha, b, p)]
-
     def bourbaki_label(self, r: Root) -> str:
         coeffs = self.simple_coeffs(r)
         bits = []
@@ -194,12 +188,6 @@ class ChevalleyWord(NamedTuple):
 
     def support(self) -> set:
         return {r for r, c in self.factors if c}
-
-    def coeff(self, root: Root) -> int:
-        for r, c in self.factors:
-            if r == root:
-                return c
-        return 0
 
 
 class TorusElt(NamedTuple):

@@ -21,17 +21,17 @@ import time
 from . import ARTIFACT_VERSION, SCHEMA_VERSION
 from .cache import Cache, canonical_json
 from .catalog import (
-    class_context, enumerate_labels, expected, group_catalog, gu3_witness,
-    label_catalog, parse_label, row_matched,
+    CatalogError, class_context, enumerate_labels, expected, group_catalog,
+    gu3_witness, label_catalog, parse_label, row_matched,
 )
 from .chevalley import (
     ChevalleyWord, ConstructionBug, FamilyRefusal, HypothesisError,
     RootError, commutator_data, root_add, symplectic_model, torus_family,
     torus_witness,
 )
-from .detect import Budget, FWitness, check_f_family, classify, d_pair
-from .ffield import FieldError, make_field
-from .matgroup import GroupError, Mat, group_spec
+from .detect import Budget, classify, recheck
+from .ffield import FieldError
+from .matgroup import GroupError, group_spec
 
 
 class UsageError(ValueError):
@@ -58,37 +58,6 @@ def _budget_from_args(args) -> Budget:
                   sample_pairs=args.sample_pairs)
 
 
-def _entry_holds(entry, u_group) -> bool:
-    """Whether a cache entry may be used.  A partial entry always is: it
-    holds a scan state to resume.  A final entry is used when it has the
-    {"final": true, "value": ...} shape, not the older one with a
-    "verdict_json" field, and when its witness, if any, passes the check
-    that built it: `d_pair` for type D, and `check_f_family` over the
-    catalog's U^F, with the stored subrack sizes, for type F.  The witness
-    of a verdict is its "witness" field; a refutation's value that is a
-    witness is one itself."""
-    if not entry.get("final"):
-        return True
-    if "value" not in entry:
-        return False
-    w = entry["value"].get("witness", entry["value"])
-    if w.get("kind") == "witness_D":
-        res = d_pair(_mat_from_json(w["r"]), _mat_from_json(w["s"]),
-                     subgroup_cap=0)
-        return res.kind == "witness"
-    if w.get("kind") != "witness_F":
-        return True
-    got = check_f_family([_mat_from_json(m) for m in w["reps"]], u_group,
-                         builder=w["builder"])
-    return isinstance(got, FWitness) \
-        and [len(t) for t in got.subracks] == w["subrack_sizes"]
-
-
-def _mat_from_json(mj) -> Mat:
-    F = make_field(mj["field"][0], mj["field"][1])
-    return Mat(F, mj["n"], [x for row in mj["rows"] for x in row])
-
-
 def _emit(args, report: dict, timings=None) -> None:
     report = {"schema_version": SCHEMA_VERSION,
               "artifact_version": ARTIFACT_VERSION, **report}
@@ -111,7 +80,7 @@ def _selected(args):
         raise UsageError(f"{args.cmd} needs --label")
     try:
         label = parse_label(args.label, args.q)
-    except ValueError as err:          # CatalogError, or a malformed number
+    except CatalogError as err:
         raise UsageError(err) from err
     n2 = 2 * args.n
     if label.dim() != n2 or label.is_identity():
@@ -126,12 +95,14 @@ def _selected(args):
 
 
 def _class_step(cache, op, cat, entry, args, compute):
-    """One class's step through the cache.  A usable final entry (see
-    `_entry_holds`) is served, marked cached.  Otherwise `compute(resume,
-    checkpoint)` runs, resuming a partial entry's state, and returns
-    (report value, final, resume state); the value of a final result is
-    stored as {"final": true, "value": ...}, and a resume state as
-    {"final": false, "state": ...}."""
+    """One class's step through the cache.  A final entry is served, marked
+    cached, when it has the {"final": true, "value": ...} shape, not the
+    older one with a "verdict_json" field, and its value passes `recheck`
+    over the catalog's U^F.  Otherwise `compute(resume, checkpoint)` runs,
+    resuming a partial entry's state, and returns (report value, final,
+    resume state); the value of a final result is stored as {"final":
+    true, "value": ...}, and a resume state as {"final": false, "state":
+    ...}.  Any other entry reads as a miss."""
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
@@ -139,12 +110,15 @@ def _class_step(cache, op, cat, entry, args, compute):
     key = cache.key({"op": op, "group": cat.spec.name,
                      "label": str(entry.label), "split": entry.split_index,
                      "caps": {"orbit": args.orbit_cap}, "seed": args.seed})
-    got = cache.get(key, revalidate=lambda e: _entry_holds(e, cat.u_group))
-    if got and got.get("final"):
-        return dict(got["value"], cached=True)
+    got, resume = cache.get(key), None
+    if isinstance(got, dict):
+        if not got.get("final"):
+            resume = got.get("state")
+        # the older shape has no "value", which `recheck` reads as malformed
+        elif recheck(got.get("value"), cat.u_group):
+            return dict(got["value"], cached=True)
     value, final, state = compute(
-        got.get("state") if got else None,
-        lambda st: cache.put(key, {"final": False, "state": st}))
+        resume, lambda st: cache.put(key, {"final": False, "state": st}))
     if final:
         cache.put(key, {"final": True, "value": value})
     elif state:
@@ -202,8 +176,7 @@ def cmd_classify(args) -> int:
 
 def cmd_table(args) -> int:
     if args.paper_table != "I":
-        print("only reference table I is bundled", file=sys.stderr)
-        return 64
+        raise UsageError("only reference table I is bundled")
     return cmd_classify(args)
 
 
@@ -211,9 +184,8 @@ def cmd_witness(args) -> int:
     t0 = time.time()
     if args.family == "gu":
         if args.n != 3 or args.q != 2:
-            print("the explicit unitary witness is built for n=3, q=2",
-                  file=sys.stderr)
-            return 64
+            raise UsageError("the explicit unitary witness is built for "
+                             "n=3, q=2")
         rep = gu3_witness()
         _emit(args, {"command": "witness", "group": "GU3(2)",
                      "result": rep.to_json()},
@@ -249,8 +221,7 @@ def cmd_refute(args) -> int:
                     got = refute_d(cat.spec, entry.orbit, budget,
                                    resume=resume, checkpoint_cb=checkpoint)
                 else:
-                    got = refute_f(cat.spec, entry.rep(), budget,
-                                   orbit=entry.orbit)
+                    got = refute_f(cat.spec, entry.orbit, budget)
                 if isinstance(got, Certificate):
                     return got.to_json(), got.complete, got.resume_state
                 if isinstance(got, dict):

