@@ -20,9 +20,7 @@ import math
 from typing import NamedTuple
 
 from .ffield import Field, make_field, prime_power
-from .matgroup import (
-    GroupError, Mat, _field_basis_scalars, identity_flat, symplectic_form,
-)
+from .matgroup import GroupError, Mat, _field_basis_scalars, identity_flat
 
 Root = tuple[int, ...]
 
@@ -213,7 +211,6 @@ class SymplecticModel:
         self.q = q
         self.field = make_field(p, m)
         self.rs = root_system(rank)
-        self.form = symplectic_form(self.field, self.dim)
         self._entry_cache: dict[Root, tuple] = {}
 
     # -- matrix realization

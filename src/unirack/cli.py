@@ -58,11 +58,13 @@ def _budget_from_args(args) -> Budget:
                   sample_pairs=args.sample_pairs)
 
 
-def _emit(args, report: dict, timings=None) -> None:
+def _emit(args, report: dict) -> None:
+    """Write the report; under --timings with the wall time since `main`
+    started the command."""
     report = {"schema_version": SCHEMA_VERSION,
               "artifact_version": ARTIFACT_VERSION, **report}
-    if args.timings and timings is not None:
-        report["timings"] = timings
+    if args.timings:
+        report["timings"] = {"wall_s": round(time.time() - args.t0, 3)}
     text = canonical_json(report) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
@@ -130,7 +132,6 @@ def cmd_classify(args) -> int:
     """Classify every class of the group, checked by the full catalog, or
     only the classes of --label, split without the other labels."""
     n2 = 2 * args.n
-    t0 = time.time()
     if args.label is None:
         cat = group_catalog(n2, args.q)
     else:
@@ -168,7 +169,7 @@ def cmd_classify(args) -> int:
               "seed": args.seed, "rows": rows,
               "all_match": mismatches == 0 and unknowns == 0,
               "unknowns": unknowns}
-    _emit(args, report, {"wall_s": round(time.time() - t0, 3)})
+    _emit(args, report)
     if unknowns:
         return 3
     return 0 if mismatches == 0 else 2
@@ -181,15 +182,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    t0 = time.time()
     if args.family == "gu":
         if args.n != 3 or args.q != 2:
             raise UsageError("the explicit unitary witness is built for "
                              "n=3, q=2")
         rep = gu3_witness()
         _emit(args, {"command": "witness", "group": "GU3(2)",
-                     "result": rep.to_json()},
-              {"wall_s": round(time.time() - t0, 3)})
+                     "result": rep.to_json()})
         return 0
     label, cat = _selected(args)
     budget = _budget_from_args(args)
@@ -202,8 +201,7 @@ def cmd_witness(args) -> int:
             code = 3 if verdict.kind == "unknown" else 2
         out.append({"split_index": entry.split_index, **verdict.to_json()})
     _emit(args, {"command": "witness", "group": cat.spec.name,
-                 "label": str(label), "results": out},
-          {"wall_s": round(time.time() - t0, 3)})
+                 "label": str(label), "results": out})
     return code
 
 
@@ -211,7 +209,6 @@ def cmd_refute(args) -> int:
     from .detect import refute_d, refute_f, Certificate
     label, cat = _selected(args)
     budget = _budget_from_args(args)
-    t0 = time.time()
     results = []
     code = 0
     with _open_cache(args) as cache:
@@ -237,14 +234,12 @@ def cmd_refute(args) -> int:
             results.append(value)
     _emit(args, {"command": "refute", "kind": args.kind,
                  "group": cat.spec.name, "label": str(label),
-                 "results": results},
-          {"wall_s": round(time.time() - t0, 3)})
+                 "results": results})
     return code
 
 
 def cmd_catalog(args) -> int:
     n2 = 2 * args.n
-    t0 = time.time()
     cat = group_catalog(n2, args.q)
     rows = []
     for e in cat.entries:
@@ -254,13 +249,11 @@ def cmd_catalog(args) -> int:
                      "rule": exp.rule})
     _emit(args, {"command": "catalog", "group": cat.spec.name,
                  "classes": rows,
-                 "labels": [str(l) for l in enumerate_labels(n2, args.q)]},
-          {"wall_s": round(time.time() - t0, 3)})
+                 "labels": [str(l) for l in enumerate_labels(n2, args.q)]})
     return 0
 
 
 def cmd_chevalley_verify(args) -> int:
-    t0 = time.time()
     n, q = args.n, args.q
     model = symplectic_model(n, q)
     F = model.field
@@ -330,8 +323,7 @@ def cmd_chevalley_verify(args) -> int:
     _emit(args, {"command": "chevalley-verify", "rank": n, "q": q,
                  "checks": {k: (v if isinstance(v, str) else bool(v))
                             for k, v in checks.items()},
-                 "all_ok": all_ok},
-          {"wall_s": round(time.time() - t0, 3)})
+                 "all_ok": all_ok})
     return 0 if all_ok else 2
 
 
@@ -402,6 +394,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 64 if e.code not in (0,) else 0
+    args.t0 = time.time()
     try:
         _check_group(args)
         return args.fn(args)

@@ -86,8 +86,7 @@ class DWitness(NamedTuple):
     subrack with the two disjoint orbits as its blocks."""
     r: Mat
     s: Mat
-    orbit_r: tuple            # sorted packed
-    orbit_s: tuple
+    orbit_sizes: tuple        # (|orbit of r|, |orbit of s|)
     subgroup_size: int | None
     strategy: str = "search"
 
@@ -96,7 +95,7 @@ class DWitness(NamedTuple):
             "kind": "witness_D",
             "r": mat_json(self.r),
             "s": mat_json(self.s),
-            "orbit_sizes": [len(self.orbit_r), len(self.orbit_s)],
+            "orbit_sizes": list(self.orbit_sizes),
             "subgroup_size": self.subgroup_size,
             "strategy": self.strategy,
             "check": {"rs_squared": mat_json((self.r * self.s) ** 2),
@@ -136,8 +135,7 @@ def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
         closure = subgroup_closure([r, s], cap=subgroup_cap)
         size = closure.size if closure.complete else None
     return DPairResult("witness", DWitness(
-        r, s, tuple(orb_r.sorted_packed()), tuple(orb_s.sorted_packed()),
-        size, strategy))
+        r, s, (orb_r.size, orb_s.size), size, strategy))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +224,8 @@ def recheck(value, u_group) -> bool:
         if w.get("kind") == "witness_D":
             res = d_pair(mat_from_json(w["r"]), mat_from_json(w["s"]),
                          subgroup_cap=0)
-            return res.kind == "witness" and w["orbit_sizes"] == [
-                len(res.witness.orbit_r), len(res.witness.orbit_s)]
+            return (res.kind == "witness"
+                    and w["orbit_sizes"] == list(res.witness.orbit_sizes))
         if w.get("kind") == "witness_F":
             got = check_f_family([mat_from_json(m) for m in w["reps"]],
                                  u_group, builder=w["builder"])
@@ -309,8 +307,6 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
         if budget.refute_pair_cap is not None \
                 and stats["pairs"] - restored >= budget.refute_pair_cap:
             state = {"next_index": j, "stats": dict(stats)}
-            if checkpoint_cb:
-                checkpoint_cb(state)
             return Certificate("not_D", "sampled", stats,
                                {"note": "pair cap reached", **_d_log(rep)},
                                complete=False, resume_state=state)
@@ -354,17 +350,15 @@ def _joint(perms, family, cap: int) -> bool:
     `family` under the group generated by their rows `perms` stay pairwise
     disjoint (each stable subrack of a genuine family contains the orbit of
     its representative under conjugation by every family member).  Each
-    orbit search stops as soon as it meets another family member."""
-    done = set()
+    orbit search stops as soon as it meets another family member.  Orbits
+    under one group are equal or disjoint, so once no member's orbit holds
+    another member, the orbits are pairwise disjoint."""
     for a in family:
         orb, complete = rack.orbit(perms, a, cap, set(family) - {a})
         if orb is None:
             return False
         if not complete:
             raise DetectError("orbit cap exceeded in the joint test")
-        if not done.isdisjoint(orb):
-            return False
-        done |= orb
     return True
 
 
@@ -508,14 +502,14 @@ def find_f_torus(ctx: ClassContext, budget: Budget, seed: int) -> FWitness | Non
     # rank-2 regular family, even q > 2
     if q % 2 == 0 and q > 2 and model.rank == 2:
         a1, a2 = model.rs.simple
+        ts = [model.torus((((2, 0), F.pow(F.generator, a)),
+                           ((0, 2), F.pow(F.generator, b)))).mat
+              for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
         for u in ctx.u_members:
             word = model.factorize(u)
             supp = word.support()
             if a1 not in supp or a2 not in supp or root_add(a1, a2) in supp:
                 continue
-            ts = [model.torus((((2, 0), F.pow(F.generator, a)),
-                               ((0, 2), F.pow(F.generator, b)))).mat
-                  for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
             reps = [t * u * t.inverse() for t in ts]
             got = check_f_family(reps, ctx.u_group, builder="torus_translates")
             if isinstance(got, FWitness):

@@ -314,9 +314,6 @@ class Field:
     def __repr__(self):
         return f"F{self.q}" if self.m == 1 else f"F{self.q}(=F_{self.p}^{self.m})"
 
-    def __reduce__(self):
-        return (make_field, (self.p, self.m))
-
 
 def make_field(p: int, m: int = 1) -> Field:
     """F_{p^m} with the canonical (least-code) irreducible modulus.

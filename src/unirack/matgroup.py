@@ -129,9 +129,6 @@ class Mat:
     def rows(self):
         return rows_flat(self.n, self.flat)
 
-    def entry(self, i: int, j: int) -> int:
-        return self.flat[i * self.n + j]
-
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented

@@ -33,12 +33,8 @@ class Rack:
 
     def __init__(self, elements, row):
         self.elements = tuple(sorted(elements))
-        self.index = {x: i for i, x in enumerate(self.elements)}
         self.size = len(self.elements)
         self._row = row
-
-    def op(self, i: int, j: int) -> int:
-        return self._row(i)[j]
 
     def translation(self, i: int) -> tuple[int, ...]:
         "The permutation j -> i > j."

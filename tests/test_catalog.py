@@ -255,10 +255,10 @@ def defect_by_enumeration(u, form, two_k):
         for i in range(n):
             w_i = 0
             for j in range(n):
-                w_i = F.add(w_i, F.mul(Nk1.entry(i, j), v[j]))
+                w_i = F.add(w_i, F.mul(Nk1.flat[i * n + j], v[j]))
             for j in range(n):
                 pairing = F.add(pairing,
-                                F.mul(w_i, F.mul(form.entry(i, j), v[j])))
+                                F.mul(w_i, F.mul(form.flat[i * n + j], v[j])))
         if pairing:
             return True
     return False

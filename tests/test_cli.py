@@ -163,6 +163,23 @@ def test_capped_resume_makes_progress(tmp_path):
     assert cert["verdict_basis"] == "exhaustive"
 
 
+def test_capped_scan_writes_its_partial_entry_once(tmp_path, monkeypatch):
+    "A not-D scan that stops at the pair cap stores its resume state once."
+    puts, put = [], Cache.put
+
+    def counted(self, key, value):
+        puts.append(value)
+        return put(self, key, value)
+
+    monkeypatch.setattr(Cache, "put", counted)
+    code, _ = run(tmp_path, "--cache-dir", str(tmp_path / "cache"),
+                  "--pair-cap", "10", "refute", "--kind", "d", "--n", "2",
+                  "--q", "2", "--label", "V(2)^2")
+    assert code == 3
+    assert [v["final"] for v in puts] == [False]
+    assert puts[0]["state"]["next_index"] == 11
+
+
 def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
     """The not-F scan runs to the end every time: a non-final entry under
     its key neither adds its stats nor stops the scan."""

@@ -111,7 +111,7 @@ def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
     monkeypatch.setattr(detect, "orbit_under", counted)
     res = d_pair(w.r, w.s)
     assert res.kind == "witness" and calls == [w.r, w.s]
-    assert res.witness.orbit_r == w.orbit_r
+    assert res.witness.orbit_sizes == w.orbit_sizes
     assert recheck(res.witness.to_json(), ())
 
 

@@ -143,7 +143,8 @@ def test_normalized_regular_shape_q4():
     for e in cat.by_label(parse_label("V(4)", 4)):
         u = next(m for m in e.u_members
                  if (1, 1) not in model.factorize(m).support())
-        x, y = u.entry(0, 1), u.entry(1, 2)
-        assert x and y and u.entry(0, 2) == 0
-        assert u.entry(1, 3) == F.mul(x, y)
-        assert u.entry(2, 3) == x
+        rows = u.rows()
+        x, y = rows[0][1], rows[1][2]
+        assert x and y and rows[0][2] == 0
+        assert rows[1][3] == F.mul(x, y)
+        assert rows[2][3] == x

@@ -280,9 +280,10 @@ def test_opposite_transvections_generate_inside_rank_one_copy():
     closure = subgroup_closure([u, v])
     for m in closure.mats():
         # corner embedding: rows 2 and 3 of the middle block stay identity
-        assert m.entry(1, 1) == 1 and m.entry(2, 2) == 1
-        assert m.entry(1, 2) == 0 and m.entry(2, 1) == 0
-        assert m.entry(0, 1) == 0 and m.entry(0, 2) == 0
+        rows = m.rows()
+        assert rows[1][1] == 1 and rows[2][2] == 1
+        assert rows[1][2] == 0 and rows[2][1] == 0
+        assert rows[0][1] == 0 and rows[0][2] == 0
     assert closure.size <= 24 * 2    # inside the rank-one subgroup
 
 

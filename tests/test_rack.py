@@ -66,7 +66,7 @@ def trivial_rack(n):
 def test_singleton_rack_is_trivial():
     spec = group_spec("Sp", 4, 2)
     r = checked_rack([spec.identity()])
-    assert r.size == 1 and r.op(0, 0) == 0
+    assert r.size == 1 and r.translation(0)[0] == 0
 
 
 def test_transvection_rack_sp42():
@@ -89,7 +89,7 @@ def test_subrack_closure_singleton_and_commuting_pair():
     assert one.members == (0,) and one.abelian
     # find two commuting distinct transvections
     for j in range(1, r.size):
-        if r.op(0, j) == j:
+        if r.translation(0)[j] == j:
             pair = subrack_closure(r, (0, j))
             assert pair.members == (0, j) and pair.abelian
             assert not pair.indecomposable
@@ -121,10 +121,10 @@ def test_sober_exhaustive_matches_mask_oracle():
     bad = []
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
-        closed = all(r.op(a, b) in idx for a in idx for b in idx)
+        closed = all(r.translation(a)[b] in idx for a in idx for b in idx)
         if not closed:
             continue
-        abelian = all(r.op(a, b) == b for a in idx for b in idx)
+        abelian = all(r.translation(a)[b] == b for a in idx for b in idx)
         indec = len(decompose(r, idx)) == 1
         if not (abelian or indec):
             bad.append(tuple(idx))
@@ -267,7 +267,7 @@ def test_noncommuting_transvection_pair_generates_indecomposable():
     "Two noncommuting transvections generate an indecomposable subrack."
     r = class_rack("Sp", 4, 3)
     i = 0
-    j = next(j for j in range(1, r.size) if r.op(i, j) != j)
+    j = next(j for j in range(1, r.size) if r.translation(i)[j] != j)
     ana = subrack_closure(r, (i, j))
     assert not ana.abelian and ana.indecomposable
 
@@ -542,7 +542,7 @@ def test_closure_of_a_pair_fetches_its_two_rows():
         return base.translation(i)
 
     r = Rack(base.elements, row)
-    j = next(j for j in range(1, r.size) if base.op(0, j) != j)
+    j = next(j for j in range(1, r.size) if base.translation(0)[j] != j)
     ana = subrack_closure(r, (0, j))
     assert not ana.abelian and ana.indecomposable
     assert len(fetched) <= 4
@@ -574,7 +574,7 @@ def test_decompose_fetches_the_rows_of_a_few_seeds():
 
 def test_decompose_refuses_a_subset_that_is_not_a_subrack():
     r = class_rack("Sp", 4, 2)
-    j = next(j for j in range(1, r.size) if r.op(0, j) != j)
+    j = next(j for j in range(1, r.size) if r.translation(0)[j] != j)
     with pytest.raises(RackError, match="not a subrack"):
         decompose(r, (0, j))
     # two transpositions of S_6 that do not commute generate an S_3 class

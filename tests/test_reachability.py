@@ -2,9 +2,11 @@
 
 Every function, class and method defined in `src/unirack` must be named
 somewhere in `src` or `perfbench` outside its own body: as a name, an
-attribute, or a word of a string constant (the benchmark traces functions by
-name).  A method is called through an attribute, so a bare name, such as a
-local variable or a parameter that shares its name, does not count for it.
+attribute, or, in `perfbench` only, a word of a string constant (the
+benchmark traces functions by name).  A word of a string in `src`, such as a
+cache key or an error message, calls nothing, so it does not count.  A
+method is called through an attribute, so a bare name, such as a local
+variable or a parameter that shares its name, does not count for it.
 Imports and docstrings do not count, and neither do dunder methods, which
 Python calls itself.  The exceptions are the names in `GATE`, which
 only the tests call: the acceptance criteria and the references that the
@@ -61,9 +63,10 @@ def _docstrings(tree):
     return out
 
 
-def _scan(path):
+def _scan(path, strings):
     """(definitions, uses) of one file: definitions as (name, first line,
-    last line, is a method), uses as (name, line, is a bare name)."""
+    last line, is a method), uses as (name, line, is a bare name).  The
+    words of its string constants are uses only if `strings` is set."""
     tree = ast.parse(path.read_text(), str(path))
     docs = _docstrings(tree)
     methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -78,8 +81,8 @@ def _scan(path):
             uses.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
             uses.append((node.attr, node.end_lineno, False))
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node not in docs):
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str) and node not in docs):
             uses.extend((w, node.lineno, False)
                         for w in WORD.findall(node.value))
     return defs, uses
@@ -87,8 +90,8 @@ def _scan(path):
 
 def orphans():
     "`file:line name` of each definition in `src` that nothing else names."
-    files = sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
-    scans = {f: _scan(f) for f in files}
+    scans = {f: _scan(f, False) for f in sorted(SRC.glob("*.py"))}
+    scans.update((f, _scan(f, True)) for f in sorted(PERFBENCH.glob("*.py")))
     out = []
     for f in sorted(SRC.glob("*.py")):
         for name, first, last, method in scans[f][0]:
