@@ -72,7 +72,8 @@ class Cache:
             entry = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None            # corrupt entry: treated as a miss
-        if entry.get("artifact_version") != ARTIFACT_VERSION:
+        if (not isinstance(entry, dict)
+                or entry.get("artifact_version") != ARTIFACT_VERSION):
             return None
         return entry.get("value")
 

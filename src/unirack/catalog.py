@@ -230,7 +230,7 @@ def _regular_sp_block(d: int, q: int, scale_last: int = 1) -> Mat:
     simples = model.rs.simple
     for i, a in enumerate(simples):
         word.append((a, scale_last if i == len(simples) - 1 else 1))
-    u = model.evaluate(ChevalleyWord(tuple(word), 0))
+    u = model.evaluate(ChevalleyWord(tuple(word)))
     assert jordan_partition(u) == (d,)
     return u
 
@@ -679,8 +679,6 @@ class PairReport(NamedTuple):
     x2: Mat
     same_class: bool
     class_level: str          # group | type
-    construction: str
-    notes: tuple = ()
 
     def verify(self):
         if self.kind == "noncommuting":
@@ -714,7 +712,6 @@ def regular_pairs(spec, kind: str) -> PairReport:
             J = Mat(F, n, [1 if i + j == n - 1 else 0
                            for i in range(n) for j in range(n)])
             x2 = J * x1 * J.inverse()
-            construction = "anti-diagonal conjugate"
         elif fam == "Sp":
             sigma_flat = list(identity_flat(n))
             for i, j in ((0, 1), (1, 0), (n - 2, n - 1), (n - 1, n - 2)):
@@ -725,11 +722,9 @@ def regular_pairs(spec, kind: str) -> PairReport:
             if not membership(sigma, spec):
                 raise CatalogError("corner swap fails membership")
             x2 = sigma * x1 * sigma.inverse()
-            construction = "corner-swap conjugate"
         else:
             p, m = prime_power(q, CatalogError)
             x2 = x1.frobenius(m).transpose()
-            construction = "conjugate-transpose"
             if (x2 * x1 * x2).flat[1 * n + 0] == 0:
                 raise CatalogError("lower-corner test failed")
         degenerate = collapse_eq_holds(x1, x2) or x1 * x2 == x2 * x1
@@ -738,28 +733,23 @@ def regular_pairs(spec, kind: str) -> PairReport:
             y = next((y for y in orb.mats() if y != x1 and y * x1 != x1 * y
                       and not collapse_eq_holds(x1, y)), None)
             if y is not None:
-                x2, construction = y, "class scan"
+                x2 = y
             elif degenerate:
                 raise CatalogError("no collapse-violating pair in the class")
-        notes = (("printed construction was degenerate here; scanned",)
-                 if degenerate else ())
-        rep = PairReport(kind, x1, x2, orb.contains(x2), "group", construction,
-                         notes)
+        rep = PairReport(kind, x1, x2, orb.contains(x2), "group")
         rep.verify()
         return rep
     # commuting
-    notes = []
     if n > 2:
         x2 = x1.inverse()
-        construction = "inverse"
         if orb.contains(x2) and x2 != x1:
-            rep = PairReport(kind, x1, x2, True, "group", construction)
+            rep = PairReport(kind, x1, x2, True, "group")
             rep.verify()
             return rep
         for k in range(2, x1.order()):
             cand = x1 ** k
             if cand != x1 and orb.contains(cand):
-                rep = PairReport(kind, x1, cand, True, "group", f"power {k}")
+                rep = PairReport(kind, x1, cand, True, "group")
                 rep.verify()
                 return rep
         raise CatalogError("no commuting partner found")
@@ -768,15 +758,13 @@ def regular_pairs(spec, kind: str) -> PairReport:
         if q % 2 == 0 or F.is_square(xi):
             cand = Mat(F, 2, (1, xi, 0, 1))
             if orb.contains(cand):
-                rep = PairReport(kind, x1, cand, True, "group", f"scaling by {xi}")
+                rep = PairReport(kind, x1, cand, True, "group")
                 rep.verify()
                 return rep
     # odd q with no square scaling: the printed pair reaches the twin class
     xi = next(c for c in range(2, F.q) if c != 1)
     cand = Mat(F, 2, (1, xi, 0, 1))
-    rep = PairReport(kind, x1, cand, False, "type",
-                     f"scaling by {xi}",
-                     ("partner lies in the rack-isomorphic twin class",))
+    rep = PairReport(kind, x1, cand, False, "type")
     rep.verify()
     return rep
 
@@ -784,8 +772,6 @@ def regular_pairs(spec, kind: str) -> PairReport:
 class GU3Report(NamedTuple):
     r: Mat
     s: Mat
-    g: Mat
-    eta: int
     witness: DWitness
     su_class_count: int
     checks: dict
@@ -849,7 +835,7 @@ def gu3_witness() -> GU3Report:
         raise CatalogError(f"verification failed: {checks}")
     if checks["su_regular_class_count"] != 3:
         raise CatalogError("expected exactly 3 regular determinant-one classes")
-    return GU3Report(r, s, g, eta, res.witness, len(parts), checks)
+    return GU3Report(r, s, res.witness, len(parts), checks)
 
 
 # ---------------------------------------------------------------------------

@@ -89,33 +89,6 @@ class RootSystemC:
     def is_positive(self, v: Root) -> bool:
         return v in self.roots and next(x for x in v if x) > 0
 
-    def simple_coeffs(self, r: Root) -> tuple[int, ...]:
-        "Coefficients of r in the simple basis."
-        n = self.n
-        neg = not self.is_positive(r)
-        v = root_neg(r) if neg else r
-        idx = [i for i, x in enumerate(v) if x]
-        out = [0] * n
-        if len(idx) == 1:
-            i = idx[0]            # 2 e_i
-            for k in range(i, n - 1):
-                out[k] = 2
-            out[n - 1] = 1
-        else:
-            i, j = idx
-            if v[j] < 0:          # e_i - e_j
-                for k in range(i, j):
-                    out[k] = 1
-            else:                 # e_i + e_j
-                for k in range(i, j):
-                    out[k] = 1
-                for k in range(j, n - 1):
-                    out[k] = 2
-                out[n - 1] = 1
-        if neg:
-            out = [-x for x in out]
-        return tuple(out)
-
     def height(self, r: Root) -> int:
         n = self.n
         v = r if next(x for x in r if x) > 0 else root_neg(r)
@@ -153,16 +126,6 @@ class RootSystemC:
         "Pairs whose commutator constant c_11 vanishes in characteristic p."
         return p == 2 and dot(alpha, beta) == 0
 
-    def bourbaki_label(self, r: Root) -> str:
-        coeffs = self.simple_coeffs(r)
-        bits = []
-        for k, c in enumerate(coeffs, start=1):
-            if c == 0:
-                continue
-            bits.append(f"a{k}" if abs(c) == 1 else f"{abs(c)}a{k}")
-        s = "+".join(bits) or "0"
-        return s if self.is_positive(r) else "-(" + s + ")"
-
     def ordering(self, ordering_id: int) -> list[Root]:
         "Total orders on the positive roots; 0 is height-then-lex."
         if ordering_id == 0:
@@ -182,7 +145,6 @@ def root_system(n: int) -> RootSystemC:
 class ChevalleyWord(NamedTuple):
     "An ordered product of root-subgroup factors (root, coefficient code)."
     factors: tuple
-    ordering_id: int = 0
 
     def support(self) -> set:
         return {r for r, c in self.factors if c}
@@ -298,7 +260,7 @@ class SymplecticModel:
         order = self.rs.ordering(0)
         for coeffs in itertools.product(range(self.field.q), repeat=len(order)):
             yield coeffs, self.evaluate(
-                ChevalleyWord(tuple(zip(order, coeffs)), 0))
+                ChevalleyWord(tuple(zip(order, coeffs))))
 
     def evaluate(self, word: ChevalleyWord) -> Mat:
         out = Mat.identity(self.field, self.dim)
@@ -330,7 +292,7 @@ class SymplecticModel:
                 cur = self.x(r, F.neg(c)) * cur
         if not cur.is_identity():
             raise GroupError("matrix is not in the unipotent radical")
-        return ChevalleyWord(tuple(factors), 0)
+        return ChevalleyWord(tuple(factors))
 
     def reorder(self, word: ChevalleyWord, ordering_id: int) -> ChevalleyWord:
         "Collection process: sort factors, inserting commutator corrections."
@@ -360,7 +322,7 @@ class SymplecticModel:
                 k += 1
             if not changed:
                 break
-        out = ChevalleyWord(tuple(seq), ordering_id)
+        out = ChevalleyWord(tuple(seq))
         if self.evaluate(out) != self.evaluate(word):
             raise GroupError("collection produced an inequivalent word")
         return out
@@ -382,8 +344,6 @@ def symplectic_model(rank: int, q: int) -> SymplecticModel:
 
 
 class CommutatorData(NamedTuple):
-    alpha: Root
-    beta: Root
     q: int
     terms: tuple            # ((i, j, root, constant_code), ...)
     commutes: bool          # the two root subgroups commute identically
@@ -447,7 +407,7 @@ def commutator_data(model: SymplecticModel, alpha: Root, beta: Root,
     s = root_add(alpha, beta)
     sum_is_root = rs.is_root(s)
     c11 = next((c for i, j, r, c in terms if (i, j) == (1, 1)), 0)
-    return CommutatorData(alpha, beta, model.q, terms,
+    return CommutatorData(model.q, terms,
                           commutes=not terms, degenerate=sum_is_root and c11 == 0)
 
 
@@ -455,8 +415,7 @@ def commutator_data(model: SymplecticModel, alpha: Root, beta: Root,
 # the support condition
 
 
-def ab_property(model: SymplecticModel, u, alpha: Root, beta: Root,
-                ordering_id: int = 0) -> bool:
+def ab_property(model: SymplecticModel, u, alpha: Root, beta: Root) -> bool:
     """Support condition on u for the pair (alpha, beta).
 
     True iff alpha, beta lie in supp(u) and every expression of alpha+beta
@@ -470,9 +429,8 @@ def ab_property(model: SymplecticModel, u, alpha: Root, beta: Root,
         raise RootError("alpha + beta is not a root")
     if rs.is_degenerate_pair(alpha, beta, model.field.p):
         raise DegeneratePairError(
-            f"({rs.bourbaki_label(alpha)}, {rs.bourbaki_label(beta)}) "
-            f"commutes in characteristic {model.field.p}")
-    word = u if isinstance(u, ChevalleyWord) else model.factorize(u, ordering_id)
+            f"{alpha} and {beta} commute in characteristic {model.field.p}")
+    word = u if isinstance(u, ChevalleyWord) else model.factorize(u)
     supp = sorted(word.support(), key=lambda r: (rs.height(r), r))
     if alpha not in supp or beta not in supp:
         return False
@@ -517,16 +475,14 @@ class ConstructionBug(AssertionError):
 class TorusWitness(NamedTuple):
     """A torus element t with 1 != a(t) != b(t), exponent-certified.
 
-    alpha/beta are the roles after any length-driven interchange; exponents
-    are taken modulo the order of the relevant multiplicative group.
+    alpha_exp/beta_exp belong to the roles after any interchange
+    (`swapped`); exponents are taken modulo the order of the multiplicative
+    group.
     """
-    alpha: Root
-    beta: Root
     swapped: bool
     modulus: int
     alpha_exp: int
     beta_exp: int
-    case: str
     torus: TorusElt | None = None
 
     def check(self):
@@ -536,19 +492,14 @@ class TorusWitness(NamedTuple):
         return True
 
 
-def torus_witness(alpha: Root, beta: Root, q: int, case: str = "chevalley",
-                   model: SymplecticModel | None = None) -> TorusWitness:
+def torus_witness(alpha: Root, beta: Root, q: int,
+                  model: SymplecticModel | None = None) -> TorusWitness:
     """Torus witness for the type-D construction: t with 1 != a(t) != b(t).
 
-    chevalley: q odd, t = b^vee(zeta) for zeta generating F_q^x, with beta
-    taken longest and roles interchanged in the orthogonal branch (which
-    needs q > 3).  su3: the twisted rank-2 case over F_{q^2}, exponent level
-    plus the explicit diagonal matrix in the unitary model.
+    q odd, t = b^vee(zeta) for zeta generating F_q^x, with beta taken
+    longest and roles interchanged in the orthogonal branch (which needs
+    q > 3).  With a model, t is built and its action checked.
     """
-    if case == "su3":
-        return _torus_witness_twisted(q)
-    if case != "chevalley":
-        raise ValueError(f"unknown case {case!r}")
     if q % 2 == 0:
         raise HypothesisError("the torus type-D construction needs odd q")
     if dot(alpha, beta) == 0 and q <= 3:
@@ -574,7 +525,7 @@ def torus_witness(alpha: Root, beta: Root, q: int, case: str = "chevalley",
         torus = model.torus(((coroot_root, F.generator),))
         _verify_torus_action(model, torus, alpha, a_exp)
         _verify_torus_action(model, torus, beta, b_exp)
-    w = TorusWitness(alpha, beta, swapped, mod, a_exp, b_exp, "chevalley", torus)
+    w = TorusWitness(swapped, mod, a_exp, b_exp, torus)
     w.check()
     return w
 
@@ -590,21 +541,6 @@ def _verify_torus_action(model: SymplecticModel, t: TorusElt, root: Root, exp: i
             raise ConstructionBug("torus action disagrees with the exponent")
 
 
-def _torus_witness_twisted(q: int) -> TorusWitness:
-    if q % 2 == 0 or q < 3:
-        raise HypothesisError("the twisted rank-2 case needs odd q >= 3")
-    mod = q * q - 1
-    # t = b^vee(xi) a^vee(xi^q) for xi generating F_{q^2}^x
-    a_exp = (2 * q - 1) % mod
-    b_exp = (2 - q) % mod
-    su3 = su3_model(q)
-    t = su3.torus_pair(e_beta=1, e_alpha=q)
-    su3.verify_diagonal_action(t, a_exp, b_exp)
-    w = TorusWitness((1, -1, 0), (0, 1, -1), False, mod, a_exp, b_exp, "su3", None)
-    w.check()
-    return w
-
-
 class FamilyRefusal(ValueError):
     "Excluded q, with the exhibited congruence collision."
 
@@ -615,11 +551,8 @@ class FamilyRefusal(ValueError):
 
 class TorusFamily(NamedTuple):
     "Four torus elements whose value pairs separate as in the 4-subrack test."
-    case: str
     modulus: int
     exponent_pairs: tuple      # ((alpha_exp, beta_exp), ...) for t_1..t_4
-    alpha: Root | None
-    beta: Root | None
     swapped: bool
     torus_mats: tuple = ()
 
@@ -678,7 +611,7 @@ def torus_family(alpha: Root | None, beta: Root | None, q: int,
                 _verify_torus_action(model, t, alpha, ae)
                 _verify_torus_action(model, t, beta, be)
             mats = tuple(t.mat for t in ts)
-        fam = TorusFamily("chevalley", mod, pairs, alpha, beta, swapped, mats)
+        fam = TorusFamily(mod, pairs, swapped, mats)
         fam.check()
         return fam
 
@@ -697,7 +630,7 @@ def torus_family(alpha: Root | None, beta: Root | None, q: int,
             t = su3.torus_pair(e_beta=a * q, e_alpha=a)
             su3.verify_diagonal_action(t, pairs[a][0], pairs[a][1])
             mats.append(t)
-        fam = TorusFamily("su3", mod, pairs, None, None, False, tuple(mats))
+        fam = TorusFamily(mod, pairs, False, tuple(mats))
         fam.check()
         return fam
 

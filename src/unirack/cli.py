@@ -29,7 +29,7 @@ from .chevalley import (
     RootError, commutator_data, root_add, symplectic_model, torus_family,
     torus_witness,
 )
-from .detect import Budget, classify, recheck
+from .detect import Budget, classify, recheck, resume_holds
 from .ffield import FieldError
 from .matgroup import GroupError, group_spec
 
@@ -101,10 +101,11 @@ def _class_step(cache, op, cat, entry, args, compute):
     cached, when it has the {"final": true, "value": ...} shape, not the
     older one with a "verdict_json" field, and its value passes `recheck`
     over the catalog's U^F.  Otherwise `compute(resume, checkpoint)` runs,
-    resuming a partial entry's state, and returns (report value, final,
-    resume state); the value of a final result is stored as {"final":
-    true, "value": ...}, and a resume state as {"final": false, "state":
-    ...}.  Any other entry reads as a miss."""
+    resuming a partial entry's state if `resume_holds` accepts it for the
+    class, and returns (report value, final, resume state); the value of a
+    final result is stored as {"final": true, "value": ...}, and a resume
+    state as {"final": false, "state": ...}.  Any other entry reads as a
+    miss, and the run overwrites it."""
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
@@ -115,7 +116,8 @@ def _class_step(cache, op, cat, entry, args, compute):
     got, resume = cache.get(key), None
     if isinstance(got, dict):
         if not got.get("final"):
-            resume = got.get("state")
+            state = got.get("state")
+            resume = state if resume_holds(state, entry.size) else None
         # the older shape has no "value", which `recheck` reads as malformed
         elif recheck(got.get("value"), cat.u_group):
             return dict(got["value"], cached=True)
@@ -218,12 +220,11 @@ def cmd_refute(args) -> int:
                     got = refute_d(cat.spec, entry.orbit, budget,
                                    resume=resume, checkpoint_cb=checkpoint)
                 else:
-                    got = refute_f(cat.spec, entry.orbit, budget)
+                    got = refute_f(entry.orbit, budget)
                 if isinstance(got, Certificate):
                     return got.to_json(), got.complete, got.resume_state
-                if isinstance(got, dict):
-                    return ({"kind": "clique_found", "stats": got["stats"]},
-                            False, None)
+                if isinstance(got, dict):                  # clique_found
+                    return got, False, None
                 return got.to_json(), True, None           # a DWitness
             value = _class_step(cache, f"refute_{args.kind}", cat, entry,
                                 args, compute)
@@ -278,7 +279,7 @@ def cmd_chevalley_verify(args) -> int:
     order = rs.ordering(0)
     for _ in range(25):
         coeffs = tuple(rng.randrange(F.q) for _ in order)
-        word = ChevalleyWord(tuple((r, c) for r, c in zip(order, coeffs) if c), 0)
+        word = ChevalleyWord(tuple((r, c) for r, c in zip(order, coeffs) if c))
         u = model.evaluate(word)
         ok = ok and model.factorize(u, 0).factors == word.factors
     checks["factorization_round_trip"] = ok
@@ -305,7 +306,7 @@ def cmd_chevalley_verify(args) -> int:
                 if not rs.is_root(root_add(a, b)):
                     continue
                 try:
-                    torus_witness(a, b, q, "chevalley", model=model)
+                    torus_witness(a, b, q, model=model)
                 except HypothesisError:
                     pass          # orthogonal pairs are excluded at small q
                 except (ConstructionBug, RootError):
@@ -333,6 +334,16 @@ def _open_cache(args):
     return Cache(cache_dir) if cache_dir else contextlib.nullcontext()
 
 
+def _at_least(least: int):
+    "An argparse type: an int no smaller than `least`."
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unirack")
     ap.add_argument("--output", default="-")
@@ -340,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timings", action="store_true",
                     help="attach wall-clock timings (breaks byte-stability)")
     ap.add_argument("--cache-dir", default=None)
-    ap.add_argument("--orbit-cap", type=int, default=10**6)
-    ap.add_argument("--pair-cap", type=int, default=None,
+    ap.add_argument("--orbit-cap", type=_at_least(1), default=10**6)
+    ap.add_argument("--pair-cap", type=_at_least(1), default=None,
                     help="cap on the not-D pair evaluations of one run "
                          "(enables resume: each rerun evaluates up to this "
                          "many more); the not-F scan always runs to the end")
-    ap.add_argument("--sample-pairs", type=int, default=64)
+    ap.add_argument("--sample-pairs", type=_at_least(0), default=64)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, with_label=True, families=("sp",)):

@@ -107,7 +107,6 @@ class DPairResult(NamedTuple):
     kind: str                  # degenerate_commuting | degenerate_square |
     #                            witness | same_orbit | cap_exceeded
     witness: DWitness | None = None
-    note: str = ""
 
 
 def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
@@ -127,7 +126,7 @@ def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
     orb_r = orbit_under(r, [r, s], cap=cap)
     orb_s = orbit_under(s, [r, s], cap=cap) if orb_r.complete else None
     if orb_s is None or not orb_s.complete:
-        return DPairResult("cap_exceeded", note=f"orbit cap {cap} exceeded")
+        return DPairResult("cap_exceeded")
     if orb_r.packed & orb_s.packed:
         return DPairResult("same_orbit")
     size = None
@@ -157,17 +156,17 @@ class FWitness(NamedTuple):
         sets = [set(t) for t in self.subracks]
         for a in range(4):
             if self.reps[a].pack() not in sets[a]:
-                return FFailure("membership", (a + 1,))
+                return FFailure("membership")
         for a in range(4):
             for b in range(a + 1, 4):
                 if sets[a] & sets[b]:
-                    return FFailure("disjointness", (a + 1, b + 1))
+                    return FFailure("disjointness")
         for a in range(4):
             for b in range(4):
                 if a != b:
                     x, y = self.reps[a], self.reps[b]
                     if x * y * x.inverse() == y:
-                        return FFailure("fixing", (a + 1, b + 1))
+                        return FFailure("fixing")
         F, n = self.reps[0].field, self.reps[0].n
         mats = [[Mat(F, n, tuple(p)) for p in t] for t in self.subracks]
         for a in range(4):
@@ -175,7 +174,7 @@ class FWitness(NamedTuple):
                 image = {(x * y * x.inverse()).pack()
                          for x in mats[a] for y in mats[b]}
                 if image != sets[b]:
-                    return FFailure("stability", (a + 1, b + 1))
+                    return FFailure("stability")
         return self
 
     def to_json(self) -> dict:
@@ -189,7 +188,6 @@ class FWitness(NamedTuple):
 
 class FFailure(NamedTuple):
     condition: str            # membership | disjointness | fixing | stability
-    indices: tuple
 
     def __bool__(self):
         return False
@@ -198,8 +196,8 @@ class FFailure(NamedTuple):
 def check_f_family(reps, u_group, builder: str = "torus_translates"):
     """Verify a 4-family: R_a = U > r_a.
 
-    Returns an FWitness on success, otherwise a structured FFailure naming
-    the violated condition and the indices involved.
+    Returns an FWitness on success, otherwise an FFailure naming the
+    violated condition.
     """
     reps = tuple(reps)
     if len(reps) != 4:
@@ -234,6 +232,26 @@ def recheck(value, u_group) -> bool:
         return True
     except (LookupError, TypeError, AttributeError, ValueError):
         return False
+
+
+def resume_holds(state, class_size: int) -> bool:
+    """Whether a partial entry's resume state, as `refute_d` writes it, can
+    resume the not-D scan of a class of `class_size` elements: its keys are
+    exactly "next_index" and "stats", the stats count exactly what
+    `refute_d` counts, every value is a non-negative int, 1 <= next_index
+    <= class_size, and every pair before next_index is counted once, in one
+    outcome.  A forged state that keeps these invariants still resumes."""
+    if not isinstance(state, dict) or set(state) != {"next_index", "stats"}:
+        return False
+    nxt, stats = state["next_index"], state["stats"]
+    if not isinstance(stats, dict) or set(stats) != {
+            "class_size", "pairs", "degenerate", "same_orbit", "cap_skipped"}:
+        return False
+    if not all(type(v) is int and v >= 0 for v in (nxt, *stats.values())):
+        return False
+    return (1 <= nxt <= stats["class_size"] == class_size
+            and stats["pairs"] == nxt - 1 == stats["degenerate"]
+            + stats["same_orbit"] + stats["cap_skipped"])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +380,7 @@ def _joint(perms, family, cap: int) -> bool:
     return True
 
 
-def refute_f(spec, orbit: Orbit, budget: Budget = Budget()):
+def refute_f(orbit: Orbit, budget: Budget = Budget()):
     """Certify the necessary condition for type F on the class.
 
     The compatibility graph has an edge (x, y) iff x > y != y and the
@@ -376,10 +394,9 @@ def refute_f(spec, orbit: Orbit, budget: Budget = Budget()):
 
     The scan reads index rows of the class's conjugation rack: the row of
     the fixed representative 0 gives its neighbours, and their rows give
-    the edges between them and the joint tests.  `spec` is not read; it is
-    accepted so that both refutations take the same arguments.  Returns a
-    Certificate, or a dict describing a surviving 4-clique (type F then
-    stays undecided: the conditions are only necessary).
+    the edges between them and the joint tests.  Returns a Certificate, or
+    {"kind": "clique_found", "stats": ...} when a 4-clique survives (type F
+    then stays undecided: the conditions are only necessary).
     """
     mats, row = _class_rows(orbit)
     r0, cap = row(0), budget.orbit_cap
@@ -425,8 +442,7 @@ def refute_f(spec, orbit: Orbit, budget: Budget = Budget()):
                 stats["joint_tests"] += 1
                 family = (0, neighbors[i], neighbors[j], neighbors[k])
                 if _joint((r0, nrows[i], nrows[j], nrows[k]), family, cap):
-                    return {"clique": [mats[a].pack() for a in family],
-                            "stats": stats}
+                    return {"kind": "clique_found", "stats": stats}
     # Only cliques through the fixed representative are enumerated.  The
     # graph is vertex-transitive (conjugation by the group is a rack
     # automorphism of the class), so every other 4-clique is a translate of
@@ -480,7 +496,7 @@ def find_d_torus(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | Non
             if not ab_property(model, word, a, b):
                 continue
             try:
-                w = torus_witness(a, b, ctx.spec.q, "chevalley", model=model)
+                w = torus_witness(a, b, ctx.spec.q, model=model)
             except HypothesisError:
                 continue
             t = w.torus.mat
@@ -653,22 +669,18 @@ def strategies() -> tuple:
 
 class Verdict(NamedTuple):
     kind: str                           # D | F | cthulhu | unknown
-    witness_d: DWitness | None = None
-    witness_f: FWitness | None = None
+    witness: DWitness | FWitness | None = None
     cert_not_d: Certificate | None = None
     cert_not_f: Certificate | None = None
     strategy: str = ""
     seed: int = 0
     logs: tuple = ()
-    clique: dict | None = None
 
     def to_json(self) -> dict:
         out = {"verdict": self.kind, "strategy": self.strategy, "seed": self.seed,
                "logs": list(self.logs)}
-        if self.witness_d:
-            out["witness"] = self.witness_d.to_json()
-        if self.witness_f:
-            out["witness"] = self.witness_f.to_json()
+        if self.witness:
+            out["witness"] = self.witness.to_json()
         if self.cert_not_d:
             out["cert_not_d"] = self.cert_not_d.to_json()
         if self.cert_not_f:
@@ -689,24 +701,22 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
     for name, kind, finder, miss in strategies():
         w = finder(ctx, budget, seed)
         if w:
-            return Verdict(kind, witness_d=w if kind == "D" else None,
-                           witness_f=w if kind == "F" else None,
-                           strategy=name, seed=seed, logs=tuple(logs))
+            return Verdict(kind, w, strategy=name, seed=seed, logs=tuple(logs))
         logs.append(miss)
 
     got = refute_d(ctx.spec, ctx.orbit, budget, resume=resume,
                    checkpoint_cb=checkpoint_cb)
     if isinstance(got, DWitness):
-        return Verdict("D", witness_d=got, strategy="exhaustive", seed=seed,
+        return Verdict("D", got, strategy="exhaustive", seed=seed,
                        logs=tuple(logs))
     cert_d = got
     if not cert_d.complete:
         return Verdict("unknown", cert_not_d=cert_d, strategy="budget",
                        seed=seed, logs=tuple(logs + ["refute_d capped"]))
 
-    got_f = refute_f(ctx.spec, ctx.orbit, budget)
+    got_f = refute_f(ctx.orbit, budget)
     if isinstance(got_f, dict):
-        return Verdict("unknown", cert_not_d=cert_d, clique=got_f,
+        return Verdict("unknown", cert_not_d=cert_d,
                        strategy="clique-found", seed=seed,
                        logs=tuple(logs + ["4-clique exists; type F undecided"]))
     return Verdict("cthulhu", cert_not_d=cert_d, cert_not_f=got_f,

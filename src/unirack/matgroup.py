@@ -217,7 +217,7 @@ def j_mat(field: Field, n: int) -> Mat:
 
 
 class GroupSpec(NamedTuple):
-    family: str                    # GL | SL | Sp | GU | SU
+    family: str                    # SL | Sp | GU | SU
     n: int                         # matrix size
     q: int                         # defining field size (entries over q^2 for GU/SU)
     field: Field
@@ -299,13 +299,11 @@ def _line_perms(F: Field, n: int, mats) -> list[tuple[int, ...]]:
 
 
 def classical_order(family: str, n: int, q: int) -> int:
-    if family == "GL":
+    if family == "SL":
         o = q ** (n * (n - 1) // 2)
-        for i in range(1, n + 1):
+        for i in range(2, n + 1):
             o *= q**i - 1
         return o
-    if family == "SL":
-        return classical_order("GL", n, q) // (q - 1)
     if family == "Sp":
         if n % 2:
             raise GroupError("symplectic groups need even matrix size")
@@ -345,7 +343,7 @@ def _field_basis_scalars(F: Field) -> list[int]:
     return [F.pow(F.generator, j) for j in range(F.m)] if F.q > 2 else [1]
 
 
-def _sl_generators(F: Field, n: int, general: bool) -> list[Mat]:
+def _sl_generators(F: Field, n: int) -> list[Mat]:
     gens = []
     for i in range(n - 1):
         for c in _field_basis_scalars(F):
@@ -360,10 +358,6 @@ def _sl_generators(F: Field, n: int, general: bool) -> list[Mat]:
         t[0] = F.generator
         t[n + 1] = F.inv(F.generator)
         gens.append(Mat(F, n, t))
-    if general and F.q > 2:
-        d = list(identity_flat(n))
-        d[0] = F.generator
-        gens.append(Mat(F, n, d))
     return gens
 
 
@@ -374,18 +368,15 @@ def group_spec(family: str, n: int, q: int) -> GroupSpec:
     `n` is the matrix size.  Unitary groups are implemented for n = 3 (the
     block constructions elsewhere only need those).
     """
-    family = family.strip()
-    fam_map = {"gl": "GL", "sl": "SL", "sp": "Sp", "gu": "GU", "su": "SU"}
-    family = fam_map.get(family.lower(), family)
-    if family not in ("GL", "SL", "Sp", "GU", "SU"):
+    if family not in ("SL", "Sp", "GU", "SU"):
         raise GroupError(f"unsupported family {family!r}")
     if n < 2 or n > 10 or q < 2 or q > 16:
         raise GroupError(f"{family}{n}({q}) is outside the supported desk-scale range")
     p, m = prime_power(q, GroupError)
 
-    if family in ("GL", "SL"):
+    if family == "SL":
         F = make_field(p, m)
-        gens = _sl_generators(F, n, family == "GL")
+        gens = _sl_generators(F, n)
         return GroupSpec(family, n, q, F, None, tuple(gens), classical_order(family, n, q))
 
     if family == "Sp":
@@ -416,8 +407,6 @@ def membership(X: Mat, spec: GroupSpec) -> bool:
     if X.field is not spec.field:
         raise FieldError("matrix entries live in the wrong field")
     fam = spec.family
-    if fam == "GL":
-        return X.det() != 0
     if fam == "SL":
         return X.det() == 1
     if fam == "Sp":
@@ -743,10 +732,6 @@ def enumerate_group(spec: GroupSpec, cap: int = 3 * 10**6) -> Orbit:
 class SplitClass(NamedTuple):
     orbit: Orbit
     members: tuple          # packed members of the input covered by this orbit
-
-    @property
-    def size(self):
-        return self.orbit.size
 
 
 def split_classes(elements, spec: GroupSpec) -> list[SplitClass]:

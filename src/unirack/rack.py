@@ -235,7 +235,6 @@ def decompose(rack: Rack, subset=None) -> list[tuple]:
 
 class SoberReport(NamedTuple):
     sober: bool
-    mode: str                    # exhaustive | pairs
     basis: str                   # all-subracks | 2-generated
     counterexample: tuple | None
     subracks_scanned: int
@@ -267,8 +266,8 @@ def sober_check(rack: Rack, mode: str = "exhaustive") -> SoberReport:
             continue
         seen.add(sub.members)
         if not sub.abelian and not sub.indecomposable:
-            return SoberReport(False, mode, basis, sub.members, len(seen))
-    return SoberReport(True, mode, basis, None, len(seen))
+            return SoberReport(False, basis, sub.members, len(seen))
+    return SoberReport(True, basis, None, len(seen))
 
 
 def _all_subracks(rack: Rack) -> list[tuple]:

@@ -51,7 +51,7 @@ def test_acceptance_01_pair_split_row_q3():
     d_entry, d_verdict = next((e, v) for e, v in zip(entries, verdicts)
                               if v.kind == "D")
     c_verdict = next(v for v in verdicts if v.kind == "cthulhu")
-    ok = ok and recheck(d_verdict.witness_d.to_json(), ())
+    ok = ok and recheck(d_verdict.witness.to_json(), ())
     # the printed pair: the first-simple-root element lands in the D class
     model = cat.model
     F = model.field
@@ -220,7 +220,7 @@ def test_acceptance_09_torus_witness_calculus():
         for q in (5, 7, 9):
             model = symplectic_model(rank, q)
             for a, b in pairs:
-                w = torus_witness(a, b, q, "chevalley", model=model)
+                w = torus_witness(a, b, q, model=model)
                 ok = ok and w.check()
     for q in (8, 9, 11, 13):
         fam = torus_family((1, -1), (0, 2), q, "chevalley",

@@ -180,6 +180,31 @@ def test_capped_scan_writes_its_partial_entry_once(tmp_path, monkeypatch):
     assert puts[0]["state"]["next_index"] == 11
 
 
+@pytest.mark.parametrize("tamper", ["unknown-keys", "next-index-past-pairs"])
+def test_tampered_resume_state_reads_as_a_miss(tmp_path, tamper):
+    """A partial entry whose state breaks the scan's invariants is not
+    resumed: the scan starts from 0, certifies all 44 pairs of the class,
+    and its final entry overwrites the partial one."""
+    cache_dir = tmp_path / "cache"
+    argv = ["refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "V(2)^2"]
+    code, _ = run(tmp_path, "--cache-dir", str(cache_dir), "--pair-cap", "10",
+                  *argv)
+    assert code == 3
+    (path,) = cache_dir.glob("*.json")
+    entry = json.loads(path.read_text())
+    if tamper == "unknown-keys":
+        entry["value"]["state"] = {"bogus": 1}
+    else:
+        assert entry["value"]["state"]["next_index"] == 11
+        entry["value"]["state"]["next_index"] = 45
+    path.write_text(canonical_json(entry))
+    code, text = run(tmp_path, "--cache-dir", str(cache_dir), *argv)
+    cert = json.loads(text)["results"][0]
+    assert (code, cert["complete"], cert["stats"]["pairs"]) == (0, True, 44)
+    assert cert["verdict_basis"] == "exhaustive" and "cached" not in cert
+    assert json.loads(path.read_text())["value"]["final"]
+
+
 def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
     """The not-F scan runs to the end every time: a non-final entry under
     its key neither adds its stats nor stops the scan."""
@@ -493,6 +518,10 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     entry["artifact_version"] = "0.0.0"
     path.write_text(canonical_json(entry))
     assert c.get(key) is None
+    # well-formed JSON that is not an entry object is a miss
+    for text in ("[]", "1", "null", '"value"'):
+        path.write_text(text)
+        assert c.get(key) is None
 
 
 def test_cache_lock_is_exclusive(tmp_path):
@@ -513,6 +542,15 @@ def test_usage_errors(tmp_path, capsys):
         capsys.readouterr()
         assert run(tmp_path, *argv) == (64, "")
         assert capsys.readouterr().err.startswith("error: ")
+    # caps are checked as the command line is parsed
+    for argv in (("--pair-cap", "0", "refute", "--kind", "d", "--n", "2",
+                  "--q", "2", "--label", "V(2)^2"),
+                 ("--orbit-cap", "-1", "classify", "--n", "2", "--q", "2",
+                  "--label", "V(4)"),
+                 ("--sample-pairs", "-3", "classify", "--n", "2", "--q", "2")):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == (64, "")
+        assert "must be at least" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

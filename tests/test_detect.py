@@ -78,7 +78,7 @@ def test_dwitness_revalidates_independently(sp42):
     ctx = class_context(e, sp42)
     v = classify(ctx)
     assert v.kind == "D"
-    js = v.witness_d.to_json()
+    js = v.witness.to_json()
     assert recheck(js, ())
     assert js["kind"] == "witness_D" and js["orbit_sizes"][0] >= 1
 
@@ -101,7 +101,7 @@ def test_refute_d_finds_witness_on_a_collapsing_class(sp42):
 
 def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
     "A witness costs its two orbits; checking it again is the caller's call."
-    w = classify(class_context(entry(sp43, "(2^2)", 1), sp43)).witness_d
+    w = classify(class_context(entry(sp43, "(2^2)", 1), sp43)).witness
     calls = []
 
     def counted(*args, **kwargs):
@@ -141,6 +141,38 @@ def test_refute_d_pair_cap_and_resume(sp42):
     assert resumed.stats["pairs"] == 44
 
 
+def test_resume_holds_checks_each_invariant(sp42):
+    "The state a capped scan writes resumes; each broken invariant does not."
+    from unirack.detect import resume_holds
+    e = entry(sp42, "V(2)^2")
+    state = refute_d(sp42.spec, e.orbit,
+                     Budget(refute_pair_cap=10)).resume_state
+    assert resume_holds(state, 45) and not resume_holds(state, 44)
+
+    def edited(next_index=None, **stats):
+        nxt = state["next_index"] if next_index is None else next_index
+        return {"next_index": nxt, "stats": {**state["stats"], **stats}}
+
+    assert resume_holds(edited(), 45)
+    s = state["stats"]
+    broken = [
+        None, [], "state", {"bogus": 1}, {**state, "extra": 0},
+        {"next_index": 11}, {"next_index": 11, "stats": []},
+        {"next_index": 11, "stats": {k: v for k, v in s.items()
+                                     if k != "cap_skipped"}},
+        edited(extra=0),
+        edited(next_index=11.0),                        # not an int
+        edited(cap_skipped=bool(s["cap_skipped"])),     # a bool is no count
+        edited(degenerate=-1, same_orbit=s["same_orbit"] + s["degenerate"] + 1),
+        edited(next_index=45),                          # pairs lag behind
+        edited(next_index=0, pairs=0, degenerate=0, same_orbit=0),
+        edited(next_index=46, pairs=45, degenerate=s["degenerate"] + 35),
+        edited(degenerate=s["degenerate"] + 1),         # outcomes exceed pairs
+        edited(class_size=44),
+    ]
+    assert [resume_holds(b, 45) for b in broken] == [False] * len(broken)
+
+
 def test_refute_d_equivariance_spot_check(sp43):
     "Conjugated pairs give the same pair outcome."
     e = entry(sp43, "(2^2)", 0)
@@ -158,7 +190,7 @@ def test_refute_d_equivariance_spot_check(sp43):
 
 def test_refute_f_certificate_on_s6_double_transpositions(sp42):
     e = entry(sp42, "V(2)^2")
-    got = refute_f(sp42.spec, e.orbit)
+    got = refute_f(e.orbit)
     assert isinstance(got, Certificate)
     assert got.kind == "not_F" and got.basis == "necessary-condition"
     assert got.stats["class_size"] == 45
@@ -167,7 +199,7 @@ def test_refute_f_certificate_on_s6_double_transpositions(sp42):
 def test_refute_f_trivially_empty_graph_on_transvections(sp42):
     "Any two transvections either commute or generate one orbit: no edges."
     e = entry(sp42, "V(2)+W(1)")
-    got = refute_f(sp42.spec, e.orbit)
+    got = refute_f(e.orbit)
     assert isinstance(got, Certificate)
     assert got.stats["row_edges"] == 0
 
@@ -199,13 +231,13 @@ def test_check_f_family_reports_stability():
     fourth representative swapped for another element of the class."""
     cat = group_catalog(4, 4)
     e = entry(cat, "V(4)")
-    reps = classify(class_context(e, cat)).witness_f.reps
+    reps = classify(class_context(e, cat)).witness.reps
     assert isinstance(check_f_family(reps, cat.u_group), FWitness)
     x = mat_from_ints(cat.spec.field, [[0, 0, 0, 1], [0, 0, 1, 0],
                                        [0, 1, 1, 1], [1, 0, 1, 1]])
     assert e.orbit.contains(x)
     got = check_f_family(reps[:3] + (x,), cat.u_group)
-    assert got == FFailure("stability", (4, 1))
+    assert got == FFailure("stability")
 
 
 def test_diagonal_translate_f_family_sp44():
@@ -215,10 +247,10 @@ def test_diagonal_translate_f_family_sp44():
     ctx = class_context(e, cat)
     v = classify(ctx)
     assert v.kind == "F" and v.strategy == "torus"
-    assert recheck(v.witness_f.to_json(), cat.u_group)
-    assert len(v.witness_f.subracks) == 4
+    assert recheck(v.witness.to_json(), cat.u_group)
+    assert len(v.witness.subracks) == 4
     # the family representatives are genuine class members
-    for m in v.witness_f.reps:
+    for m in v.witness.reps:
         assert e.orbit.contains(m) or cat.entries[0] is not None
 
 
@@ -259,8 +291,8 @@ def test_torus_strategy_drives_regular_odd_class(sp43):
     e = entry(sp43, "(4)")
     v = classify(class_context(e, sp43))
     assert v.kind == "D" and v.strategy == "torus"
-    assert v.witness_d.strategy == "torus"
-    assert recheck(v.witness_d.to_json(), ())
+    assert v.witness.strategy == "torus"
+    assert recheck(v.witness.to_json(), ())
 
 
 def test_classify_exit_code_path_budget(tmp_path):
@@ -381,5 +413,5 @@ def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
             assert got_d.to_json() == want_d.to_json()
             continue
         assert got_d.complete and got_d.stats == want_d
-        got_f = refute_f(spec, orbit)
+        got_f = refute_f(orbit)
         assert isinstance(got_f, Certificate) and got_f.stats == want_f

@@ -11,15 +11,22 @@ Imports and docstrings do not count, and neither do dunder methods, which
 Python calls itself.  The exceptions are the names in `GATE`, which
 only the tests call: the acceptance criteria and the references that the
 tests check the system against.
+
+Every field of a `typing.NamedTuple` record in `src/unirack` must be read
+somewhere in `src`, `perfbench` or `tests`: as an attribute that is loaded,
+or as the string name of a `getattr`.  Fields are matched by name, as
+definitions are, so state that is built and never read fails the check.
 """
 
 import ast
+import functools
 import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "unirack"
 PERFBENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 # (name, why only the tests call it): acceptance criteria and the references
 # that the tests check the system against
@@ -63,29 +70,51 @@ def _docstrings(tree):
     return out
 
 
+def _is_record(cls):
+    "Whether a class statement derives from `typing.NamedTuple`."
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+               or isinstance(b, ast.Attribute) and b.attr == "NamedTuple"
+               for b in cls.bases)
+
+
+@functools.lru_cache(maxsize=None)
 def _scan(path, strings):
-    """(definitions, uses) of one file: definitions as (name, first line,
-    last line, is a method), uses as (name, line, is a bare name).  The
-    words of its string constants are uses only if `strings` is set."""
+    """(definitions, uses, fields, reads) of one file: definitions as (name,
+    first line, last line, is a method), uses as (name, line, is a bare
+    name), the fields of its NamedTuple records as (record, field), and
+    reads as the set of attribute names loaded or named by a `getattr`
+    string.  The words of its string constants are uses only if `strings`
+    is set."""
     tree = ast.parse(path.read_text(), str(path))
     docs = _docstrings(tree)
     methods = {node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                for node in cls.body}
-    defs, uses = [], []
+    defs, uses, fields, reads = [], [], [], set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             defs.append((node.name, node.lineno, node.end_lineno,
                          node in methods))
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                fields.extend((node.name, st.target.id) for st in node.body
+                              if isinstance(st, ast.AnnAssign)
+                              and isinstance(st.target, ast.Name))
         elif isinstance(node, ast.Name):
             uses.append((node.id, node.lineno, True))
         elif isinstance(node, ast.Attribute):
             uses.append((node.attr, node.end_lineno, False))
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            reads.add(node.args[1].value)
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str) and node not in docs):
             uses.extend((w, node.lineno, False)
                         for w in WORD.findall(node.value))
-    return defs, uses
+    return defs, uses, fields, reads
 
 
 def orphans():
@@ -100,7 +129,7 @@ def orphans():
             named = any(
                 used == name and not (method and bare)
                 and (g != f or not first <= line <= last)
-                for g, (_, uses) in scans.items()
+                for g, (_, uses, _, _) in scans.items()
                 for used, line, bare in uses)
             if not named:
                 out.append(f"{f.name}:{first} {name}")
@@ -115,3 +144,17 @@ def test_every_gate_name_is_defined_and_unreached():
     "A gate name that the system comes to call leaves the list."
     assert sorted(o.split()[1] for o in orphans()
                   if o.split()[1] in GATE_NAMES) == sorted(GATE_NAMES)
+
+
+def unread_fields():
+    "`Record.field` of each NamedTuple field in `src` that nothing reads."
+    files = [(f, _scan(f, False)) for f in sorted(SRC.glob("*.py"))]
+    files += [(f, _scan(f, True)) for f in sorted(PERFBENCH.glob("*.py"))]
+    files += [(f, _scan(f, False)) for f in sorted(TESTS.glob("*.py"))]
+    reads = set().union(*(scan[3] for _, scan in files))
+    return [f"{record}.{field}" for f, scan in files if f.parent == SRC
+            for record, field in scan[2] if field not in reads]
+
+
+def test_every_record_field_is_read():
+    assert unread_fields() == []
