@@ -6,5 +6,5 @@ type D, type F, or cthulhu, with verified witnesses for the first two and
 exhaustive refutation certificates for the last.
 """
 
-ARTIFACT_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
+ARTIFACT_VERSION = "0.2.0"
+SCHEMA_VERSION = 2

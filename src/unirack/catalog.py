@@ -6,24 +6,27 @@ Odd q: classes are labelled by symplectic partitions (odd parts occur with
 even multiplicity).  Even q: by the orthogonal decomposition of the natural
 module into W(m)-terms (a pair of Jordan blocks of size m, an embedded
 general-linear action) and V(2k)-terms (a single regular symplectic block),
-with V-multiplicities at most 2.  Splitting of a label into group classes
-is always recomputed empirically: every class meets the unipotent radical
-of the standard Borel, so grouping U^F by label and splitting each group by
-conjugation orbits is exhaustive.
+with V-multiplicities at most 2.  Every class meets the unipotent radical
+U^F of the standard Borel, so a label's classes are found by splitting its
+elements in U^F.  For odd q the split is Wall's invariant (`class_key`):
+one square class per even part, numbered square first, with each class
+size |G| / |C(u)| from its centralizer order, and a class's orbit is built
+only when a scan reads it.  For even q the split is by conjugation orbits.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from typing import NamedTuple
 
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
 from .ffield import embedding, make_field, prime_power
 from .matgroup import (
-    Mat, Orbit, _x_minus_one, class_orbit, format_partition, group_spec,
-    identity_flat, is_unipotent, jordan_partition, mul_flat, membership,
-    row_reduce, rows_flat, split_classes, subgroup_closure, transpose_flat,
-    unitary_twist,
+    Mat, Orbit, _x_minus_one, class_orbit, classical_order, det_flat,
+    format_partition, group_spec, identity_flat, is_unipotent,
+    jordan_partition, mul_flat, membership, row_reduce, rows_flat,
+    split_classes, subgroup_closure, transpose_flat, unitary_twist,
 )
 from .detect import (
     ClassContext, DWitness, collapse_eq_holds, d_pair, mat_json,
@@ -58,7 +61,6 @@ class UnipotentLabel(NamedTuple):
 
     def validate(self):
         if self.parity == "odd":
-            from collections import Counter
             c = Counter(self.partition)
             for part, mult in c.items():
                 if part % 2 and mult % 2:
@@ -161,7 +163,6 @@ def enumerate_labels(n2: int, q: int) -> list[UnipotentLabel]:
     out = []
     if q % 2:
         for parts in _partitions(n2, n2):
-            from collections import Counter
             c = Counter(parts)
             if any(p % 2 and m % 2 for p, m in c.items()):
                 continue
@@ -262,7 +263,6 @@ def _placed_blocks(label: UnipotentLabel, n2: int, q: int,
         raise CatalogError(f"label {label} does not fit dimension {n2}")
     terms = []                    # (kind, param) per block
     if label.parity == "odd":
-        from collections import Counter
         c = Counter(label.partition)
         for part in sorted(c, reverse=True):
             if part % 2 == 0:
@@ -338,8 +338,8 @@ def _has_form_defect(u: Mat, form: Mat, two_k: int) -> bool:
     all of F_q^d iff its coefficients G_aa and G_ab + G_ba all vanish."""
     F, n = u.field, u.n
     N = _x_minus_one(u).flat
-    Nk1 = identity_flat(n)                 # N^(2k-1)
-    for _ in range(two_k - 1):
+    Nk1 = N                                # N^(2k-1)
+    for _ in range(two_k - 2):
         Nk1 = mul_flat(F, n, Nk1, N)
     kernel = _nullspace(F, n, mul_flat(F, n, Nk1, N))
     # K is n x n with zero columns after the basis, so G is 0 past them
@@ -362,7 +362,6 @@ def decomposition_type(u: Mat, spec) -> UnipotentLabel:
     if spec.q % 2:
         raise CatalogError("decomposition types are an even-q notion")
     parts = jordan_partition(u)
-    from collections import Counter
     c = Counter(parts)
     terms = []
     for part in sorted(c, reverse=True):
@@ -392,21 +391,135 @@ def label_of(u: Mat, spec) -> UnipotentLabel:
 
 
 # ---------------------------------------------------------------------------
-# the group catalog: every unipotent class, split empirically
+# odd-q class keys and sizes (Wall)
 
 
-class ClassEntry(NamedTuple):
-    label: UnipotentLabel
-    split_index: int
-    orbit: Orbit
-    u_members: tuple          # class members inside U^F, as Mats
+def _discriminant(F, n: int, G) -> int:
+    """The discriminant of the symmetric form with flat Gram matrix G
+    modulo its radical: the determinant of G on the pivot columns J of its
+    row reduction.  The columns J are a basis of the column space, and by
+    symmetry the rows J of the row space, so G[J, J] is nonsingular and J
+    spans a complement of the radical."""
+    pivots, _ = row_reduce(F, rows_flat(n, G), n)
+    minor = [G[i * n + j] for i in pivots for j in pivots]
+    return det_flat(F, len(pivots), minor)
+
+
+def square_classes(u: Mat, form: Mat, partition) -> tuple:
+    """Wall's invariant of a unipotent u of Sp(form) over odd q, one entry
+    per even part i of its Jordan `partition`, largest first: 0 when the
+    symmetric form (v, w) -> <v, N^(i-1) w> on ker N^i, N = u - 1, has a
+    square discriminant modulo its radical, 1 when not.  On the quotient
+    the form is nondegenerate, of dimension the multiplicity of i, and the
+    partition with these square classes fixes the class of u (G. E. Wall,
+    J. Austral. Math. Soc. 3, 1963).  With the kernel basis as the columns
+    of K, the Gram matrix is K^T B N^(i-1) K, B the form; for the largest
+    part, N^i = 0 and K is the identity."""
+    F, n = u.field, u.n
+    N = _x_minus_one(u).flat
+    out = []
+    for i in sorted({p for p in partition if p % 2 == 0}, reverse=True):
+        Ni1 = N
+        for _ in range(i - 2):
+            Ni1 = mul_flat(F, n, Ni1, N)
+        G = mul_flat(F, n, form.flat, Ni1)
+        if i < max(partition):
+            kernel = _nullspace(F, n, mul_flat(F, n, Ni1, N))
+            # K^T: the basis as rows, then zero rows
+            Kt = [x for v in kernel for x in v]
+            Kt += [0] * (n * n - len(Kt))
+            G = mul_flat(F, n, Kt, mul_flat(F, n, G, transpose_flat(n, Kt)))
+        out.append(0 if F.is_square(_discriminant(F, n, G)) else 1)
+    return tuple(out)
+
+
+def class_key(u: Mat, spec) -> tuple:
+    """(label, square classes) of a unipotent u of Sp_2n(q), q odd: two
+    such elements are conjugate iff their keys are equal."""
+    label = label_of(u, spec)
+    return label, square_classes(u, spec.form, label.partition)
+
+
+def centralizer_order(partition, squares, q: int) -> int:
+    """|C(u)| for u in Sp(q), q odd, with Jordan `partition` and Wall's
+    `squares` (as `square_classes` gives them): q^(dim C - dim R) |R(q)|.
+    dim C is half the sum of the squared parts of the dual partition plus
+    half the number of odd parts.  The reductive part R has a factor Sp_m
+    for each odd part of multiplicity m and O_m for each even part; for
+    even m, O_m is of plus type iff (-1)^(m/2) times the discriminant is a
+    square.  |O_(2k+1)| = 2 |Sp_2k| and |O_2k^+-| = 2 q^(k-1) (q^k -+ 1)
+    |Sp_(2k-2)| (Liebeck and Seitz, Unipotent and Nilpotent Classes, 2012)."""
+    dual = [sum(p > j for p in partition) for j in range(max(partition))]
+    dim = (sum(d * d for d in dual) + sum(p % 2 for p in partition)) // 2
+    evens = sorted({p for p in partition if p % 2 == 0}, reverse=True)
+    order = 1
+    for part, m in Counter(partition).items():
+        k = m // 2
+        if part % 2:
+            order *= classical_order("Sp", m, q)
+            dim -= m * (m + 1) // 2
+            continue
+        dim -= m * (m - 1) // 2
+        if m % 2:
+            order *= 2 * classical_order("Sp", m - 1, q)
+            continue
+        minus_one_nonsquare = k % 2 == 1 and q % 4 == 3
+        plus = minus_one_nonsquare == bool(squares[evens.index(part)])
+        order *= (2 * q ** (k - 1) * (q ** k - (1 if plus else -1))
+                  * classical_order("Sp", m - 2, q))
+    return q ** dim * order
+
+
+# ---------------------------------------------------------------------------
+# the group catalog: every unipotent class
+
+
+class ClassEntry:
+    """One unipotent class: its label, split index, members in U^F (in
+    flat order) and size.  An odd-q class found by `class_key` holds the
+    key, which tests membership, and its size from its centralizer order;
+    its orbit is built on first read, once, from its least U^F member.  A
+    class made from an orbit, as the even-q split and
+    `ClassEntry(label, 0, orbit, ())` make it, holds the orbit from the
+    start and tests membership in it."""
+
+    __slots__ = ("label", "split_index", "u_members", "size", "key",
+                 "_spec", "_orbit")
+
+    def __init__(self, label: UnipotentLabel, split_index: int,
+                 orbit: Orbit | None = None, u_members: tuple = (),
+                 size: int | None = None, key: tuple | None = None,
+                 spec=None):
+        self.label, self.split_index = label, split_index
+        self.u_members, self.key = u_members, key
+        self.size = orbit.size if size is None else size
+        self._spec, self._orbit = spec, orbit
 
     @property
-    def size(self) -> int:
-        return self.orbit.size
+    def orbit(self) -> Orbit:
+        """The class as a conjugation orbit.  A built orbit must have the
+        size the centralizer order gives: a capped orbit, or a formula at
+        fault, is an error, not a class to scan."""
+        if self._orbit is None:
+            orbit = class_orbit(self.rep(), self._spec)
+            if orbit.size != self.size:
+                raise CatalogError(f"the orbit of {self.label} split "
+                                   f"{self.split_index} has {orbit.size} "
+                                   f"elements, not {self.size}")
+            self._orbit = orbit
+        return self._orbit
 
     def rep(self) -> Mat:
-        return self.orbit.canonical_rep()
+        "The least U^F member of a keyed class, else its orbit's least element."
+        if self.key is None:
+            return self._orbit.canonical_rep()
+        return self.u_members[0]
+
+    def contains(self, x: Mat) -> bool:
+        "Whether the element x of G lies in this class."
+        if self.key is None:
+            return self._orbit.contains(x)
+        return is_unipotent(x) and class_key(x, self._spec) == self.key
 
 
 class GroupCatalog(NamedTuple):
@@ -425,7 +538,7 @@ class GroupCatalog(NamedTuple):
 @functools.lru_cache(maxsize=None)
 def _labelled_u(n2: int, q: int):
     """(spec, model, U^F, the nonidentity elements of U^F by label): U^F
-    is labelled once per group, a small fraction of a catalog's work."""
+    is labelled once per group."""
     spec = group_spec("Sp", n2, q)
     model = symplectic_model(n2 // 2, q)
     u_group = []
@@ -440,12 +553,24 @@ def _labelled_u(n2: int, q: int):
 
 @functools.lru_cache(maxsize=None)
 def label_classes(n2: int, q: int, label: UnipotentLabel) -> tuple:
-    """The classes of one label, as ClassEntry values: its elements in U^F
-    split into conjugation orbits, numbered by least packed element.  Every
-    class of the label meets U^F, so the split is exhaustive; a label that
-    does not occur has no classes."""
+    """The classes of one label, as ClassEntry values.  Every class of the
+    label meets U^F, so splitting its elements in U^F is exhaustive; a
+    label that does not occur has no classes.  For odd q they are grouped
+    by `class_key`, numbered by square classes, square first, and sized by
+    `centralizer_order`: no orbit is built.  For even q they are split into
+    conjugation orbits, numbered by least packed element."""
     spec, _, _, by_label = _labelled_u(n2, q)
     elements = by_label.get(label, ())
+    if q % 2:
+        groups: dict = {}
+        for u in sorted(elements):
+            groups.setdefault(
+                square_classes(u, spec.form, label.partition), []).append(u)
+        return tuple(
+            ClassEntry(label, k, None, tuple(members),
+                       spec.order // centralizer_order(label.partition, sq, q),
+                       (label, sq), spec)
+            for k, (sq, members) in enumerate(sorted(groups.items())))
     by_pack = {u.pack(): u for u in elements}
     split = sorted(split_classes(elements, spec),
                    key=lambda sc: min(sc.orbit.packed))
@@ -462,8 +587,8 @@ def label_catalog(n2: int, q: int, label: UnipotentLabel) -> GroupCatalog:
 
 @functools.lru_cache(maxsize=None)
 def group_catalog(n2: int, q: int) -> GroupCatalog:
-    """Every unipotent class: each label of U^F split into conjugation
-    orbits, checked by the class sizes summing to the unipotent count."""
+    """Every unipotent class: each label of U^F split by `label_classes`,
+    checked by the class sizes summing to the unipotent count."""
     spec, model, u_group, by_label = _labelled_u(n2, q)
     entries = [e for label in sorted(by_label)
                for e in label_classes(n2, q, label)]
@@ -506,7 +631,7 @@ def block_realizations(entry: ClassEntry, catalog: GroupCatalog) -> tuple:
             cand = representative(label, n2, q, scale_first_v=scale)
         except CatalogError:
             continue
-        if entry.orbit.contains(cand):
+        if entry.contains(cand):
             break
     else:
         return ()
@@ -529,7 +654,7 @@ def class_context(entry: ClassEntry, catalog: GroupCatalog) -> ClassContext:
     return ClassContext(
         spec=catalog.spec,
         rep=entry.rep(),
-        orbit=entry.orbit,
+        entry=entry,
         u_members=entry.u_members,
         model=catalog.model,
         blocks=block_realizations(entry, catalog),
@@ -562,7 +687,6 @@ def _is_odd_square_gt9(q: int) -> bool:
 
 
 def _expected_odd(label, n2, q) -> Expectation:
-    from collections import Counter
     c = Counter(label.partition)
     r2, r3 = c.get(2, 0), c.get(3, 0)
     if max(label.partition) >= 4:
@@ -772,12 +896,17 @@ def regular_pairs(spec, kind: str) -> PairReport:
 class GU3Report(NamedTuple):
     r: Mat
     s: Mat
+    g: Mat                    # over F_64, with g^-1 twist(g) = eta id
+    eta: int                  # a code of g's field
     witness: DWitness
     su_class_count: int
     checks: dict
 
     def to_json(self):
+        F = self.g.field
         return {"r": mat_json(self.r), "s": mat_json(self.s),
+                "g": mat_json(self.g),
+                "eta": {"code": self.eta, "text": F.format_element(self.eta)},
                 "su_class_count": self.su_class_count,
                 "checks": self.checks, "witness": self.witness.to_json()}
 
@@ -835,7 +964,7 @@ def gu3_witness() -> GU3Report:
         raise CatalogError(f"verification failed: {checks}")
     if checks["su_regular_class_count"] != 3:
         raise CatalogError("expected exactly 3 regular determinant-one classes")
-    return GU3Report(r, s, res.witness, len(parts), checks)
+    return GU3Report(r, s, g, eta64, res.witness, len(parts), checks)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,7 @@ def cmd_refute(args) -> int:
                     got = refute_d(cat.spec, entry.orbit, budget,
                                    resume=resume, checkpoint_cb=checkpoint)
                 else:
-                    got = refute_f(entry.orbit, budget)
+                    got = refute_f(entry.orbit)
                 if isinstance(got, Certificate):
                     return got.to_json(), got.complete, got.resume_state
                 if isinstance(got, dict):                  # clique_found
@@ -351,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--timings", action="store_true",
                     help="attach wall-clock timings (breaks byte-stability)")
     ap.add_argument("--cache-dir", default=None)
-    ap.add_argument("--orbit-cap", type=_at_least(1), default=10**6)
+    ap.add_argument("--orbit-cap", type=_at_least(1), default=10**6,
+                    help="cap on each matrix orbit that a search builds; "
+                         "the not-D and not-F scans of a class are bounded "
+                         "by the class alone")
     ap.add_argument("--pair-cap", type=_at_least(1), default=None,
                     help="cap on the not-D pair evaluations of one run "
                          "(enables resume: each rerun evaluates up to this "

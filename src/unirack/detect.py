@@ -245,13 +245,13 @@ def resume_holds(state, class_size: int) -> bool:
         return False
     nxt, stats = state["next_index"], state["stats"]
     if not isinstance(stats, dict) or set(stats) != {
-            "class_size", "pairs", "degenerate", "same_orbit", "cap_skipped"}:
+            "class_size", "pairs", "degenerate", "same_orbit"}:
         return False
     if not all(type(v) is int and v >= 0 for v in (nxt, *stats.values())):
         return False
     return (1 <= nxt <= stats["class_size"] == class_size
-            and stats["pairs"] == nxt - 1 == stats["degenerate"]
-            + stats["same_orbit"] + stats["cap_skipped"])
+            and stats["pairs"] == nxt - 1
+            == stats["degenerate"] + stats["same_orbit"])
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +286,11 @@ def _class_rows(orbit: Orbit):
     return mats, rack.conj_rows(mats)
 
 
-def _pair_split(px, py, x: int, y: int, cap: int):
+def _pair_split(px, py, x: int, y: int) -> bool:
     """Whether x and y lie in different orbits of <phi_x, phi_y>, the
-    <x,y>-conjugation orbits that `d_pair` builds from the matrices; None
-    when either orbit has more than `cap` points."""
-    orb, complete = rack.orbit((px, py), x, cap)
-    if not complete:
-        return None
-    if y in orb:
-        return False
-    return True if rack.orbit((px, py), y, cap)[1] else None
+    <x,y>-conjugation orbits that `d_pair` builds from the matrices.  An
+    orbit of indices never outgrows the class, so no orbit cap applies."""
+    return y not in rack.orbit((px, py), x, len(px))[0]
 
 
 def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
@@ -308,14 +303,14 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
     0 > j = j or 0 > (j > (0 > j)) = j, and a witness iff j is outside the
     orbit of 0 under <phi_0, phi_j>.  A cap on the pairs evaluated in this
     call, not counting those a resume restores, downgrades the certificate
-    to sampled and records a resume state.  `spec` is not read; it is
-    accepted because the benchmark's library tasks (perfbench/tasks.py)
-    pass it.
+    to sampled and records a resume state; the orbit cap does not apply
+    (see `_pair_split`).  `spec` is not read; it is accepted because the
+    benchmark's library tasks (perfbench/tasks.py) pass it.
     """
     mats, row = _class_rows(orbit)
-    rep, r0, cap = mats[0], row(0), budget.orbit_cap
+    rep, r0 = mats[0], row(0)
     stats = {"class_size": len(mats), "pairs": 0, "degenerate": 0,
-             "same_orbit": 0, "cap_skipped": 0}
+             "same_orbit": 0}
     start = 0
     if resume:
         start = resume["next_index"]
@@ -335,52 +330,43 @@ def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,
         rj = row(j) if k != j else None
         if rj is None or r0[rj[k]] == j:
             stats["degenerate"] += 1
+        elif _pair_split(r0, rj, 0, j):
+            # both <r,s>-orbits lie in the class, so its size caps nothing
+            res = d_pair(rep, mats[j], cap=len(mats), subgroup_cap=0)
+            if res.kind != "witness":
+                raise DetectError("rack rows and matrices disagree on a pair")
+            return res.witness
         else:
-            split = _pair_split(r0, rj, 0, j, cap)
-            if split:
-                res = d_pair(rep, mats[j], cap=cap, subgroup_cap=0)
-                if res.kind != "witness":
-                    raise DetectError("rack rows and matrices disagree on a pair")
-                return res.witness
-            stats["same_orbit" if split is False else "cap_skipped"] += 1
+            stats["same_orbit"] += 1
         if checkpoint_cb and stats["pairs"] % CHECKPOINT_EVERY == 0:
             checkpoint_cb({"next_index": j + 1, "stats": dict(stats)})
-    basis = "exhaustive" if stats["cap_skipped"] == 0 else "sampled"
-    return Certificate("not_D", basis, stats, _d_log(rep),
-                       complete=stats["cap_skipped"] == 0)
+    return Certificate("not_D", "exhaustive", stats, _d_log(rep))
 
 
 def _d_log(rep: Mat) -> dict:
     return {"fixed_representative": rep.text(), "equivariance": EQUIVARIANCE_NOTE}
 
 
-def _edge(px, py, x: int, y: int, cap: int) -> bool:
+def _edge(px, py, x: int, y: int) -> bool:
     """Compatibility-graph edge on the rows phi_x, phi_y: x > y != y and y
     outside the orbit of x under <phi_x, phi_y>."""
-    split = px[y] != y and _pair_split(px, py, x, y, cap)
-    if split is None:
-        raise DetectError("orbit cap exceeded in edge test")
-    return split
+    return px[y] != y and _pair_split(px, py, x, y)
 
 
-def _joint(perms, family, cap: int) -> bool:
+def _joint(perms, family) -> bool:
     """Necessary condition at the family level: the orbits of the members of
     `family` under the group generated by their rows `perms` stay pairwise
     disjoint (each stable subrack of a genuine family contains the orbit of
     its representative under conjugation by every family member).  Each
     orbit search stops as soon as it meets another family member.  Orbits
     under one group are equal or disjoint, so once no member's orbit holds
-    another member, the orbits are pairwise disjoint."""
-    for a in family:
-        orb, complete = rack.orbit(perms, a, cap, set(family) - {a})
-        if orb is None:
-            return False
-        if not complete:
-            raise DetectError("orbit cap exceeded in the joint test")
-    return True
+    another member, the orbits are pairwise disjoint.  Like `_pair_split`,
+    it reads no orbit cap."""
+    return all(rack.orbit(perms, a, len(perms[0]), set(family) - {a})[0]
+               is not None for a in family)
 
 
-def refute_f(orbit: Orbit, budget: Budget = Budget()):
+def refute_f(orbit: Orbit):
     """Certify the necessary condition for type F on the class.
 
     The compatibility graph has an edge (x, y) iff x > y != y and the
@@ -399,13 +385,13 @@ def refute_f(orbit: Orbit, budget: Budget = Budget()):
     then stays undecided: the conditions are only necessary).
     """
     mats, row = _class_rows(orbit)
-    r0, cap = row(0), budget.orbit_cap
+    r0 = row(0)
     stats = {"class_size": len(mats), "row_edges": 0, "pair_tests": 0,
              "pair_level_cliques": 0, "joint_tests": 0}
     neighbors = []
     for j in range(1, len(mats)):
         stats["pair_tests"] += 1
-        if _edge(r0, row(j), 0, j, cap):
+        if _edge(r0, row(j), 0, j):
             neighbors.append(j)
     stats["row_edges"] = m = len(neighbors)
     nrows = [row(x) for x in neighbors]
@@ -413,7 +399,7 @@ def refute_f(orbit: Orbit, budget: Budget = Budget()):
     for i in range(m):
         for j in range(i + 1, m):
             stats["pair_tests"] += 1
-            if _edge(nrows[i], nrows[j], neighbors[i], neighbors[j], cap):
+            if _edge(nrows[i], nrows[j], neighbors[i], neighbors[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     # candidate 4-cliques through rep = triangles inside the neighborhood;
@@ -431,7 +417,7 @@ def refute_f(orbit: Orbit, budget: Budget = Budget()):
             if not common:
                 continue
             if not _joint((r0, nrows[i], nrows[j]),
-                          (0, neighbors[i], neighbors[j]), cap):
+                          (0, neighbors[i], neighbors[j])):
                 stats["triple_pruned_edges"] += 1
                 continue
             rest = common
@@ -441,7 +427,7 @@ def refute_f(orbit: Orbit, budget: Budget = Budget()):
                 stats["pair_level_cliques"] += 1
                 stats["joint_tests"] += 1
                 family = (0, neighbors[i], neighbors[j], neighbors[k])
-                if _joint((r0, nrows[i], nrows[j], nrows[k]), family, cap):
+                if _joint((r0, nrows[i], nrows[j], nrows[k]), family):
                     return {"kind": "clique_found", "stats": stats}
     # Only cliques through the fixed representative are enumerated.  The
     # graph is vertex-transitive (conjugation by the group is a rack
@@ -460,14 +446,21 @@ def refute_f(orbit: Orbit, budget: Budget = Budget()):
 
 
 class ClassContext(NamedTuple):
-    "Everything classify needs about one split class."
+    """Everything classify needs about one split class.  `entry` is the
+    class itself (a `catalog.ClassEntry`): `entry.contains(x)` tests
+    membership, and its orbit is built only when a strategy or a scan
+    reads it."""
     spec: object
     rep: Mat
-    orbit: Orbit
+    entry: object
     u_members: tuple = ()
     model: object = None
     blocks: tuple = ()
     u_group: tuple = ()
+
+    @property
+    def orbit(self) -> Orbit:
+        return self.entry.orbit
 
 
 def _supp_pairs(model, word):
@@ -585,7 +578,8 @@ def find_d_product(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | N
         x1, x2 = pair
         r, s = x1 * y1, x2 * y2
         res = d_pair(r, s, cap=budget.orbit_cap, strategy="product")
-        if res.kind == "witness" and ctx.orbit.contains(r) and ctx.orbit.contains(s):
+        if res.kind == "witness" and ctx.entry.contains(r) \
+                and ctx.entry.contains(s):
             return res.witness
     return None
 
@@ -609,7 +603,8 @@ def find_d_block(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | Non
                 break
             r, s = a * blk.rest, b * blk.rest
             res = d_pair(r, s, cap=budget.orbit_cap, strategy="block")
-            if res.kind == "witness" and ctx.orbit.contains(r) and ctx.orbit.contains(s):
+            if res.kind == "witness" and ctx.entry.contains(r) \
+                    and ctx.entry.contains(s):
                 return res.witness
     return None
 
@@ -714,7 +709,7 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
         return Verdict("unknown", cert_not_d=cert_d, strategy="budget",
                        seed=seed, logs=tuple(logs + ["refute_d capped"]))
 
-    got_f = refute_f(ctx.orbit, budget)
+    got_f = refute_f(ctx.orbit)
     if isinstance(got_f, dict):
         return Verdict("unknown", cert_not_d=cert_d,
                        strategy="clique-found", seed=seed,

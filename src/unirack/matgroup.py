@@ -143,16 +143,17 @@ class Mat:
         return Mat(self.field, self.n, transpose_flat(self.n, self.flat))
 
     def __pow__(self, e: int) -> "Mat":
+        "Binary powering with no product by the identity and no spare square."
         if e < 0:
             return self.inverse() ** (-e)
-        out = Mat.identity(self.field, self.n)
-        base = self
+        out, base = None, self
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if e:
+                base = base * base
+        return Mat.identity(self.field, self.n) if out is None else out
 
     def frobenius(self, r: int = 1) -> "Mat":
         F = self.field
@@ -448,13 +449,13 @@ def jordan_partition(X: Mat) -> tuple[int, ...]:
     F, n = X.field, X.n
     N = _x_minus_one(X)
     ranks = [n]
-    acc = Mat.identity(F, n)
+    acc = N
     for _ in range(n):
-        acc = acc * N
         r = rank_flat(F, n, acc.flat)
         ranks.append(r)
         if r == 0:
             break
+        acc = acc * N
     if ranks[-1] != 0:
         raise GroupError("matrix is not unipotent")
     while len(ranks) < n + 2:

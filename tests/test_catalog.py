@@ -1,19 +1,21 @@
+import functools
 import math
 import random
 
 import pytest
 
+from unirack import catalog
 from unirack.catalog import (
-    CatalogError, Expectation, decomposition_type, enumerate_labels,
-    even_label, expected, group_catalog, gu3_witness, label_catalog,
-    label_classes, label_of, odd_label, parse_label, regular_pairs,
-    representative, row_matched, sl_expected, transvection_rep,
-    transvection_split_rack_iso,
+    CatalogError, Expectation, _labelled_u, centralizer_order,
+    decomposition_type, enumerate_labels, even_label, expected,
+    group_catalog, gu3_witness, label_catalog, label_classes, label_of,
+    odd_label, parse_label, regular_pairs, representative, row_matched,
+    sl_expected, transvection_rep, transvection_split_rack_iso,
 )
 from unirack.detect import recheck
 from unirack.matgroup import (
     GroupError, class_orbit, group_spec, is_unipotent, jordan_partition,
-    membership,
+    membership, random_element, split_classes,
 )
 
 
@@ -117,6 +119,83 @@ def test_label_classes_match_the_catalog(q):
         assert (one.spec, one.model, one.u_group) == \
             (cat.spec, cat.model, cat.u_group)
         assert classes(one.entries) == want
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_key_split_equals_the_orbit_split(q):
+    """Oracle: the brute-force split of every label into conjugation orbits
+    is the key catalog's split, as a partition of U^F with the same labels
+    and sizes, and the classes are numbered square first."""
+    spec, _, _, by_label = _labelled_u(4, q)
+    for label, elements in by_label.items():
+        want = sorted((sc.members, sc.orbit.size)
+                      for sc in split_classes(elements, spec))
+        got = label_classes(4, q, label)
+        assert sorted((tuple(u.pack() for u in e.u_members), e.size)
+                      for e in got) == want
+        assert [e.label for e in got] == [label] * len(got)
+        assert [e.split_index for e in got] == list(range(len(got)))
+        assert [e.key for e in got] == sorted(e.key for e in got)
+        assert [e.key[1] for e in got] == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_odd_q_catalog_builds_no_orbit(q, monkeypatch):
+    "group_catalog builds no class orbit for odd q: sizes are computed."
+    calls = []
+    monkeypatch.setattr(catalog, "class_orbit",
+                        lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(catalog, "label_classes", functools.lru_cache(
+        maxsize=None)(label_classes.__wrapped__))   # build, not recall
+    cat = group_catalog.__wrapped__(4, q)
+    assert calls == [] and len(cat.entries) == 6
+
+
+def test_a_built_orbit_must_have_the_computed_size():
+    """An orbit whose size is not the centralizer order's is an error, not
+    a class: here a size off by one, as a capped orbit or a wrong formula
+    would give it."""
+    from unirack.catalog import ClassEntry
+    spec = group_spec("Sp", 4, 3)
+    e = label_classes(4, 3, parse_label("1,1,2", 3))[0]
+    bad = ClassEntry(e.label, 0, None, e.u_members, e.size + 1, e.key, spec)
+    with pytest.raises(CatalogError, match="has 40 elements, not 41"):
+        bad.orbit
+    assert e.orbit.size == e.size == 40
+
+
+def test_class_membership_by_key_matches_the_orbit():
+    """`ClassEntry.contains` by key agrees with the orbit on seeded random
+    elements of the group and on conjugates of every fourth U^F member."""
+    cat = group_catalog(4, 3)
+    rng = random.Random(3)
+    probes = [random_element(cat.spec, rng) for _ in range(40)]
+    probes += [g * u * g.inverse() for u in cat.u_group[1::4]
+               for g in probes[:3]]
+    seen = set()
+    for e in cat.entries:
+        for x in probes:
+            got = e.contains(x)
+            assert got == e.orbit.contains(x)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n2, q", [(4, 3), (4, 5), (6, 3), (6, 5), (8, 3)])
+def test_centralizer_orders_sum_to_the_unipotent_count(n2, q):
+    """Summed over every partition and every choice of square classes, the
+    class sizes |G| / |C(u)| count the unipotent elements, q^(2N) with N
+    the number of positive roots, without labelling anything."""
+    import itertools
+    order = group_spec("Sp", n2, q).order
+    total = 1
+    for label in enumerate_labels(n2, q):
+        evens = {p for p in label.partition if p % 2 == 0}
+        for sq in itertools.product((0, 1), repeat=len(evens)):
+            c = centralizer_order(label.partition, sq, q)
+            assert order % c == 0
+            total += order // c
+    assert total == q ** (2 * (n2 // 2) ** 2)
 
 
 def test_split_counts_sp43():

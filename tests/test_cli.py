@@ -66,6 +66,15 @@ def test_table_command_matches(tmp_path):
     assert json.loads(text)["all_match"]
 
 
+def test_table_sp45_gate(tmp_path):
+    """The Sp4(5) table matches the reference with no unknowns: its (4)
+    classes of 187,200 elements are sized from centralizer orders, and no
+    strategy or scan builds their orbits."""
+    code, text = run(tmp_path, "table", "--n", "2", "--q", "5")
+    rep = json.loads(text)
+    assert (code, rep["all_match"], rep["unknowns"]) == (0, True, 0)
+
+
 def test_catalog_command(tmp_path):
     code, text = run(tmp_path, "catalog", "--family", "sp", "--n", "2", "--q", "2")
     assert code == 0
@@ -126,6 +135,21 @@ def test_witness_command_gu(tmp_path):
     assert code == 0
     rep = json.loads(text)
     assert rep["result"]["su_class_count"] == 3
+
+
+def test_gu_witness_report_shows_g_and_eta(tmp_path):
+    """The report's own g and eta give g^-1 twist(g) = eta id, the check it
+    asserts as g_twist_is_eta_scalar."""
+    from unirack.detect import mat_from_json
+    from unirack.matgroup import Mat, unitary_twist
+    _, text = run(tmp_path, "witness", "--family", "gu", "--n", "3", "--q", "2")
+    result = json.loads(text)["result"]
+    g = mat_from_json(result["g"])
+    eta = result["eta"]["code"]
+    assert result["eta"]["text"] == g.field.format_element(eta)
+    assert result["checks"]["g_twist_is_eta_scalar"] is True
+    assert g.inverse() * unitary_twist(g, 2) == Mat(
+        g.field, 3, [eta if i == j else 0 for i in range(3) for j in range(3)])
 
 
 def test_refute_with_cap_then_resume(tmp_path):
@@ -246,6 +270,47 @@ def test_refute_f_scans_the_whole_class_under_an_orbit_cap(tmp_path):
     assert json.loads(text)["results"][0]["stats"]["class_size"] == 45
 
 
+def test_small_orbit_cap_leaves_the_not_f_scan_whole(tmp_path):
+    """Under an orbit cap of 2 the not-F scan of the 45-element Sp4(2)
+    V(2)^2 class still certifies: its index orbits never outgrow the
+    class, so the cap does not bound them."""
+    code, text = run(tmp_path, "--orbit-cap", "2", "refute", "--kind", "f",
+                     "--n", "2", "--q", "2", "--label", "V(2)^2")
+    cert = json.loads(text)["results"][0]
+    assert (code, cert["kind"], cert["complete"]) == (0, "not_F", True)
+
+
+def test_small_orbit_cap_still_gives_cthulhu(tmp_path):
+    """Under an orbit cap of 2 the searches find nothing, and both scans of
+    the V(2)^2 class run whole, so the class is cthulhu, as uncapped."""
+    code, text = run(tmp_path, "--orbit-cap", "2", "classify", "--n", "2",
+                     "--q", "2", "--label", "V(2)^2")
+    rec = json.loads(text)["rows"][0]["records"][0]
+    assert (code, rec["verdict"], rec["verdict_basis"]) \
+        == (0, "cthulhu", ["exhaustive", "necessary-condition"])
+    assert rec["cert_not_d"]["stats"]["pairs"] == 44
+
+
+def test_cache_of_an_older_artifact_version_is_recomputed(tmp_path,
+                                                          monkeypatch):
+    """An entry written under an older artifact version is not served: its
+    (label, split) may name another class now."""
+    from unirack import cache
+    argv = ("--cache-dir", str(tmp_path / "c"), "table", "--n", "2",
+            "--q", "3")
+    monkeypatch.setattr(cache, "ARTIFACT_VERSION", "0.1.0")
+    assert run(tmp_path, *argv)[0] == 0
+    assert len(list((tmp_path / "c").glob("*.json"))) == 6
+    monkeypatch.undo()
+    code, text = run(tmp_path, *argv)
+    records = [r for row in json.loads(text)["rows"] for r in row["records"]]
+    assert code == 0 and len(records) == 6
+    assert not any(r.get("cached") for r in records)
+    code, text = run(tmp_path, *argv)
+    records = [r for row in json.loads(text)["rows"] for r in row["records"]]
+    assert all(r.get("cached") for r in records)
+
+
 def test_resume_state_key_depends_on_caps(tmp_path):
     c = Cache(tmp_path / "c")
     k1 = c.key({"op": "refute_d", "caps": {"orbit": 10}})
@@ -313,14 +378,31 @@ def _record_class_orbits(monkeypatch):
 
 
 def test_refute_splits_only_its_label(tmp_path, monkeypatch):
-    """A per-label command builds the orbits of its label's classes only:
-    the two (2^2) classes of Sp4(3), not all six classes of the catalog."""
+    """A per-label command builds the orbit of the class it scans only:
+    the 240-element (2^2) class of Sp4(3), not its 480-element twin, whose
+    size comes from its centralizer order, nor the other four classes."""
     from unirack.catalog import label_classes
     label_classes.cache_clear()          # count the split, not the memo
     sizes = _record_class_orbits(monkeypatch)
     code, _ = run(tmp_path, "refute", "--kind", "d", "--n", "2", "--q", "3",
                   "--label", "2,2", "--split", "0")
-    assert code == 0 and sorted(sizes) == [240, 480]
+    assert code == 0 and sizes == [240]
+
+
+def test_cold_table_builds_only_the_orbits_it_reads(tmp_path, monkeypatch):
+    """A cold Sp4(3) table builds the orbits of the four classes that a
+    scan or the sampled search reads, each once: the two (1^2,2) classes
+    and the two (2^2) classes, 800 elements.  The (4) classes are decided
+    by the torus strategy from their U^F members alone."""
+    import functools
+    from unirack import catalog, cli
+    # fresh catalog memos for this test only: count the orbits it builds
+    monkeypatch.setattr(catalog, "label_classes", functools.lru_cache(
+        maxsize=None)(catalog.label_classes.__wrapped__))
+    monkeypatch.setattr(cli, "group_catalog", catalog.group_catalog.__wrapped__)
+    sizes = _record_class_orbits(monkeypatch)
+    assert run(tmp_path, "table", "--n", "2", "--q", "3")[0] == 0
+    assert sorted(sizes) == [40, 40, 240, 480] and sum(sizes) == 800
 
 
 @pytest.mark.parametrize("argv", [
@@ -577,27 +659,27 @@ def test_reference_table_file_matches_rules():
     assert data == reference_table_text()
 
 
-# exit code and SHA-256 of each report, recorded before the refactors that
-# must reproduce every byte (the compiled orbit kernel, the strategy table)
+# exit code and SHA-256 of each report, recorded at schema version 2: odd-q
+# classes split by Wall's invariant, and no orbit cap in the scans
 REPORT_DIGESTS = {
     ("classify", "--n", "2", "--q", "2"): (0,
-        "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180"),
+        "b6bec8fc5a40cbc5b62f80da3521f873bb3ccce76a861c1d5ccb77bf2fe430b0"),
     ("classify", "--n", "2", "--q", "3"): (0,
-        "7873da03a24478c259df3116ca522a29144fbcea5e363a76aaf6b8be5d3f192b"),
+        "5db28ed6654cc3e319adb5663824272419d899ff4c75c00b3afa293528cbce05"),
     # type-F verdicts through the torus-F strategy, with their logs
     ("classify", "--n", "2", "--q", "4"): (0,
-        "c2cc34a89ef635119e5cf4a09b11abbb1ce04f683ac45b79fc6d86793a359d2e"),
+        "72e6df2ceeaeb0bab93856f8e4240a9d741f610057c2808c6ea15950f4e13e2e"),
     # the capped refute_d scan gives the "budget" verdict, which exits 3
     ("--pair-cap", "3", "--sample-pairs", "2", "classify", "--n", "2",
      "--q", "3", "--label", "2,2"): (3,
-        "a7073a2e90b54339efbc846a3ebb4111e22f7468b585ac00003bfba9946342bc"),
+        "cca0655ba5e0983f6740229115177a91e7ea4de0c5b63a1750a18d77f99a4cbd"),
     ("catalog", "--n", "2", "--q", "3"): (0,
-        "3dc394746e9f341e69531585ce09299d697f3044d02ece2a8351dc09dd127866"),
+        "19aaf6063f5c7058e50afdf09b1f356bc50472dbe713ddd37b7f791f83e8dd58"),
     ("refute", "--kind", "f", "--n", "2", "--q", "3", "--label", "2,2",
      "--split", "0"): (0,
-        "39f934f0b58190db17b484f3c03d7c925b9e5fb7afc7341c3d7eeb9b0a908840"),
+        "985b8fe1408dc6daca945fdb564a988bcd23b1e6343cc7a46441153dce133e15"),
     ("witness", "--family", "gu", "--n", "3", "--q", "2"): (0,
-        "c51b66eef7bb990f9aebc2b186a2ac87ec06b9e6d17dc2d7cb757d24dba20398"),
+        "80f4eae9c56a1626396cc046f2793d4376ab2738d7ca15ff3d6e2be56c213f9f"),
 }
 
 
@@ -615,8 +697,8 @@ def test_report_digests_are_pinned(tmp_path, monkeypatch, argv):
 
 # a cold and then a warm table in one cache
 CACHED_TABLE_DIGESTS = [
-    "272c614f82bc7a89314ce41c0690342a9e7ff9b1fdfc6cadb12ff45f371ce180",
-    "fffd414756062cfce7f6ed894d4ec94016c2abab9f45cd160227f6bb68f95934"]
+    "b6bec8fc5a40cbc5b62f80da3521f873bb3ccce76a861c1d5ccb77bf2fe430b0",
+    "35f4bf246b619f3d3df8c379f11a00d7ab0e19950074e34fd4cff7096b819305"]
 
 
 def test_cached_report_digests_are_pinned(tmp_path):
@@ -631,24 +713,24 @@ def test_cached_report_digests_are_pinned(tmp_path):
     assert digests == CACHED_TABLE_DIGESTS
 
 
-# each step's global options, exit code and report digest, recorded before
-# the two commands shared one cached per-class step
+# each step's global options, exit code and report digest, recorded at
+# schema version 2 like REPORT_DIGESTS
 CACHED_STEP_DIGESTS = {
     # a capped not-D scan, its resume, and the certificate served cached
     ("refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "V(2)^2"): [
         (("--pair-cap", "10"), 3,
-         "76d06aee4d02724cbe6b919559bca6102cb84b5ab6fd0f0314ae0d502807dcb1"),
+         "9aa0bc72f6f054b9dfc87ebfa89a9ff99051a0a6dac6616d66cb06cf7de6f2ff"),
         ((), 0,
-         "676599fdf9e823a57e5e7172a0282e9152f930ffcb9c71fb7b9de5b03baa9b2d"),
+         "70cb00ca8d1e6589fd1118c56aee8861e5f8cc992c92411077f6c3b9f20dd7a8"),
         ((), 0,
-         "2dc59659aebbcdc3bdfbbc8ed405441ecc6eba806a0d96f3ac4231ca9fbbd1df")],
+         "e168aaac1941285d0403743d08c6a12f120fbdd28765426b669f282c71cd9795")],
     # two type-F verdicts, then both served cached after their families
     # passed check_f_family again
     ("classify", "--n", "2", "--q", "4", "--label", "V(4)"): [
         ((), 0,
-         "38c496a54040f7ce0121a5194e44d5dd77dd6f35aa81f10e1c481efdafdd7f42"),
+         "7e31aefc5695913e3188dd1be030300f7968574c79011f38c05a72430d5cf3ac"),
         ((), 0,
-         "8319e9c59aa949b9a27b3bba7b42b75cb11155ec623014b51fd5ab1a497ef753")],
+         "d76bd033d0a9447b2ee7456e3d62767ab76f2b42e1b54f52b55629821e646c78")],
 }
 
 
