@@ -1,9 +1,9 @@
 """Content-addressed cache for certificates and verdicts, with resume.
 
 Keys are digests of the canonical request (group, label, split, operation,
-caps, seed, artifact version); values are canonical JSON.  Writes are
-atomic (temp file then rename), stale-version entries are misses, corrupt
-entries are misses.  One process owns a cache directory at a time, via a
+the caps the operation reads, seed, artifact version); values are canonical
+JSON.  Writes are atomic (temp file then rename), stale-version entries are
+misses, corrupt entries are misses.  One process owns a cache directory at a time, via a
 lock file."""
 
 from __future__ import annotations

@@ -109,10 +109,13 @@ def _class_step(cache, op, cat, entry, args, compute):
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
-    # that the next run resumes, capped or not
-    key = cache.key({"op": op, "group": cat.spec.name,
-                     "label": str(entry.label), "split": entry.split_index,
-                     "caps": {"orbit": args.orbit_cap}, "seed": args.seed})
+    # that the next run resumes, capped or not; and the orbit cap only for
+    # classify, whose search strategies read it while the scans do not
+    request = {"op": op, "group": cat.spec.name, "label": str(entry.label),
+               "split": entry.split_index, "seed": args.seed}
+    if op == "classify":
+        request["caps"] = {"orbit": args.orbit_cap}
+    key = cache.key(request)
     got, resume = cache.get(key), None
     if isinstance(got, dict):
         if not got.get("final"):

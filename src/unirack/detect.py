@@ -63,14 +63,19 @@ def mat_from_json(mj) -> Mat:
 # pair machinery
 
 
-def collapse_eq_holds(r: Mat, s: Mat) -> bool:
-    "r > (s > (r > s)) == s; equivalent to (rs)^2 == (sr)^2."
+def collapse_eq_holds(r: Mat, s: Mat, rs: Mat | None = None,
+                      sr: Mat | None = None) -> bool:
+    """r > (s > (r > s)) == s; equivalent to (rs)^2 == (sr)^2.  A caller
+    that has formed the products rs and sr passes them, so that each
+    product is formed once."""
     ri, si = r.inverse(), s.inverse()
-    inner = r * s * ri
+    rs = r * s if rs is None else rs
+    sr = s * r if sr is None else sr
+    inner = rs * ri
     inner = s * inner * si
     inner = r * inner * ri
     holds = inner == s
-    squares_equal = (r * s) ** 2 == (s * r) ** 2
+    squares_equal = rs ** 2 == sr ** 2
     if holds != squares_equal:
         raise DetectError("group identity violated; arithmetic is broken")
     return holds
@@ -105,7 +110,8 @@ class DWitness(NamedTuple):
 
 class DPairResult(NamedTuple):
     kind: str                  # degenerate_commuting | degenerate_square |
-    #                            witness | same_orbit | cap_exceeded
+    #                            witness | same_orbit | cap_exceeded; under
+    #                            a cap, same_orbit once the r-orbit meets s
     witness: DWitness | None = None
 
 
@@ -113,22 +119,29 @@ def d_pair(r: Mat, s: Mat, cap: int = 10**6, subgroup_cap: int = SUBGROUP_CAP,
            strategy: str = "search") -> DPairResult:
     """Evaluate one candidate pair.
 
-    degenerate if rs = sr or the collapse equation holds; otherwise the two
-    <r,s>-orbits are generated (without materializing the subgroup) and the
-    pair is a witness iff they are disjoint.
+    degenerate if rs = sr or the collapse equation holds.  Otherwise the
+    <r,s>-orbit of r is searched (without materializing the subgroup) until
+    it meets s: orbits of one group are equal or disjoint, so meeting s
+    means same_orbit, under a cap too if the search meets s before it
+    outgrows the cap.  An orbit of r that ends without s makes the pair a
+    witness, and only then is the orbit of s built, for its size.  Either
+    orbit outgrowing `cap` is cap_exceeded.
     """
     if r.field is not s.field or r.n != s.n:
         raise DetectError("pair must live in one matrix group")
-    if r == s or r * s == s * r:
+    if r == s:
         return DPairResult("degenerate_commuting")
-    if collapse_eq_holds(r, s):
+    rs, sr = r * s, s * r
+    if rs == sr:
+        return DPairResult("degenerate_commuting")
+    if collapse_eq_holds(r, s, rs, sr):
         return DPairResult("degenerate_square")
-    orb_r = orbit_under(r, [r, s], cap=cap)
+    orb_r = orbit_under(r, [r, s], cap=cap, stop=s)
+    if orb_r.contains(s):
+        return DPairResult("same_orbit")
     orb_s = orbit_under(s, [r, s], cap=cap) if orb_r.complete else None
     if orb_s is None or not orb_s.complete:
         return DPairResult("cap_exceeded")
-    if orb_r.packed & orb_s.packed:
-        return DPairResult("same_orbit")
     size = None
     if subgroup_cap:
         closure = subgroup_closure([r, s], cap=subgroup_cap)
@@ -609,34 +622,45 @@ def find_d_block(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | Non
     return None
 
 
-def find_d_sampled(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
-    """Deterministic cheap candidates (generator and torus conjugates of the
-    representative) followed by a seeded sample of the class."""
+def _sampled_candidates(ctx: ClassContext, seed: int, sample_pairs: int):
+    """The candidates s of `find_d_sampled`, each new one once, built as
+    they are asked for: the conjugates of the representative by each
+    generator g and by the products gh of two of the first six, then a
+    seeded sample of the class, whose orbit is read only from there."""
     rep = ctx.rep
-    spec = ctx.spec
-    candidates = []
+    gens = sorted(ctx.spec.generators)
     seen = {rep.pack()}
-    for g in sorted(spec.generators):
+
+    def fresh(packed: bytes) -> bool:
+        new = packed not in seen
+        seen.add(packed)
+        return new
+
+    conj = []                     # h rep h^-1, for each generator h
+    for g in gens:
         s = g * rep * g.inverse()
-        if s.pack() not in seen:
-            seen.add(s.pack())
-            candidates.append(s)
-    for g in sorted(spec.generators)[:6]:
-        for h in sorted(spec.generators)[:6]:
-            s = (g * h) * rep * (g * h).inverse()
-            if s.pack() not in seen:
-                seen.add(s.pack())
-                candidates.append(s)
+        conj.append(s)
+        if fresh(s.pack()):
+            yield s
+    for g in gens[:6]:
+        for h_conj in conj[:6]:
+            s = g * h_conj * g.inverse()          # (gh) rep (gh)^-1
+            if fresh(s.pack()):
+                yield s
     packed = ctx.orbit.sorted_packed()
     rng = random.Random(seed)
-    F, n = ctx.orbit.field, ctx.orbit.n
-    for _ in range(budget.sample_pairs):
+    for _ in range(sample_pairs):
         b = packed[rng.randrange(len(packed))]
-        if b not in seen:
-            seen.add(b)
-            candidates.append(Mat(F, n, tuple(b)))
-    for s in candidates:
-        res = d_pair(rep, s, cap=budget.orbit_cap, strategy="sampled")
+        if fresh(b):
+            yield Mat(rep.field, rep.n, tuple(b))
+
+
+def find_d_sampled(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
+    """Deterministic cheap candidates (conjugates of the representative by
+    generators and by products of two) followed by a seeded sample of the
+    class, tried in order up to the first witness."""
+    for s in _sampled_candidates(ctx, seed, budget.sample_pairs):
+        res = d_pair(ctx.rep, s, cap=budget.orbit_cap, strategy="sampled")
         if res.kind == "witness":
             return res.witness
     return None

@@ -112,7 +112,7 @@ def det_flat(F: Field, n: int, A) -> int:
 class Mat:
     """An n-by-n matrix over one Field.  Equality and hashing are entrywise."""
 
-    __slots__ = ("field", "n", "flat", "_hash")
+    __slots__ = ("field", "n", "flat", "_hash", "_inv")
 
     def __init__(self, field: Field, n: int, flat):
         self.field = field
@@ -121,6 +121,7 @@ class Mat:
         if len(self.flat) != n * n:
             raise GroupError("entry count does not match the dimension")
         self._hash = hash((id(field), n, self.flat))
+        self._inv = None
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -137,7 +138,14 @@ class Mat:
         return Mat(self.field, self.n, mul_flat(self.field, self.n, self.flat, other.flat))
 
     def inverse(self) -> "Mat":
-        return Mat(self.field, self.n, inv_flat(self.field, self.n, self.flat))
+        """The inverse, computed once: this matrix keeps it, and it keeps
+        this matrix as its own inverse."""
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = Mat(self.field, self.n,
+                                  inv_flat(self.field, self.n, self.flat))
+            inv._inv = self
+        return inv
 
     def transpose(self) -> "Mat":
         return Mat(self.field, self.n, transpose_flat(self.n, self.flat))
@@ -638,16 +646,20 @@ def _kernel(F: Field, n: int):
     return rc.encode, rc.decode, rc.action
 
 
-def _closure(F: Field, n: int, starts, pairs, cap: int | None = None):
+def _closure(F: Field, n: int, starts, pairs, cap: int | None = None,
+             stop=None):
     """Breadth-first closure of the flat matrices `starts` under the actions
     x -> L x R for (L, R) in `pairs`: frontier by frontier, each element in
     the order found, each action in list order.
 
     Returns (seen, complete): the bytes of every element found, and False
-    once more than `cap` are found, where the search stops."""
+    once more than `cap` are found, or once the flat matrix `stop` is found
+    after the starts, where the search stops."""
     encode, decode, action = _kernel(F, n)
     acts = [action(L, R) for L, R in pairs]
     frontier = [encode(x) for x in starts]
+    # the empty tuple is no point: comparing a point with it is one length test
+    stop = () if stop is None else encode(stop)
     seen = set(frontier)
     while frontier:
         nxt = []
@@ -657,7 +669,7 @@ def _closure(F: Field, n: int, starts, pairs, cap: int | None = None):
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if cap is not None and len(seen) > cap:
+                    if y == stop or cap is not None and len(seen) > cap:
                         return set(map(decode, seen)), False
         frontier = nxt
     return set(map(decode, seen)), True
@@ -760,11 +772,16 @@ def unitary_twist(X: Mat, q: int) -> Mat:
     return J * X.frobenius(m).inverse().transpose() * J
 
 
-def orbit_under(rep: Mat, gens, cap: int = DEFAULT_CAP) -> Orbit:
-    "Conjugation orbit of rep under an explicit generator list."
+def orbit_under(rep: Mat, gens, cap: int = DEFAULT_CAP,
+                stop: Mat | None = None) -> Orbit:
+    """Conjugation orbit of rep under an explicit generator list.  Given a
+    `stop` other than rep, the search ends as soon as it finds it, and then
+    returns the elements found so far, `stop` among them, as an incomplete
+    orbit."""
     F, n = rep.field, rep.n
-    pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(gens)]
-    seen, complete = _closure(F, n, [rep.flat], pairs, cap)
+    pairs = [(g.flat, g.inverse().flat) for g in sorted(gens)]
+    seen, complete = _closure(F, n, [rep.flat], pairs, cap,
+                              None if stop is None else stop.flat)
     return Orbit(F, n, seen, complete)
 
 

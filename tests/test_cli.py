@@ -238,7 +238,7 @@ def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
              "triple_pruned_edges": 0}
     c = Cache(cache_dir)
     key = c.key({"op": "refute_f", "group": "Sp4(2)", "label": "V(2)^2",
-                 "split": 0, "caps": {"orbit": 10**6}, "seed": 0})
+                 "split": 0, "seed": 0})
     c.put(key, {"final": False, "state": {"stats": stats}})
     code, text = run(tmp_path, "--cache-dir", str(cache_dir), "refute",
                      "--kind", "f", "--n", "2", "--q", "2", "--label", "V(2)^2")
@@ -260,6 +260,34 @@ def test_refute_f_cache_key_ignores_the_pair_cap(tmp_path):
     assert "cached" not in first and second.pop("cached") is True
     assert second == first
     assert len(list(cache_dir.glob("*.json"))) == 1
+
+
+def test_refute_cache_key_ignores_the_orbit_cap(tmp_path):
+    """Neither scan reads the orbit cap, so a refutation computed under the
+    default cap is served to a run under another, from its one entry."""
+    cache_dir = tmp_path / "cache"
+    argv = ["refute", "--kind", "d", "--n", "2", "--q", "3", "--label", "2,2",
+            "--split", "0"]
+    code1, text1 = run(tmp_path, "--cache-dir", str(cache_dir), *argv)
+    code2, text2 = run(tmp_path, "--cache-dir", str(cache_dir),
+                       "--orbit-cap", "7", *argv)
+    assert code1 == code2 == 0
+    first, second = (json.loads(t)["results"][0] for t in (text1, text2))
+    assert "cached" not in first and second.pop("cached") is True
+    assert second == first
+    assert len(list(cache_dir.glob("*.json"))) == 1
+
+
+def test_classify_cache_key_holds_the_orbit_cap(tmp_path):
+    "The search strategies read the orbit cap, so classify keys it."
+    cache_dir = tmp_path / "cache"
+    argv = ["classify", "--n", "2", "--q", "2", "--label", "W(2)"]
+    run(tmp_path, "--cache-dir", str(cache_dir), *argv)
+    code, text = run(tmp_path, "--cache-dir", str(cache_dir),
+                     "--orbit-cap", "7", *argv)
+    assert code == 0
+    assert "cached" not in json.loads(text)["rows"][0]["records"][0]
+    assert len(list(cache_dir.glob("*.json"))) == 2
 
 
 def test_refute_f_scans_the_whole_class_under_an_orbit_cap(tmp_path):
@@ -390,10 +418,12 @@ def test_refute_splits_only_its_label(tmp_path, monkeypatch):
 
 
 def test_cold_table_builds_only_the_orbits_it_reads(tmp_path, monkeypatch):
-    """A cold Sp4(3) table builds the orbits of the four classes that a
-    scan or the sampled search reads, each once: the two (1^2,2) classes
-    and the two (2^2) classes, 800 elements.  The (4) classes are decided
-    by the torus strategy from their U^F members alone."""
+    """A cold Sp4(3) table builds the orbits of the three classes that a
+    scan or the sampled search's seeded draws read, each once: the two
+    (1^2,2) classes and the 240-element (2^2) class, 320 elements.  The
+    480-element (2^2) class is decided by a generator conjugate of its
+    representative, before the sampled search draws from its orbit, and
+    the (4) classes by the torus strategy from their U^F members alone."""
     import functools
     from unirack import catalog, cli
     # fresh catalog memos for this test only: count the orbits it builds
@@ -402,7 +432,7 @@ def test_cold_table_builds_only_the_orbits_it_reads(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "group_catalog", catalog.group_catalog.__wrapped__)
     sizes = _record_class_orbits(monkeypatch)
     assert run(tmp_path, "table", "--n", "2", "--q", "3")[0] == 0
-    assert sorted(sizes) == [40, 40, 240, 480] and sum(sizes) == 800
+    assert sorted(sizes) == [40, 40, 240] and sum(sizes) == 320
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,6 +115,94 @@ def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
     assert recheck(res.witness.to_json(), ())
 
 
+def test_same_orbit_pair_stops_at_s(sp43, monkeypatch):
+    """A same-orbit pair costs the two inverses of r and s, nine products
+    (rs and sr once each, five for the conjugations of the collapse
+    equation, two squares) and one search from r that ends where it meets
+    s: no orbit of s is built."""
+    from unirack import matgroup
+    e = entry(sp43, "(2^2)", 0)
+    F = sp43.spec.field
+    mats = list(e.orbit.mats())
+    inversions, products, searches = [], [], []
+    inverse, product, search = matgroup.inv_flat, matgroup.mul_flat, orbit_under
+
+    def counted_inverse(*args):
+        inversions.append(args)
+        return inverse(*args)
+
+    def counted_product(*args):
+        products.append(args)
+        return product(*args)
+
+    def counted_search(*args, **kwargs):
+        orbit = search(*args, **kwargs)
+        searches.append((args[0], orbit.size))
+        return orbit
+
+    monkeypatch.setattr(matgroup, "inv_flat", counted_inverse)
+    monkeypatch.setattr(matgroup, "mul_flat", counted_product)
+    monkeypatch.setattr(detect, "orbit_under", counted_search)
+    tested = 0
+    for b in mats[1:]:
+        r, s = (Mat(F, 4, m.flat) for m in (mats[0], b))   # no inverse held
+        inversions.clear()
+        products.clear()
+        searches.clear()
+        res = d_pair(r, s)
+        if res.kind in ("degenerate_commuting", "degenerate_square"):
+            continue
+        assert res.kind == "same_orbit" and len(inversions) <= 2
+        assert len(products) == 9
+        assert len(searches) == 1 and searches[0][0] == r
+        assert searches[0][1] <= orbit_under(r, [r, s]).size
+        tested += 1
+    assert tested > 100
+
+
+def test_sampled_search_reads_no_class_orbit_on_a_generator_witness(
+        monkeypatch):
+    """On Sp4(3) (2^2) split 1 a generator conjugate of the representative
+    is a witness, so the sampled search never builds the 480-element class
+    orbit that its seeded draws would read; the witness is the one classify
+    reports."""
+    from unirack import catalog
+    from unirack.detect import find_d_sampled
+    label = parse_label("2,2", 3)
+    built = []
+    class_orbit_ = catalog.class_orbit
+
+    def recording(*args, **kwargs):
+        orbit = class_orbit_(*args, **kwargs)
+        built.append(orbit.size)
+        return orbit
+
+    fresh = catalog.label_classes.__wrapped__(4, 3, label)   # no orbit held
+    cat = catalog.label_catalog(4, 3, label)._replace(entries=list(fresh))
+    monkeypatch.setattr(catalog, "class_orbit", recording)
+    w = find_d_sampled(class_context(fresh[1], cat), Budget(), 0)
+    assert built == [] and w.strategy == "sampled"
+    assert w.to_json() == classify(class_context(fresh[1], cat)).witness.to_json()
+    assert built == []
+
+
+def test_sampled_candidates_in_the_order_of_their_definition(sp43):
+    """The candidates come in the order and with the seeded draws that
+    define them, each new one once: rep conjugated by each generator g,
+    by gh for g, h among the first six, then 64 draws from the class."""
+    from unirack.detect import _sampled_candidates
+    ctx = class_context(entry(sp43, "(2^2)", 0), sp43)
+    rep, gens = ctx.rep, sorted(sp43.spec.generators)
+    conjugators = gens + [g * h for g in gens[:6] for h in gens[:6]]
+    want = [x * rep * x.inverse() for x in conjugators]
+    packed = ctx.orbit.sorted_packed()
+    rng = random.Random(5)
+    want += [Mat(rep.field, 4, tuple(packed[rng.randrange(len(packed))]))
+             for _ in range(64)]
+    unique = [m for m in {m.pack(): m for m in want}.values() if m != rep]
+    assert list(_sampled_candidates(ctx, 5, 64)) == unique
+
+
 def test_classify_builds_the_class_rows_once(sp42, monkeypatch):
     "Both refutations of a cthulhu class read one conjugation-rack table."
     ctx = class_context(entry(sp42, "V(2)^2"), sp42)
@@ -338,6 +426,22 @@ def reference_not_d(mats, cap=10**6):
     return stats
 
 
+def reference_d_pair(r, s, cap=10**6):
+    """The pair test from two whole orbits, with no stop: (kind, orbit
+    sizes of a witness)."""
+    if r == s or r * s == s * r:
+        return "degenerate_commuting", None
+    if collapse_eq_holds(r, s):
+        return "degenerate_square", None
+    orb_r = orbit_under(r, [r, s], cap=cap)
+    orb_s = orbit_under(s, [r, s], cap=cap) if orb_r.complete else None
+    if orb_s is None or not orb_s.complete:
+        return "cap_exceeded", None
+    if orb_r.packed & orb_s.packed:
+        return "same_orbit", None
+    return "witness", (orb_r.size, orb_s.size)
+
+
 def reference_not_f(mats, cap=10**6):
     """The not-F scan by matrices: edges from <x,y>-conjugation orbits, and
     the joint test from the whole orbits under the family, with the clique
@@ -415,3 +519,36 @@ def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
         assert got_d.complete and got_d.stats == want_d
         got_f = refute_f(orbit)
         assert isinstance(got_f, Certificate) and got_f.stats == want_f
+
+
+D_PAIR_CLASSES = [(2, None), (3, "1,1,2"), (3, "2,2")]
+
+
+@pytest.mark.parametrize("q,label", D_PAIR_CLASSES,
+                         ids=[f"{q}-{lab or 'all'}" for q, lab in D_PAIR_CLASSES])
+@pytest.mark.parametrize("cap", [10**6, 1, 2, 5])
+def test_d_pair_matches_the_two_orbit_reference(q, label, cap):
+    """Every pair (least member, s) of the classes: the search that stops
+    at s is a witness exactly when the two whole orbits are disjoint, with
+    the same orbit sizes, under the default cap and under small ones.  A
+    pair the reference calls same_orbit or a degenerate kind reads the
+    same; one it calls cap_exceeded reads cap_exceeded, or same_orbit once
+    the orbit of r meets s before the cap."""
+    cat = group_catalog(4, q)
+    entries = [e for e in cat.entries
+               if label is None or e.label == parse_label(label, q)]
+    witnesses = 0
+    for e in entries:
+        mats = list(e.orbit.mats())
+        for s in mats[1:]:
+            want, sizes = reference_d_pair(mats[0], s, cap)
+            res = d_pair(mats[0], s, cap=cap, subgroup_cap=0)
+            if want == "cap_exceeded":
+                assert res.kind in ("cap_exceeded", "same_orbit")
+            else:
+                assert res.kind == want
+            if want == "witness":
+                assert res.witness.orbit_sizes == sizes
+                witnesses += 1
+    if cap == 10**6 and label != "1,1,2":     # a D class is among them
+        assert witnesses

@@ -137,6 +137,58 @@ def test_power_takes_only_the_products_it_needs(monkeypatch):
         assert len(calls) == products, e
 
 
+def test_inverse_is_computed_once_and_knows_its_inverse(monkeypatch):
+    """m.inverse() runs one Gauss-Jordan inverse however often it is asked
+    for, and the inverse it returns has m as its own inverse; equality and
+    hashing stay entrywise, whether or not a matrix holds its inverse."""
+    spec = group_spec("Sp", 4, 3)
+    m = random_element(spec, random.Random(6))
+    calls = []
+    inverse = matgroup.inv_flat
+
+    def counting(*args):
+        calls.append(args)
+        return inverse(*args)
+
+    monkeypatch.setattr(matgroup, "inv_flat", counting)
+    mi = m.inverse()
+    assert mi is m.inverse() and mi.inverse() is m and len(calls) == 1
+    assert mi.flat == inverse(spec.field, 4, m.flat)
+    assert (m * mi).is_identity() and (mi * m).is_identity()
+    fresh = Mat(spec.field, 4, m.flat)          # holds no inverse yet
+    assert fresh == m and hash(fresh) == hash(m) and fresh is not m
+    assert fresh.inverse() == mi and hash(fresh.inverse()) == hash(mi)
+    assert fresh.inverse() is not mi and len(calls) == 2
+    assert Mat(spec.field, 4, mi.flat) == mi != m
+
+
+@pytest.mark.parametrize("fam,n,q", [("Sp", 4, 3), ("Sp", 6, 2), ("SL", 3, 16)])
+def test_orbit_under_stops_where_it_meets_stop(fam, n, q):
+    """A search with a stop element ends as soon as it finds it: it holds
+    the elements a BFS finds up to and including the stop, in BFS order,
+    and reads incomplete; a stop outside the orbit leaves it whole."""
+    spec = group_spec(fam, n, q)
+    F = spec.field
+    rng = random.Random(8)
+    rep = transvection(spec)
+    gens = [rep, random_element(spec, rng)]
+    pairs = [(g.flat, inv_flat(F, n, g.flat)) for g in sorted(gens)]
+    whole = matgroup.orbit_under(rep, gens, cap=300)
+    members = sorted(whole.packed)[1::max(1, whole.size // 5)]
+    for b in members:
+        stop = Mat(F, n, tuple(b))
+        got = matgroup.orbit_under(rep, gens, cap=300, stop=stop)
+        if stop == rep:
+            assert (got.complete, got.packed) == (whole.complete, whole.packed)
+            continue
+        ref_seen, _ = reference_bfs(F, n, [rep.flat], pairs, cap=got.size - 1)
+        assert got.contains(stop) and not got.complete
+        assert got.packed == ref_seen
+    outside = Mat.identity(F, n)
+    got = matgroup.orbit_under(rep, gens, cap=300, stop=outside)
+    assert (got.complete, got.packed) == (whole.complete, whole.packed)
+
+
 def test_jordan_partition_basics():
     F = make_field(3, 1)
     assert jordan_partition(Mat.identity(F, 4)) == (1, 1, 1, 1)
