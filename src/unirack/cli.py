@@ -109,12 +109,12 @@ def _class_step(cache, op, cat, entry, args, compute):
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
-    # that the next run resumes, capped or not; and the orbit cap only for
-    # classify, whose search strategies read it while the scans do not
+    # that the next run resumes, capped or not; the orbit cap and the seed
+    # only for classify: its search strategies read them, the scans do not
     request = {"op": op, "group": cat.spec.name, "label": str(entry.label),
-               "split": entry.split_index, "seed": args.seed}
+               "split": entry.split_index}
     if op == "classify":
-        request["caps"] = {"orbit": args.orbit_cap}
+        request.update(caps={"orbit": args.orbit_cap}, seed=args.seed)
     key = cache.key(request)
     got, resume = cache.get(key), None
     if isinstance(got, dict):

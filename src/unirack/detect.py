@@ -404,7 +404,8 @@ def refute_f(orbit: Orbit):
     neighbors = []
     for j in range(1, len(mats)):
         stats["pair_tests"] += 1
-        if _edge(r0, row(j), 0, j):
+        # _edge is false where 0 > j = j, so the row of j is not read there
+        if r0[j] != j and _edge(r0, row(j), 0, j):
             neighbors.append(j)
     stats["row_edges"] = m = len(neighbors)
     nrows = [row(x) for x in neighbors]

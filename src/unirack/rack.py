@@ -2,12 +2,12 @@
 
 A Rack is its carrier in canonical sorted order and one row getter: row i
 is the translation j -> i > j as a tuple of indices.  A conjugation rack
-takes its rows from `conj_rows`: the whole table up to MATERIALIZE_LIMIT
-elements, mostly derived from a few rows of matrix products, and above it
-one row computed from the matrices per call.  All analyses (closure,
-decomposition, soberness, inner group) are pure functions of the rack.  A
-subrack and its inner blocks are the orbits of its seeds under the seeds'
-rows (`seed_orbits`), so an analysis fetches each row it reads once.
+takes its rows from `conj_rows`, one source at every size: a few seed rows
+computed from the matrices, the others derived from them on read.  All
+analyses (closure, decomposition, soberness, inner group) are pure
+functions of the rack.  A subrack and its inner blocks are the orbits of
+its seeds under the seeds' rows (`seed_orbits`), so an analysis fetches
+each row it reads once.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .matgroup import _kernel, inv_flat
-
-MATERIALIZE_LIMIT = 1024
 
 
 class RackError(ValueError):
@@ -79,55 +77,6 @@ def conj_rack(orbit_mats, spec=None, orbit=None) -> Rack:
     return Rack(mats, conj_rows(mats))
 
 
-def _conj_table(mats) -> tuple:
-    """The rows of the conjugation rack on the sorted matrices `mats`, most
-    of them derived from a few rows computed from the matrices.
-
-    A row phi_x (j -> index of x y_j x^-1) computed from the matrices checks
-    closure under conjugation by x: every image must be in the carrier.
-    Conjugation is injective, so phi_x is a permutation, and its inverse
-    sends j to the index of x^-1 y_j x.  For a row phi_w already known and
-    k = phi_x(w), the group identity
-        (x w x^-1) y (x w x^-1)^-1 = x (w (x^-1 y x) w^-1) x^-1
-    reads phi_k = phi_x phi_w phi_x^-1, and each factor is an index map
-    onto the carrier, so the composite is the row of k, closure included.
-    The known rows are closed under the computed rows phi_x acting on
-    indices; while a row is missing, the least index without one becomes a
-    computed row.  So every entry is a product of checked matrix rows, and
-    the table is the one the products give."""
-    points, index = _points(mats)
-    rows = [None] * len(mats)
-    known = []               # indices with a row, in the order found
-    gens = []                # (phi_x, phi_x^-1) for the computed rows
-    for x in range(len(mats)):
-        if rows[x] is not None:
-            continue
-        row = rows[x] = _matrix_row(mats, points, index, x)
-        gens.append((row, perm_inv(row)))
-        known.append(x)
-        # close the known rows under every computed row again: the new one
-        # acts on all of them, and all act on the new one
-        for w in known:
-            for phi, phi_inv in gens:
-                k = phi[w]
-                if rows[k] is None:
-                    rows[k] = tuple(map(phi.__getitem__,
-                                        map(rows[w].__getitem__, phi_inv)))
-                    known.append(k)
-    return tuple(rows)
-
-
-def _points(mats):
-    """The matrices as points of the orbit kernel, and the index of each
-    point; every matrix must occur once."""
-    encode, _, _ = _kernel(mats[0].field, mats[0].n)
-    points = [encode(m.flat) for m in mats]
-    index = {p: i for i, p in enumerate(points)}
-    if len(index) != len(points):
-        raise RackError("carrier has repeated elements")
-    return points, index
-
-
 def _matrix_row(mats, points, index, x) -> tuple:
     "phi_x from the kernel's action of x; every image must be in the carrier."
     m = mats[x]
@@ -141,13 +90,61 @@ def _matrix_row(mats, points, index, x) -> tuple:
 
 def conj_rows(mats):
     """Row i of the conjugation rack on the matrices `mats`, in their order,
-    as a function of i.  Up to MATERIALIZE_LIMIT elements the rows come from
-    the derived table; above it each call computes its row from the
-    matrices, so a scan holds only the rows it keeps."""
-    if len(mats) <= MATERIALIZE_LIMIT:
-        return _conj_table(mats).__getitem__
-    points, index = _points(mats)
-    return lambda x: _matrix_row(mats, points, index, x)
+    as a function of i.  Rows other than the seeds' are derived when read.
+
+    A row phi_x (j -> index of x y_j x^-1) computed from the matrices checks
+    closure under conjugation by x: every image must be in the carrier.
+    Conjugation is injective, so phi_x is a permutation, and its inverse
+    sends j to the index of x^-1 y_j x.  For a row phi_w already known and
+    k = phi_x(w), the group identity
+        (x w x^-1) y (x w x^-1)^-1 = x (w (x^-1 y x) w^-1) x^-1
+    reads phi_k = phi_x phi_w phi_x^-1, and each factor is an index map
+    onto the carrier, so the composite is the row of k, closure included.
+    The known rows are closed under the computed rows phi_x acting on
+    indices; while a row is missing, the least index without one becomes a
+    computed row.  So every entry is a product of checked matrix rows, and
+    the table is the one the products give.
+
+    A breadth-first search from the seeds gives each other index k a parent
+    (phi_x, phi_x^-1, w), k = phi_x(w): a Schreier vector.  A row read is
+    kept, with its ancestors.  A repeated or unclosed carrier raises here."""
+    encode, _, _ = _kernel(mats[0].field, mats[0].n)
+    points = [encode(m.flat) for m in mats]
+    index = {p: i for i, p in enumerate(points)}
+    n = len(mats)
+    if len(index) != n:
+        raise RackError("carrier has repeated elements")
+    rows = [None] * n            # the seed rows, then every row derived
+    parent = [None] * n
+    gens = []                    # (x, phi_x, phi_x^-1) for the seeds x
+    for x in range(n):
+        if parent[x] is not None:
+            continue
+        rows[x] = _matrix_row(mats, points, index, x)
+        gens.append((x, rows[x], perm_inv(rows[x])))
+        parent = [None] * n
+        frontier = [seed for seed, _, _ in gens]
+        while frontier:
+            nxt = []
+            for _, phi, phi_inv in gens:
+                for w in frontier:
+                    k = phi[w]
+                    if rows[k] is None and parent[k] is None:
+                        parent[k] = (phi, phi_inv, w)
+                        nxt.append(k)
+            frontier = nxt
+
+    def row(k):
+        path = []
+        while rows[k] is None:
+            path.append(k)
+            k = parent[k][2]
+        for k in reversed(path):
+            phi, phi_inv, w = parent[k]
+            rows[k] = tuple(map(phi.__getitem__,
+                                map(rows[w].__getitem__, phi_inv)))
+        return rows[k]
+    return row
 
 
 def orbit(perms, start: int, cap: int, stop=frozenset()):

@@ -238,7 +238,7 @@ def test_refute_f_ignores_a_stale_partial_entry(tmp_path):
              "triple_pruned_edges": 0}
     c = Cache(cache_dir)
     key = c.key({"op": "refute_f", "group": "Sp4(2)", "label": "V(2)^2",
-                 "split": 0, "seed": 0})
+                 "split": 0})
     c.put(key, {"final": False, "state": {"stats": stats}})
     code, text = run(tmp_path, "--cache-dir", str(cache_dir), "refute",
                      "--kind", "f", "--n", "2", "--q", "2", "--label", "V(2)^2")
@@ -276,6 +276,35 @@ def test_refute_cache_key_ignores_the_orbit_cap(tmp_path):
     assert "cached" not in first and second.pop("cached") is True
     assert second == first
     assert len(list(cache_dir.glob("*.json"))) == 1
+
+
+def test_refute_cache_key_ignores_the_seed(tmp_path):
+    """Neither scan draws from the seed, so a refutation computed under one
+    seed is served to a run under another, from its one entry."""
+    cache_dir = tmp_path / "cache"
+    argv = ["refute", "--kind", "d", "--n", "2", "--q", "2", "--label",
+            "V(2)^2"]
+    code1, text1 = run(tmp_path, "--cache-dir", str(cache_dir),
+                       "--seed", "0", *argv)
+    code2, text2 = run(tmp_path, "--cache-dir", str(cache_dir),
+                       "--seed", "1", *argv)
+    assert code1 == code2 == 0
+    first, second = (json.loads(t)["results"][0] for t in (text1, text2))
+    assert "cached" not in first and second.pop("cached") is True
+    assert second == first
+    assert len(list(cache_dir.glob("*.json"))) == 1
+
+
+def test_classify_past_1024_class_elements(tmp_path):
+    """Sp4(7) (1^2,2): two 1,200-element classes, past the row-code bound,
+    both refuted as cthulhu on rows derived from a few seed rows."""
+    code, text = run(tmp_path, "classify", "--n", "2", "--q", "7",
+                     "--label", "2,1,1")
+    assert code == 0
+    row = json.loads(text)["rows"][0]
+    assert row["matched"] and row["expected"] == ["cthulhu", "cthulhu"]
+    assert [(r["size"], r["verdict"]) for r in row["records"]] == [
+        (1200, "cthulhu"), (1200, "cthulhu")]
 
 
 def test_classify_cache_key_holds_the_orbit_cap(tmp_path):

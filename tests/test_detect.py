@@ -204,15 +204,15 @@ def test_sampled_candidates_in_the_order_of_their_definition(sp43):
 
 
 def test_classify_builds_the_class_rows_once(sp42, monkeypatch):
-    "Both refutations of a cthulhu class read one conjugation-rack table."
+    "Both refutations of a cthulhu class read one row source of its rack."
     ctx = class_context(entry(sp42, "V(2)^2"), sp42)
-    table, calls = rack._conj_table, []
+    conj_rows, calls = rack.conj_rows, []
 
     def counted(mats):
         calls.append(len(mats))
-        return table(mats)
+        return conj_rows(mats)
 
-    monkeypatch.setattr(rack, "_conj_table", counted)
+    monkeypatch.setattr(rack, "conj_rows", counted)
     assert classify(ctx).kind == "cthulhu"
     assert calls == [45]
 
@@ -489,7 +489,7 @@ DIFFERENTIAL = [(2, "V(2)+W(1)", 0), (2, "V(2)^2", 0), (2, "W(2)", 0),
 
 @pytest.mark.parametrize("q,label,split", DIFFERENTIAL,
                          ids=[f"{q}-{lab}-{sp}" for q, lab, sp in DIFFERENTIAL])
-def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
+def test_index_scans_match_matrix_scans(q, label, split):
     if q == "Sp6(2)":
         spec = group_spec("Sp", 6, 2)
         orbit = class_orbit(representative(parse_label(label, 2), 6, 2), spec)
@@ -500,25 +500,21 @@ def test_index_scans_match_matrix_scans(q, label, split, monkeypatch):
     mats = list(orbit.mats())
     want_d = reference_not_d(mats)
     want_f = reference_not_f(mats) if isinstance(want_d, dict) else None
-    # the derived table, then one matrix row per call
-    for limit in (rack.MATERIALIZE_LIMIT, orbit.size - 1):
-        monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", limit)
-        _class_rows.cache_clear()         # rows from the source under test
-        rows_mats, row = _class_rows(orbit)
-        assert rows_mats == mats
-        index = {m.pack(): k for k, m in enumerate(mats)}
-        for i in (0, len(mats) - 1):
-            x, xi = mats[i], mats[i].inverse()
-            assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
-        got_d = refute_d(spec, orbit)
-        if isinstance(want_d, DWitness):
-            assert isinstance(got_d, DWitness)
-            assert recheck(got_d.to_json(), ())
-            assert got_d.to_json() == want_d.to_json()
-            continue
-        assert got_d.complete and got_d.stats == want_d
-        got_f = refute_f(orbit)
-        assert isinstance(got_f, Certificate) and got_f.stats == want_f
+    rows_mats, row = _class_rows(orbit)
+    assert rows_mats == mats
+    index = {m.pack(): k for k, m in enumerate(mats)}
+    for i in (0, len(mats) - 1):
+        x, xi = mats[i], mats[i].inverse()
+        assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
+    got_d = refute_d(spec, orbit)
+    if isinstance(want_d, DWitness):
+        assert isinstance(got_d, DWitness)
+        assert recheck(got_d.to_json(), ())
+        assert got_d.to_json() == want_d.to_json()
+        return
+    assert got_d.complete and got_d.stats == want_d
+    got_f = refute_f(orbit)
+    assert isinstance(got_f, Certificate) and got_f.stats == want_f
 
 
 D_PAIR_CLASSES = [(2, None), (3, "1,1,2"), (3, "2,2")]

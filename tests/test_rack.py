@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from unirack import rack
 from unirack.catalog import (
-    class_context, group_catalog, parse_label, representative,
+    class_context, group_catalog, label_catalog, parse_label, representative,
 )
 from unirack.detect import classify
 from unirack.ffield import Embedding
@@ -298,7 +300,7 @@ DIFFERENTIAL_CARRIERS = ("sp42-V4-0", "sp42-V4-1", "sp42-V4-union",
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL_CARRIERS)
-def test_conj_table_equals_dense_products(name, monkeypatch):
+def test_conj_table_equals_dense_products(name):
     mats = differential_carrier(name)
     r = checked_rack(mats)
     index = {x: i for i, x in enumerate(r.elements)}
@@ -308,17 +310,13 @@ def test_conj_table_equals_dense_products(name, monkeypatch):
         assert r.translation(i) == tuple(index[x * y * xi] for y in r.elements)
     if name == "sp42-V4-union":
         assert len(decompose(r)) > 1     # rows from more than one orbit
-    # one matrix row per call gives the same rows as the derived table
-    monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", len(mats) - 1)
-    per_row = checked_rack(mats)
-    assert all(per_row.translation(i) == r.translation(i) for i in range(r.size))
+    # rows read last first are derived from an empty memo, ancestors and all
+    row = conj_rows(r.elements)
+    assert all(row(i) == r.translation(i) for i in reversed(range(r.size)))
 
 
-@pytest.mark.parametrize("source", ["table", "per-row"])
-def test_repeated_matrix_is_refused(source, monkeypatch):
-    "Both row sources refuse a carrier that lists one matrix twice."
-    if source == "per-row":
-        monkeypatch.setattr(rack, "MATERIALIZE_LIMIT", 10)
+def test_repeated_matrix_is_refused():
+    "The row source refuses a carrier that lists one matrix twice."
     spec = group_spec("Sp", 4, 2)
     mats = sorted(class_orbit(transvection(spec), spec).mats())
     mats.insert(4, mats[3])
@@ -326,6 +324,45 @@ def test_repeated_matrix_is_refused(source, monkeypatch):
         conj_rows(mats)
     with pytest.raises(RackError, match="repeated"):
         conj_rack(mats)
+
+
+@pytest.fixture(scope="module")
+def sp47_transvections():
+    "Sp4(7) (1^2,2) split 0: 1,200 elements, past the row-code bound."
+    entry = label_catalog(4, 7, parse_label("2,1,1", 7)).entries[0]
+    assert (entry.split_index, entry.size) == (0, 1200)
+    return list(entry.orbit.mats())
+
+
+def test_derived_rows_equal_matrix_products_past_1024_elements(
+        sp47_transvections):
+    """Sampled rows of a 1,200-element class, derived from a few seed rows,
+    are the rows the matrix products x y x^-1 give."""
+    mats = sp47_transvections
+    row = conj_rows(mats)
+    index = {m.pack(): k for k, m in enumerate(mats)}
+    picked = random.Random(7).sample(range(1, len(mats) - 1), 20)
+    for i in [0, len(mats) - 1, *picked]:
+        x, xi = mats[i], mats[i].inverse()
+        assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
+
+
+def test_a_large_class_computes_a_few_matrix_rows(sp47_transvections,
+                                                  monkeypatch):
+    """Only the seeds' rows come from the matrices, all when `conj_rows` is
+    called; reading every row computes none."""
+    computed, matrix_row = [], rack._matrix_row
+
+    def counted(mats, points, index, x):
+        computed.append(x)
+        return matrix_row(mats, points, index, x)
+
+    monkeypatch.setattr(rack, "_matrix_row", counted)
+    row = conj_rows(sp47_transvections)
+    seeds = list(computed)
+    assert seeds[0] == 0 and len(seeds) <= 8
+    assert len({row(i) for i in range(len(sp47_transvections))}) == 1200
+    assert computed == seeds
 
 
 def test_carrier_with_a_foreign_element_is_not_closed():
