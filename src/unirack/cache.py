@@ -1,16 +1,20 @@
-"""Content-addressed cache for certificates and verdicts, with resume.
+"""Cache for certificates and verdicts, with resume.
 
-Keys are digests of the canonical request (group, label, split, operation,
-the caps the operation reads, seed, artifact version); values are canonical
-JSON.  Writes are atomic (temp file then rename), stale-version entries are
-misses, corrupt entries are misses.  One process owns a cache directory at a time, via a
-lock file."""
+A key is the canonical JSON text of the request (group, label, split,
+operation, the caps the operation reads, seed, artifact version).  Each
+entry is named by a checksum of the request, which the entry carries beside
+its value, and it is served only for that request: a name collision, or an
+entry copied under another name, is a miss.  The checksum is `zlib`'s, as
+`hashlib` would load OpenSSL into every CLI process.  Writes are atomic
+(temp file then rename), stale-version entries are misses, corrupt entries
+are misses.  One process owns a cache directory at a time, via a lock
+file."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import zlib
 from pathlib import Path
 
 from . import ARTIFACT_VERSION
@@ -59,10 +63,12 @@ class Cache:
     def key(self, payload: dict) -> str:
         payload = dict(payload)
         payload["artifact_version"] = ARTIFACT_VERSION
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        return canonical_json(payload)
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        text = key.encode()
+        name = f"{zlib.crc32(text):08x}{zlib.adler32(text):08x}"
+        return self.root / f"{name}.json"
 
     def get(self, key: str):
         path = self._path(key)
@@ -73,13 +79,15 @@ class Cache:
         except (OSError, json.JSONDecodeError):
             return None            # corrupt entry: treated as a miss
         if (not isinstance(entry, dict)
-                or entry.get("artifact_version") != ARTIFACT_VERSION):
+                or entry.get("artifact_version") != ARTIFACT_VERSION
+                or entry.get("request") != key):
             return None
         return entry.get("value")
 
     def put(self, key: str, value) -> None:
         path = self._path(key)
         tmp = path.with_suffix(".tmp")
-        entry = {"artifact_version": ARTIFACT_VERSION, "value": value}
+        entry = {"artifact_version": ARTIFACT_VERSION, "request": key,
+                 "value": value}
         tmp.write_text(canonical_json(entry))
         os.replace(tmp, path)

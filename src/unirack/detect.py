@@ -300,10 +300,11 @@ def _class_rows(orbit: Orbit):
 
 
 def _pair_split(px, py, x: int, y: int) -> bool:
-    """Whether x and y lie in different orbits of <phi_x, phi_y>, the
-    <x,y>-conjugation orbits that `d_pair` builds from the matrices.  An
+    """Whether x and y (x != y) lie in different orbits of <phi_x, phi_y>,
+    the <x,y>-conjugation orbits that `d_pair` builds from the matrices.
+    Like `d_pair`, the search stops as soon as the orbit of x meets y.  An
     orbit of indices never outgrows the class, so no orbit cap applies."""
-    return y not in rack.orbit((px, py), x, len(px))[0]
+    return rack.orbit((px, py), x, len(px), {y})[0] is not None
 
 
 def refute_d(spec, orbit: Orbit, budget: Budget = Budget(), resume=None,

@@ -650,11 +650,11 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     c.put(key, {"a": 1})
     assert c.get(key) == {"a": 1}
     # corrupt entry is a miss
-    (tmp_path / "c" / f"{key}.json").write_text("{broken")
+    c._path(key).write_text("{broken")
     assert c.get(key) is None
     # version bump is a miss
     c.put(key, {"a": 1})
-    path = tmp_path / "c" / f"{key}.json"
+    path = c._path(key)
     entry = json.loads(path.read_text())
     entry["artifact_version"] = "0.0.0"
     path.write_text(canonical_json(entry))
@@ -663,6 +663,47 @@ def test_cache_roundtrip_and_corruption(tmp_path):
     for text in ("[]", "1", "null", '"value"'):
         path.write_text(text)
         assert c.get(key) is None
+
+
+def test_cache_entry_is_served_only_for_its_request(tmp_path):
+    """An entry carries its request: split 0's D witness copied onto split
+    1's file name is a miss for split 1, although it would pass `recheck`,
+    and the run writes split 1's own entry back over the copy."""
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "classify", "--n", "2", "--q", "2",
+            "--label", "V(4)"]
+    code1, fresh = run(tmp_path, *argv)
+    paths = {json.loads(json.loads(p.read_text())["request"])["split"]: p
+             for p in cache_dir.glob("*.json")}
+    own = paths[1].read_text()
+    paths[1].write_text(paths[0].read_text())
+    code2, text = run(tmp_path, *argv)
+    records = json.loads(text)["rows"][0]["records"]
+    assert (code1, code2) == (0, 0) and sorted(paths) == [0, 1]
+    assert [r.get("cached", False) for r in records] == [True, False]
+    assert records[1] == json.loads(fresh)["rows"][0]["records"][1]
+    assert paths[1].read_text() == own
+
+
+def test_cache_ignores_entries_named_by_request_digest(tmp_path):
+    """An entry in the older layout, named by the SHA-256 of its request and
+    without the request inside, is never read: the class is computed again,
+    and the old file is left as it was."""
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "refute", "--kind", "d", "--n", "2",
+            "--q", "2", "--label", "V(2)^2"]
+    code1, fresh = run(tmp_path, *argv)
+    (path,) = cache_dir.glob("*.json")
+    entry = json.loads(path.read_text())
+    digest = hashlib.sha256(entry.pop("request").encode()).hexdigest()
+    old = cache_dir / f"{digest}.json"
+    old.write_text(canonical_json(entry))
+    path.unlink()
+    code2, text = run(tmp_path, *argv)
+    assert (code1, code2) == (0, 0) and text == fresh
+    assert "cached" not in json.loads(text)["results"][0]
+    assert old.read_text() == canonical_json(entry)
+    assert sorted(cache_dir.glob("*.json")) == sorted([old, path])
 
 
 def test_cache_lock_is_exclusive(tmp_path):

@@ -306,6 +306,24 @@ def test_f_edge_symmetry(sp42):
     assert edges > 0
 
 
+@pytest.mark.parametrize("q,label,splits", [(2, "V(2)^2", 12), (3, "2,2", 68)])
+def test_pair_split_matches_the_full_orbit(q, label, splits):
+    """The search that stops when the orbit of 0 meets j splits the pair
+    (0, j) exactly when j lies outside the whole orbit of 0 under
+    <phi_0, phi_j>, for every j != 0 of the class.  The commuting pairs are
+    among those split."""
+    cat = group_catalog(4, q)
+    e = entry(cat, str(parse_label(label, q)))
+    _, row = _class_rows(e.orbit)
+    r0, seen = row(0), 0
+    for j in range(1, e.size):
+        rj = row(j)
+        want = j not in rack.orbit((r0, rj), 0, e.size)[0]
+        assert detect._pair_split(r0, rj, 0, j) == want
+        seen += want
+    assert seen == splits
+
+
 def test_check_f_family_failure_modes(sp42):
     e = entry(sp42, "V(4)")
     r = e.rep()
