@@ -1,12 +1,13 @@
 """Cache for certificates and verdicts, with resume.
 
 A key is the canonical JSON text of the request (group, label, split,
-operation, the caps the operation reads, seed, artifact version).  Each
-entry is named by a checksum of the request, which the entry carries beside
-its value, and it is served only for that request: a name collision, or an
-entry copied under another name, is a miss.  The checksum is `zlib`'s, as
-`hashlib` would load OpenSSL into every CLI process.  Writes are atomic
-(temp file then rename), stale-version entries are misses, corrupt entries
+operation, the caps the operation reads, seed).  Each entry is named by a
+checksum of the request, and carries the request and the artifact version
+that wrote it beside its value.  It is served only for that request and
+version: a name collision, an entry copied under another name, or an entry
+of another version is a miss, which the rerun overwrites in place.  The
+checksum is `zlib`'s, as `hashlib` would load OpenSSL into every CLI
+process.  Writes are atomic (temp file then rename), and corrupt entries
 are misses.  One process owns a cache directory at a time, via a lock
 file."""
 
@@ -40,7 +41,7 @@ class Cache:
             fd = os.open(self._lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise CacheLocked(f"cache directory {self.root} is locked "
-                              f"(remove {self._lock_path} if stale)")
+                              f"(remove {self._lock_path} if stale)") from None
         os.write(fd, str(os.getpid()).encode())
         self._lock_fd = fd
         return self
@@ -61,8 +62,6 @@ class Cache:
         self.release()
 
     def key(self, payload: dict) -> str:
-        payload = dict(payload)
-        payload["artifact_version"] = ARTIFACT_VERSION
         return canonical_json(payload)
 
     def _path(self, key: str) -> Path:

@@ -23,10 +23,10 @@ from typing import NamedTuple
 from .chevalley import ChevalleyWord, symplectic_model, su3_model
 from .ffield import embedding, make_field, prime_power
 from .matgroup import (
-    Mat, Orbit, _x_minus_one, class_orbit, classical_order, det_flat,
-    format_partition, group_spec, identity_flat, is_unipotent,
-    jordan_partition, mul_flat, membership, row_reduce, rows_flat,
-    split_classes, subgroup_closure, transpose_flat, unitary_twist,
+    Mat, Orbit, class_orbit, classical_order, det_flat, format_partition,
+    group_spec, identity_flat, jordan_partition, kernel_rows, mul_flat,
+    membership, nilpotent_ladder, row_reduce, rows_flat, split_classes,
+    subgroup_closure, transpose_flat, unitary_twist,
 )
 from .detect import (
     ClassContext, DWitness, collapse_eq_holds, d_pair, mat_json,
@@ -61,6 +61,9 @@ class UnipotentLabel(NamedTuple):
 
     def validate(self):
         if self.parity == "odd":
+            if min(self.partition, default=1) < 1:
+                raise CatalogError(f"part {min(self.partition)} of {self} "
+                                   f"is below 1")
             c = Counter(self.partition)
             for part, mult in c.items():
                 if part % 2 and mult % 2:
@@ -69,6 +72,9 @@ class UnipotentLabel(NamedTuple):
         else:
             seen_w, seen_v = set(), set()
             for kind, param, mult in self.decomp:
+                if param < 1 or mult < 1:
+                    raise CatalogError(f"term {kind}({param})^{mult} of {self} "
+                                       f"has a size or multiplicity below 1")
                 if kind == "W":
                     if param in seen_w:
                         raise CatalogError("repeated W size")
@@ -117,8 +123,7 @@ def odd_label(parts) -> UnipotentLabel:
 
 
 def even_label(terms) -> UnipotentLabel:
-    canon = tuple(sorted(((k, p, m) for k, p, m in terms if m),
-                         key=lambda t: (-t[1], t[0])))
+    canon = tuple(sorted(terms, key=lambda t: (-t[1], t[0])))
     return UnipotentLabel("even", decomp=canon).validate()
 
 
@@ -232,7 +237,7 @@ def _regular_sp_block(d: int, q: int, scale_last: int = 1) -> Mat:
     for i, a in enumerate(simples):
         word.append((a, scale_last if i == len(simples) - 1 else 1))
     u = model.evaluate(ChevalleyWord(tuple(word)))
-    assert jordan_partition(u) == (d,)
+    assert jordan_partition(nilpotent_ladder(u)) == (d,)
     return u
 
 
@@ -311,24 +316,9 @@ def transvection_rep(n2: int, q: int, coeff: int = 1) -> Mat:
 # even-q type detection
 
 
-def _nullspace(F, n, A) -> list[tuple]:
-    "Basis of the right kernel of A, one vector per non-pivot column."
-    M = rows_flat(n, A)
-    pivots, _ = row_reduce(F, M, n)
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [0] * n
-        v[fc] = 1
-        for row, pc in zip(M, pivots):
-            v[pc] = F.neg(row[fc])
-        basis.append(tuple(v))
-    return basis
-
-
-def _has_form_defect(u: Mat, form: Mat, two_k: int) -> bool:
-    """Is there v in ker((u+1)^{2k}) with ((u+1)^{2k-1} v, v) != 0?
+def _has_form_defect(ladder, form: Mat, two_k: int) -> bool:
+    """Is there v in ker(N^{2k}) with (N^{2k-1} v, v) != 0, for the
+    `nilpotent_ladder` of u, N = u + 1, and 2k at most its length?
 
     This detects a V(2k)-summand: on any W-summand and on V-summands of
     other sizes the pairing vanishes on that kernel layer.  With the kernel
@@ -336,33 +326,28 @@ def _has_form_defect(u: Mat, form: Mat, two_k: int) -> bool:
     Gram matrix G = K^T (N^{2k-1})^T B K.  This quadratic form has degree
     below q in each c_a (c_a^2 read as c_a when q = 2), so it vanishes on
     all of F_q^d iff its coefficients G_aa and G_ab + G_ba all vanish."""
-    F, n = u.field, u.n
-    N = _x_minus_one(u).flat
-    Nk1 = N                                # N^(2k-1)
-    for _ in range(two_k - 2):
-        Nk1 = mul_flat(F, n, Nk1, N)
-    kernel = _nullspace(F, n, mul_flat(F, n, Nk1, N))
-    # K is n x n with zero columns after the basis, so G is 0 past them
-    K = [kernel[a][i] if a < len(kernel) else 0
-         for i in range(n) for a in range(n)]
-    G = mul_flat(F, n, transpose_flat(n, mul_flat(F, n, Nk1, K)),
-                 mul_flat(F, n, form.flat, K))
+    F, n = form.field, form.n
+    rung = ladder[two_k - 1]
+    # K has zero columns after the basis, so G is 0 past them
+    K = transpose_flat(n, kernel_rows(F, rung.rows, rung.pivots))
+    NK = mul_flat(F, n, ladder[two_k - 2].power, K)        # N^(2k-1) K
+    G = mul_flat(F, n, transpose_flat(n, NK), mul_flat(F, n, form.flat, K))
     return any(G[a * n + a] for a in range(n)) \
         or any(F.add(G[a * n + b], G[b * n + a])
                for a in range(n) for b in range(a + 1, n))
 
 
-def decomposition_type(u: Mat, spec) -> UnipotentLabel:
-    """The W/V decomposition shape of a unipotent element, even q only.
+def decomposition_type(ladder, spec) -> UnipotentLabel:
+    """The W/V decomposition shape of a unipotent element, from its
+    `nilpotent_ladder`, even q only.
 
     Jordan data pins everything except whether an even part carries a
     V-term; that is decided by the alternating-form defect on the matching
-    kernel layer (odd multiplicity forces one V-term; even multiplicity is
-    V^2 or none)."""
+    kernel layer (odd multiplicity forces one V-term, which the defect must
+    show; even multiplicity is V^2 or none)."""
     if spec.q % 2:
         raise CatalogError("decomposition types are an even-q notion")
-    parts = jordan_partition(u)
-    c = Counter(parts)
+    c = Counter(jordan_partition(ladder))
     terms = []
     for part in sorted(c, reverse=True):
         mult = c[part]
@@ -371,73 +356,68 @@ def decomposition_type(u: Mat, spec) -> UnipotentLabel:
                 raise CatalogError("odd part with odd multiplicity")
             terms.append(("W", part, mult // 2))
             continue
-        if mult % 2:
-            b = 1
-        else:
-            b = 2 if _has_form_defect(u, spec.form, part) else 0
+        defect = _has_form_defect(ladder, spec.form, part)
+        if mult % 2 and not defect:
+            raise CatalogError("defect test disagrees with multiplicity parity")
+        b = 1 if mult % 2 else 2 * defect
         if b:
             terms.append(("V", part, b))
         if (mult - b) // 2:
             terms.append(("W", part, (mult - b) // 2))
-        if b == 1 and not _has_form_defect(u, spec.form, part):
-            raise CatalogError("defect test disagrees with multiplicity parity")
     return even_label(terms)
 
 
-def label_of(u: Mat, spec) -> UnipotentLabel:
+def label_of(ladder, spec) -> UnipotentLabel:
+    "The label of a unipotent of Sp_2n(q), from its `nilpotent_ladder`."
     if spec.q % 2:
-        return odd_label(jordan_partition(u))
-    return decomposition_type(u, spec)
+        return odd_label(jordan_partition(ladder))
+    return decomposition_type(ladder, spec)
 
 
 # ---------------------------------------------------------------------------
 # odd-q class keys and sizes (Wall)
 
 
-def _discriminant(F, n: int, G) -> int:
-    """The discriminant of the symmetric form with flat Gram matrix G
-    modulo its radical: the determinant of G on the pivot columns J of its
-    row reduction.  The columns J are a basis of the column space, and by
-    symmetry the rows J of the row space, so G[J, J] is nonsingular and J
-    spans a complement of the radical."""
-    pivots, _ = row_reduce(F, rows_flat(n, G), n)
-    minor = [G[i * n + j] for i in pivots for j in pivots]
-    return det_flat(F, len(pivots), minor)
+def square_classes(ladder, form: Mat, partition) -> tuple:
+    """Wall's invariant of a unipotent u of Sp(form) over odd q, from its
+    `nilpotent_ladder`, one entry per even part i of its Jordan `partition`,
+    largest first: 0 when the symmetric form (v, w) -> <v, N^(i-1) w> on
+    ker N^i, N = u - 1, has a square discriminant modulo its radical, 1 when
+    not.  On the quotient the form is nondegenerate, of dimension the
+    multiplicity of i, and the partition with these square classes fixes
+    the class of u (G. E. Wall, J. Austral. Math. Soc. 3, 1963).  With the
+    kernel basis as the columns of K, the Gram matrix G is K^T B N^(i-1) K,
+    B the form; for the largest part, N^i = 0 and K is the identity.
 
-
-def square_classes(u: Mat, form: Mat, partition) -> tuple:
-    """Wall's invariant of a unipotent u of Sp(form) over odd q, one entry
-    per even part i of its Jordan `partition`, largest first: 0 when the
-    symmetric form (v, w) -> <v, N^(i-1) w> on ker N^i, N = u - 1, has a
-    square discriminant modulo its radical, 1 when not.  On the quotient
-    the form is nondegenerate, of dimension the multiplicity of i, and the
-    partition with these square classes fixes the class of u (G. E. Wall,
-    J. Austral. Math. Soc. 3, 1963).  With the kernel basis as the columns
-    of K, the Gram matrix is K^T B N^(i-1) K, B the form; for the largest
-    part, N^i = 0 and K is the identity."""
-    F, n = u.field, u.n
-    N = _x_minus_one(u).flat
+    The discriminant modulo the radical is the determinant of G on the
+    pivot columns J of its row reduction: the columns J are a basis of the
+    column space, and by symmetry the rows J of the row space, so G[J, J]
+    is nonsingular.  For the largest part, G = B N^(i-1) has the pivots of
+    N^(i-1), which the ladder holds, as B is invertible."""
+    F, n = form.field, form.n
     out = []
     for i in sorted({p for p in partition if p % 2 == 0}, reverse=True):
-        Ni1 = N
-        for _ in range(i - 2):
-            Ni1 = mul_flat(F, n, Ni1, N)
-        G = mul_flat(F, n, form.flat, Ni1)
-        if i < max(partition):
-            kernel = _nullspace(F, n, mul_flat(F, n, Ni1, N))
-            # K^T: the basis as rows, then zero rows
-            Kt = [x for v in kernel for x in v]
-            Kt += [0] * (n * n - len(Kt))
+        rung = ladder[i - 2]                          # N^(i-1)
+        G, pivots = mul_flat(F, n, form.flat, rung.power), rung.pivots
+        if i < len(ladder):
+            rung = ladder[i - 1]                      # N^i
+            Kt = kernel_rows(F, rung.rows, rung.pivots)   # K^T
             G = mul_flat(F, n, Kt, mul_flat(F, n, G, transpose_flat(n, Kt)))
-        out.append(0 if F.is_square(_discriminant(F, n, G)) else 1)
+            pivots = row_reduce(F, rows_flat(n, G), n)[0]
+        minor = [G[a * n + b] for a in pivots for b in pivots]
+        out.append(0 if F.is_square(det_flat(F, len(pivots), minor)) else 1)
     return tuple(out)
 
 
-def class_key(u: Mat, spec) -> tuple:
-    """(label, square classes) of a unipotent u of Sp_2n(q), q odd: two
-    such elements are conjugate iff their keys are equal."""
-    label = label_of(u, spec)
-    return label, square_classes(u, spec.form, label.partition)
+def class_key(u: Mat, spec) -> tuple | None:
+    """(label, square classes) of an element u of Sp_2n(q), q odd, from one
+    `nilpotent_ladder`; None when u is not unipotent.  Two unipotents are
+    conjugate iff their keys are equal."""
+    ladder = nilpotent_ladder(u)
+    if ladder is None:
+        return None
+    label = label_of(ladder, spec)
+    return label, square_classes(ladder, spec.form, label.partition)
 
 
 def centralizer_order(partition, squares, q: int) -> int:
@@ -519,7 +499,7 @@ class ClassEntry:
         "Whether the element x of G lies in this class."
         if self.key is None:
             return self._orbit.contains(x)
-        return is_unipotent(x) and class_key(x, self._spec) == self.key
+        return class_key(x, self._spec) == self.key
 
 
 class GroupCatalog(NamedTuple):
@@ -537,8 +517,10 @@ class GroupCatalog(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _labelled_u(n2: int, q: int):
-    """(spec, model, U^F, the nonidentity elements of U^F by label): U^F
-    is labelled once per group."""
+    """(spec, model, U^F, the nonidentity elements of U^F by label, then
+    by square classes): each member is keyed once, from one ladder, by
+    `class_key` for odd q and by its label, with no square classes, for
+    even q."""
     spec = group_spec("Sp", n2, q)
     model = symplectic_model(n2 // 2, q)
     u_group = []
@@ -547,7 +529,9 @@ def _labelled_u(n2: int, q: int):
         u_group.append(u)
         if u.is_identity():
             continue
-        by_label.setdefault(label_of(u, spec), []).append(u)
+        label, squares = (class_key(u, spec) if q % 2
+                          else (label_of(nilpotent_ladder(u), spec), ()))
+        by_label.setdefault(label, {}).setdefault(squares, []).append(u)
     return spec, model, tuple(u_group), by_label
 
 
@@ -555,22 +539,19 @@ def _labelled_u(n2: int, q: int):
 def label_classes(n2: int, q: int, label: UnipotentLabel) -> tuple:
     """The classes of one label, as ClassEntry values.  Every class of the
     label meets U^F, so splitting its elements in U^F is exhaustive; a
-    label that does not occur has no classes.  For odd q they are grouped
-    by `class_key`, numbered by square classes, square first, and sized by
-    `centralizer_order`: no orbit is built.  For even q they are split into
-    conjugation orbits, numbered by least packed element."""
+    label that does not occur has no classes.  For odd q they are the
+    groups of `_labelled_u` by square classes, numbered square first, and
+    sized by `centralizer_order`: no orbit is built.  For even q they are
+    split into conjugation orbits, numbered by least packed element."""
     spec, _, _, by_label = _labelled_u(n2, q)
-    elements = by_label.get(label, ())
+    groups = by_label.get(label, {})
     if q % 2:
-        groups: dict = {}
-        for u in sorted(elements):
-            groups.setdefault(
-                square_classes(u, spec.form, label.partition), []).append(u)
         return tuple(
-            ClassEntry(label, k, None, tuple(members),
+            ClassEntry(label, k, None, tuple(sorted(members)),
                        spec.order // centralizer_order(label.partition, sq, q),
                        (label, sq), spec)
             for k, (sq, members) in enumerate(sorted(groups.items())))
+    elements = groups.get((), ())
     by_pack = {u.pack(): u for u in elements}
     split = sorted(split_classes(elements, spec),
                    key=lambda sc: min(sc.orbit.packed))
@@ -928,7 +909,7 @@ def gu3_witness() -> GU3Report:
     r = Mat(F4, 3, (1, 1, zeta, 0, 1, 1, 0, 0, 1))
     checks = {}
     checks["r_in_gu"] = membership(r, gu)
-    checks["r_regular"] = jordan_partition(r) == (3,)
+    checks["r_regular"] = jordan_partition(nilpotent_ladder(r)) == (3,)
     F64 = make_field(2, 6)
     emb = embedding(2, 2, 6)
     eta64 = emb.apply(eta)
@@ -948,8 +929,9 @@ def gu3_witness() -> GU3Report:
     checks["s_in_su"] = membership(s, su)
     # three regular classes of the determinant-one subgroup
     su_all = subgroup_closure(list(su.generators), cap=10**4)
+    # a unipotent of GL_3 is regular iff N^2 != 0: its ladder has 3 rungs
     regulars = [m for m in su_all.mats()
-                if is_unipotent(m) and jordan_partition(m) == (3,)]
+                if len(nilpotent_ladder(m) or ()) == 3]
     parts = split_classes(regulars, su)
     checks["su_regular_class_count"] = len(parts)
     r_orbit_su = class_orbit(r, su)

@@ -256,11 +256,19 @@ class SymplecticModel:
     # -- the unipotent radical of the standard Borel
 
     def u_elements(self):
-        "All of U^F as (coefficient tuple, matrix), in canonical order."
+        """All of U^F as (coefficient tuple, matrix), in canonical order,
+        each matrix one product: its coefficient prefix's times x_r(c)."""
         order = self.rs.ordering(0)
-        for coeffs in itertools.product(range(self.field.q), repeat=len(order)):
-            yield coeffs, self.evaluate(
-                ChevalleyWord(tuple(zip(order, coeffs))))
+
+        def extend(coeffs, u):
+            if len(coeffs) == len(order):
+                yield coeffs, u
+                return
+            r = order[len(coeffs)]
+            for c in range(self.field.q):
+                yield from extend(coeffs + (c,), u * self.x(r, c) if c else u)
+
+        return extend((), Mat.identity(self.field, self.dim))
 
     def evaluate(self, word: ChevalleyWord) -> Mat:
         out = Mat.identity(self.field, self.dim)

@@ -6,7 +6,8 @@ Reports are canonical JSON: fixed key order, no whitespace, no volatile
 fields, so identical runs produce byte-identical output.  Wall-clock
 timings are only attached under --timings, which is documented as breaking
 byte-stability.  Exit codes: 0 all expectations matched, 2 a mismatch was
-found, 3 budget exhausted (unknowns remain), 64 usage error.
+found, 3 budget exhausted (unknowns remain), 64 usage error or a cache
+directory that another process holds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 
 from . import ARTIFACT_VERSION, SCHEMA_VERSION
-from .cache import Cache, canonical_json
+from .cache import Cache, CacheLocked, canonical_json
 from .catalog import (
     CatalogError, class_context, enumerate_labels, expected, group_catalog,
     gu3_witness, label_catalog, parse_label, row_matched,
@@ -92,7 +93,8 @@ def _selected(args):
     entries = [e for e in cat.entries
                if args.split is None or e.split_index == args.split]
     if not entries:
-        raise UsageError(f"{label} has no class with split {args.split}")
+        which = "" if args.split is None else f" with split {args.split}"
+        raise UsageError(f"{label} has no class{which} in Sp{n2}({args.q})")
     return label, cat._replace(entries=entries)
 
 
@@ -137,15 +139,15 @@ def cmd_classify(args) -> int:
     """Classify every class of the group, checked by the full catalog, or
     only the classes of --label, split without the other labels."""
     n2 = 2 * args.n
-    if args.label is None:
-        cat = group_catalog(n2, args.q)
-    else:
-        _, cat = _selected(args)
     budget = _budget_from_args(args)
     rows = []
     unknowns = 0
     mismatches = 0
     with _open_cache(args) as cache:
+        if args.label is None:
+            cat = group_catalog(n2, args.q)
+        else:
+            _, cat = _selected(args)
         for label in cat.labels():
             exp = expected(label, n2, args.q)
             records = []
@@ -212,11 +214,11 @@ def cmd_witness(args) -> int:
 
 def cmd_refute(args) -> int:
     from .detect import refute_d, refute_f, Certificate
-    label, cat = _selected(args)
     budget = _budget_from_args(args)
     results = []
     code = 0
     with _open_cache(args) as cache:
+        label, cat = _selected(args)
         for entry in cat.entries:
             def compute(resume, checkpoint):
                 if args.kind == "d":
@@ -332,7 +334,7 @@ def cmd_chevalley_verify(args) -> int:
 
 
 def _open_cache(args):
-    "The cache of --cache-dir or UNIRACK_CACHE, to be entered, or none."
+    "The cache of --cache-dir or UNIRACK_CACHE, or none: enter it first."
     cache_dir = args.cache_dir or os.environ.get("UNIRACK_CACHE")
     return Cache(cache_dir) if cache_dir else contextlib.nullcontext()
 
@@ -415,7 +417,7 @@ def main(argv=None) -> int:
     try:
         _check_group(args)
         return args.fn(args)
-    except UsageError as err:
+    except (UsageError, CacheLocked) as err:
         print(f"error: {err}", file=sys.stderr)
         return 64
 

@@ -101,8 +101,20 @@ def inv_flat(F: Field, n: int, A) -> tuple[int, ...]:
     return tuple(x for row in rows for x in row[n:])
 
 
-def rank_flat(F: Field, n: int, A) -> int:
-    return len(row_reduce(F, rows_flat(n, A), n)[0])
+def kernel_rows(F: Field, rows: list[list[int]], pivots: list[int]) -> tuple:
+    """A basis of the right kernel of an n-by-n matrix, from its rows and
+    pivot columns as `row_reduce` leaves them, one vector per non-pivot
+    column: the first rows of a flat n-by-n matrix, whose other rows are 0."""
+    n = len(rows[0])
+    out = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = [0] * n
+            v[fc] = 1
+            for row, pc in zip(rows, pivots):
+                v[pc] = F.neg(row[fc])
+            out += v
+    return tuple(out + [0] * (n * n - len(out)))
 
 
 def det_flat(F: Field, n: int, A) -> int:
@@ -433,48 +445,44 @@ def membership(X: Mat, spec: GroupSpec) -> bool:
 # Jordan data
 
 
-def is_unipotent(X: Mat) -> bool:
-    N = _x_minus_one(X)
-    acc = N
-    for _ in range(X.n):
-        if all(v == 0 for v in acc.flat):
-            return True
-        acc = acc * N
-    return all(v == 0 for v in acc.flat)
+class Rung(NamedTuple):
+    "One power N^k of a nilpotent N, flat, with its `row_reduce` result."
+    power: tuple
+    rows: list                # N^k's rows in reduced echelon form
+    pivots: list
 
 
-def _x_minus_one(X: Mat) -> Mat:
-    F = X.field
-    flat = list(X.flat)
-    for i in range(X.n):
-        flat[i * X.n + i] = F.sub(flat[i * X.n + i], 1)
-    return Mat(F, X.n, flat)
-
-
-def jordan_partition(X: Mat) -> tuple[int, ...]:
-    """Partition of n from the ranks of powers of (X - id); weakly
-    decreasing.  Raises on non-unipotent input."""
+def nilpotent_ladder(X: Mat) -> tuple[Rung, ...] | None:
+    """The powers N, N^2, ... of N = X - 1 up to the first zero one, each
+    row-reduced once; None when X is not unipotent, which shows as a power
+    whose rank does not fall, since the ranks of a nilpotent's powers fall
+    strictly to 0.  The ladder's length is the largest Jordan block of X,
+    and its ranks give the Jordan type (`jordan_partition`)."""
     F, n = X.field, X.n
-    N = _x_minus_one(X)
-    ranks = [n]
-    acc = N
-    for _ in range(n):
-        r = rank_flat(F, n, acc.flat)
-        ranks.append(r)
-        if r == 0:
-            break
-        acc = acc * N
-    if ranks[-1] != 0:
+    N = tuple(F.sub(x, 1) if i % (n + 1) == 0 else x
+              for i, x in enumerate(X.flat))
+    ladder, power, rank = [], N, n
+    while True:
+        rows = rows_flat(n, power)
+        pivots = row_reduce(F, rows, n)[0] if any(power) else []
+        if len(pivots) == rank:
+            return None
+        ladder.append(Rung(power, rows, pivots))
+        if not pivots:
+            return tuple(ladder)
+        power, rank = mul_flat(F, n, power, N), len(pivots)
+
+
+def jordan_partition(ladder) -> tuple[int, ...]:
+    """The Jordan type of a unipotent, weakly decreasing, from the ranks of
+    its `nilpotent_ladder`: s is a part of multiplicity r(s-1) - 2 r(s) +
+    r(s+1), r(k) the rank of N^k.  Raises on a non-unipotent's None."""
+    if ladder is None:
         raise GroupError("matrix is not unipotent")
-    while len(ranks) < n + 2:
-        ranks.append(0)
-    parts = []
-    for s in range(1, n + 1):
-        mult = ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]
-        parts.extend([s] * mult)
-    parts.sort(reverse=True)
-    assert sum(parts) == n
-    return tuple(parts)
+    n = len(ladder[0].rows)
+    ranks = [n] + [len(rung.pivots) for rung in ladder] + [0]
+    return tuple(s for s in range(len(ladder), 0, -1)
+                 for _ in range(ranks[s - 1] - 2 * ranks[s] + ranks[s + 1]))
 
 
 def format_partition(parts) -> str:

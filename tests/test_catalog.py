@@ -14,8 +14,8 @@ from unirack.catalog import (
 )
 from unirack.detect import recheck
 from unirack.matgroup import (
-    GroupError, class_orbit, group_spec, is_unipotent, jordan_partition,
-    membership, random_element, split_classes,
+    GroupError, class_orbit, group_spec, jordan_partition, membership,
+    nilpotent_ladder, random_element, split_classes,
 )
 
 
@@ -50,17 +50,19 @@ def test_representative_membership_and_type():
         for lab in enumerate_labels(n2, q):
             rep = representative(lab, n2, q)
             assert membership(rep, spec)
-            assert jordan_partition(rep) == lab.underlying_partition()
+            assert (jordan_partition(nilpotent_ladder(rep))
+                    == lab.underlying_partition())
             if q % 2 == 0:
-                assert decomposition_type(rep, spec) == lab
+                assert decomposition_type(nilpotent_ladder(rep), spec) == lab
 
 
 def test_transvection_rep_is_corner_matrix():
     u = transvection_rep(6, 2)
-    assert u.flat[5] == 1 and jordan_partition(u) == (2, 1, 1, 1, 1)
+    assert u.flat[5] == 1
+    assert jordan_partition(nilpotent_ladder(u)) == (2, 1, 1, 1, 1)
     spec = group_spec("Sp", 6, 2)
     assert membership(u, spec)
-    assert label_of(u, spec) == parse_label("W(1)^2+V(2)", 2)
+    assert label_of(nilpotent_ladder(u), spec) == parse_label("W(1)^2+V(2)", 2)
 
 
 def test_decomposition_distinguishes_w_from_v_pairs():
@@ -68,16 +70,17 @@ def test_decomposition_distinguishes_w_from_v_pairs():
     spec = group_spec("Sp", 4, 2)
     v22 = representative(parse_label("V(2)^2", 2), 4, 2)
     w2 = representative(parse_label("W(2)", 2), 4, 2)
-    assert jordan_partition(v22) == jordan_partition(w2) == (2, 2)
-    assert str(decomposition_type(v22, spec)) == "V(2)^2"
-    assert str(decomposition_type(w2, spec)) == "W(2)"
+    assert jordan_partition(nilpotent_ladder(v22)) == (2, 2)
+    assert jordan_partition(nilpotent_ladder(w2)) == (2, 2)
+    assert str(decomposition_type(nilpotent_ladder(v22), spec)) == "V(2)^2"
+    assert str(decomposition_type(nilpotent_ladder(w2), spec)) == "W(2)"
 
 
 def test_decomposition_type_refuses_a_non_unipotent_element():
     spec = group_spec("Sp", 4, 4)
-    torus = next(g for g in spec.generators if not is_unipotent(g))
+    torus = next(g for g in spec.generators if nilpotent_ladder(g) is None)
     with pytest.raises(GroupError, match="not unipotent"):
-        decomposition_type(torus, spec)
+        decomposition_type(nilpotent_ladder(torus), spec)
 
 
 def test_round_trip_all_even_labels():
@@ -85,7 +88,8 @@ def test_round_trip_all_even_labels():
         for q in (2, 4):
             spec = group_spec("Sp", n2, q)
             for lab in enumerate_labels(n2, q):
-                assert decomposition_type(representative(lab, n2, q), spec) == lab
+                rep = representative(lab, n2, q)
+                assert decomposition_type(nilpotent_ladder(rep), spec) == lab
 
 
 def test_split_counts_sp42():
@@ -121,13 +125,39 @@ def test_label_classes_match_the_catalog(q):
         assert classes(one.entries) == want
 
 
+@pytest.mark.parametrize("n2, q, products, reductions", [
+    (4, 5, 2672, 2048), (6, 2, 3329, 1274),
+])
+def test_labelling_work_counts(n2, q, products, reductions, monkeypatch):
+    """The matrix products and row reductions of labelling U^F and
+    splitting every label, with the group and the memoized labelling
+    already built: each member of U^F is one product from its prefix, forms
+    the powers of u - 1 once, in one ladder, and row-reduces each nonzero
+    power once."""
+    from unirack import matgroup
+    group_spec("Sp", n2, q).gen_pairs()
+    _labelled_u(n2, q)
+    counts = {"mul_flat": 0, "row_reduce": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(matgroup, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(matgroup, name, counted)
+        monkeypatch.setattr(catalog, name, counted)
+    _, _, _, by_label = _labelled_u.__wrapped__(n2, q)
+    for label in sorted(by_label):
+        label_classes.__wrapped__(n2, q, label)
+    assert counts == {"mul_flat": products, "row_reduce": reductions}
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_key_split_equals_the_orbit_split(q):
     """Oracle: the brute-force split of every label into conjugation orbits
     is the key catalog's split, as a partition of U^F with the same labels
     and sizes, and the classes are numbered square first."""
     spec, _, _, by_label = _labelled_u(4, q)
-    for label, elements in by_label.items():
+    for label, by_squares in by_label.items():
+        elements = [u for members in by_squares.values() for u in members]
         want = sorted((sc.members, sc.orbit.size)
                       for sc in split_classes(elements, spec))
         got = label_classes(4, q, label)
@@ -313,19 +343,22 @@ def test_label_of_rejects_non_unipotent():
     from unirack.matgroup import GroupError, Mat
     t = Mat(spec.field, 4, (2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2))
     with pytest.raises(GroupError):
-        label_of(t, spec)
+        label_of(nilpotent_ladder(t), spec)
 
 
 def defect_by_enumeration(u, form, two_k):
     """Some v in ker(N^{2k}) with (N^{2k-1} v, v) != 0, N = u - 1, found by
     trying every v in the kernel."""
     import itertools
-    from unirack.catalog import _nullspace
-    from unirack.matgroup import _x_minus_one
+    from unirack.matgroup import Mat, kernel_rows, row_reduce, rows_flat
     F, n = u.field, u.n
-    N = _x_minus_one(u)
+    N = Mat(F, n, [F.sub(x, 1) if i % (n + 1) == 0 else x
+                   for i, x in enumerate(u.flat)])
     Nk1 = N ** (two_k - 1)
-    kernel = _nullspace(F, n, (Nk1 * N).flat)
+    rows = rows_flat(n, (Nk1 * N).flat)
+    pivots = row_reduce(F, rows, n)[0]
+    flat = kernel_rows(F, rows, pivots)
+    kernel = [flat[a * n:(a + 1) * n] for a in range(n - len(pivots))]
     for coeffs in itertools.product(range(F.q), repeat=len(kernel)):
         v = [0] * n
         for c, b in zip(coeffs, kernel):
@@ -348,7 +381,8 @@ def defect_by_enumeration(u, form, two_k):
 ])
 def test_form_defect_gram_test_matches_enumeration(rank, q, random_forms):
     """The Gram test of `_has_form_defect` agrees with trying every kernel
-    vector, on every element of U^F and every even layer 2k <= 2n.  On the
+    vector, on every element of U^F and every even layer 2k <= 2n: past
+    the element's ladder N^(2k-1) = 0, and no vector has a defect.  On the
     symplectic form G is symmetric; seeded random forms in its place also
     give G with G_ab != G_ba, where only the off-diagonal test can fire."""
     from unirack.catalog import _has_form_defect
@@ -362,8 +396,9 @@ def test_form_defect_gram_test_matches_enumeration(rank, q, random_forms):
         if random_forms:
             form = Mat(spec.field, 2 * rank,
                        [rng.randrange(q) for _ in range(4 * rank * rank)])
+        ladder = nilpotent_ladder(u)
         for two_k in range(2, 2 * rank + 1, 2):
-            got = _has_form_defect(u, form, two_k)
+            got = two_k <= len(ladder) and _has_form_defect(ladder, form, two_k)
             assert got == defect_by_enumeration(u, form, two_k), (u, two_k)
             found.add(got)
     assert found == {False, True}

@@ -363,6 +363,8 @@ def test_cache_of_an_older_artifact_version_is_recomputed(tmp_path,
     records = [r for row in json.loads(text)["rows"] for r in row["records"]]
     assert code == 0 and len(records) == 6
     assert not any(r.get("cached") for r in records)
+    # the version is not part of the request: each stale entry is replaced
+    assert len(list((tmp_path / "c").glob("*.json"))) == 6
     code, text = run(tmp_path, *argv)
     records = [r for row in json.loads(text)["rows"] for r in row["records"]]
     assert all(r.get("cached") for r in records)
@@ -714,6 +716,45 @@ def test_cache_lock_is_exclusive(tmp_path):
     finally:
         c1.release()
     Cache(tmp_path / "c").acquire().release()
+
+
+def test_a_locked_cache_stops_the_run_before_any_catalog_work(
+        tmp_path, capsys, monkeypatch):
+    """A cache directory that another process holds ends the run with one
+    error line and exit 64, before any catalog is built."""
+    from unirack import cli
+    built = []
+    monkeypatch.setattr(cli, "group_catalog", lambda *a: built.append(a))
+    monkeypatch.setattr(cli, "label_catalog", lambda *a: built.append(a))
+    holder = Cache(tmp_path / "c").acquire()
+    try:
+        for argv in (("table", "--n", "2", "--q", "2"),
+                     ("refute", "--kind", "d", "--n", "2", "--q", "2",
+                      "--label", "V(2)^2")):
+            capsys.readouterr()
+            assert run(tmp_path, "--cache-dir", str(tmp_path / "c"),
+                       *argv) == (64, "")
+            err = capsys.readouterr().err
+            assert err.startswith("error: cache directory ")
+            assert "is locked" in err and err.count("\n") == 1
+    finally:
+        holder.release()
+    assert built == []
+
+
+@pytest.mark.parametrize("q, label, part", [
+    ("3", "6,-2", "-2"), ("3", "4,0", "0"), ("2", "W(0)+V(4)", "W(0)"),
+    ("2", "W(1)^0+V(4)", "W(1)^0"),
+])
+def test_label_parts_below_1_are_usage_errors(tmp_path, capsys, q, label,
+                                              part):
+    """A part, size or multiplicity below 1 is refused by name, and no
+    message speaks of a split that the command line did not give."""
+    capsys.readouterr()
+    assert run(tmp_path, "classify", "--n", "2", "--q", q,
+               "--label", label) == (64, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and part in err and "None" not in err
 
 
 def test_usage_errors(tmp_path, capsys):

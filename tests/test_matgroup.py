@@ -4,16 +4,15 @@ import random
 import pytest
 
 from unirack import matgroup
-from unirack.catalog import _nullspace
 from unirack.detect import _class_rows, _joint
 from unirack.ffield import make_field, prime_power
 from unirack.matgroup import (
     GroupError, Mat, ROW_CODE_LIMIT, _kernel, _row_code, class_orbit,
     classical_order, det_flat, enumerate_group, format_partition,
-    group_spec, identity_flat, inv_flat, rank_flat,
-    is_unipotent, j_mat, jordan_partition, membership,
-    mul_flat, random_element, split_classes, subgroup_closure,
-    symplectic_form, unitary_twist,
+    group_spec, identity_flat, inv_flat, j_mat, jordan_partition,
+    kernel_rows, membership, mul_flat, nilpotent_ladder, random_element,
+    row_reduce, rows_flat, split_classes, subgroup_closure, symplectic_form,
+    unitary_twist,
 )
 from unirack.rack import perm_group_order
 
@@ -189,15 +188,45 @@ def test_orbit_under_stops_where_it_meets_stop(fam, n, q):
     assert (got.complete, got.packed) == (whole.complete, whole.packed)
 
 
+def test_nilpotent_ladder_rungs_are_the_reduced_powers():
+    """Rung k of the ladder of u is N^k, N = u - 1, with that power's row
+    reduction, and the ladder ends at the first zero power.  An element of
+    Sp4(3) is unipotent iff its order divides 9 (its blocks have size at
+    most 4); every other element has no ladder."""
+    from unirack.chevalley import symplectic_model
+    spec = group_spec("Sp", 4, 3)
+    F, n = spec.field, 4
+    identity = Mat.identity(F, n)
+    lengths = set()
+    for _, u in symplectic_model(2, 3).u_elements():
+        ladder = nilpotent_ladder(u)
+        N = Mat(F, n, [F.sub(x, 1) if i % (n + 1) == 0 else x
+                       for i, x in enumerate(u.flat)])
+        for k, rung in enumerate(ladder, 1):
+            rows = rows_flat(n, (N ** k).flat)
+            assert rung.power == (N ** k).flat
+            assert (rung.rows, rung.pivots) == (rows, row_reduce(F, rows, n)[0])
+            assert any(rung.power) == (k < len(ladder))
+        lengths.add(len(ladder))
+    assert lengths == {1, 2, 4}
+    rng = random.Random(5)
+    others = 0
+    for _ in range(30):
+        x = random_element(spec, rng)
+        assert (nilpotent_ladder(x) is None) == (x ** 9 != identity)
+        others += x ** 9 != identity
+    assert others > 0
+
+
 def test_jordan_partition_basics():
     F = make_field(3, 1)
-    assert jordan_partition(Mat.identity(F, 4)) == (1, 1, 1, 1)
+    assert jordan_partition(nilpotent_ladder(Mat.identity(F, 4))) == (1, 1, 1, 1)
     full = mat_from_ints(F, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
-    assert jordan_partition(full) == (4,)
+    assert jordan_partition(nilpotent_ladder(full)) == (4,)
     spec = group_spec("Sp", 4, 3)
-    assert jordan_partition(transvection(spec)) == (2, 1, 1)
+    assert jordan_partition(nilpotent_ladder(transvection(spec))) == (2, 1, 1)
     with pytest.raises(GroupError):
-        jordan_partition(mat_from_ints(F, [[2, 0], [0, 1]]))
+        jordan_partition(nilpotent_ladder(mat_from_ints(F, [[2, 0], [0, 1]])))
     assert format_partition((2, 1, 1)) == "(1^2,2)"
 
 
@@ -207,7 +236,7 @@ def test_jordan_partition_conjugation_invariant():
     rng = random.Random(11)
     for _ in range(20):
         g = random_element(spec, rng)
-        assert jordan_partition(g * u * g.inverse()) == (2, 1, 1)
+        assert jordan_partition(nilpotent_ladder(g * u * g.inverse())) == (2, 1, 1)
 
 
 def test_block_jordan_oracle():
@@ -225,7 +254,8 @@ def test_block_jordan_oracle():
                     flat[(pos + k) * n + pos + k + 1] = 1
             pos += s
         X = Mat(F, n, flat)
-        assert jordan_partition(X) == tuple(sorted(parts, reverse=True))
+        assert (jordan_partition(nilpotent_ladder(X))
+                == tuple(sorted(parts, reverse=True)))
         g = None
         while g is None:
             cand = Mat(F, n, tuple(rng.randrange(5) for _ in range(n * n)))
@@ -234,7 +264,7 @@ def test_block_jordan_oracle():
                 g = cand
             except GroupError:
                 pass
-        assert (jordan_partition(g * X * g.inverse())
+        assert (jordan_partition(nilpotent_ladder(g * X * g.inverse()))
                 == tuple(sorted(parts, reverse=True)))
 
 
@@ -341,7 +371,7 @@ def test_is_unipotent_matches_p_power_order():
         for _ in range(6):
             acc = acc * acc
         byorder = acc.is_identity()
-        assert is_unipotent(x) == byorder
+        assert (nilpotent_ladder(x) is not None) == byorder
 
 
 def test_opposite_transvections_generate_inside_rank_one_copy():
@@ -655,8 +685,8 @@ def reduction_cases(F, n, seed):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_row_reduction_matches_brute_force(q, n):
-    """det_flat, rank_flat, inv_flat and the catalog's kernel basis, all
-    one row reduction, against the Leibniz determinant and the kernel
+    """det_flat, inv_flat, and the rank and kernel basis of one row
+    reduction, against the Leibniz determinant and the kernel
     found by trying every vector of F^n (where q^n <= 4096)."""
     F = make_field(*prime_power(q))
     ident = identity_flat(n)
@@ -669,7 +699,11 @@ def test_row_reduction_matches_brute_force(q, n):
         else:
             with pytest.raises(GroupError):
                 inv_flat(F, n, A)
-        rank, basis = rank_flat(F, n, A), _nullspace(F, n, A)
+        rows = rows_flat(n, A)
+        pivots = row_reduce(F, rows, n)[0]
+        rank, flat = len(pivots), kernel_rows(F, rows, pivots)
+        basis = [flat[i * n:(i + 1) * n] for i in range(n - rank)]
+        assert not any(flat[(n - rank) * n:])
         assert len(basis) == n - rank and (det != 0) == (rank == n)
         if enumerable:
             kernel = {v for v in itertools.product(range(q), repeat=n)

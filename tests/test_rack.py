@@ -211,8 +211,8 @@ def regular_class_racks_sp42():
     seen = set()
     racks = []
     for coeffs, u in model.u_elements():
-        from unirack.matgroup import jordan_partition
-        if jordan_partition(u) != (4,):
+        from unirack.matgroup import jordan_partition, nilpotent_ladder
+        if jordan_partition(nilpotent_ladder(u)) != (4,):
             continue
         if any(u.pack() in s for s in seen):
             continue
