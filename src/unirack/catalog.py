@@ -639,7 +639,6 @@ def class_context(entry: ClassEntry, catalog: GroupCatalog) -> ClassContext:
         u_members=entry.u_members,
         model=catalog.model,
         blocks=block_realizations(entry, catalog),
-        u_group=catalog.u_group,
     )
 
 

@@ -101,13 +101,13 @@ def _selected(args):
 def _class_step(cache, op, cat, entry, args, compute):
     """One class's step through the cache.  A final entry is served, marked
     cached, when it has the {"final": true, "value": ...} shape, not the
-    older one with a "verdict_json" field, and its value passes `recheck`
-    over the catalog's U^F.  Otherwise `compute(resume, checkpoint)` runs,
-    resuming a partial entry's state if `resume_holds` accepts it for the
-    class, and returns (report value, final, resume state); the value of a
-    final result is stored as {"final": true, "value": ...}, and a resume
-    state as {"final": false, "state": ...}.  Any other entry reads as a
-    miss, and the run overwrites it."""
+    older one with a "verdict_json" field, and its value passes `recheck`.
+    Otherwise `compute(resume, checkpoint)` runs, resuming a partial
+    entry's state if `resume_holds` accepts it for the class, and returns
+    (report value, final, resume state); the value of a final result is
+    stored as {"final": true, "value": ...}, and a resume state as
+    {"final": false, "state": ...}.  Any other entry reads as a miss, and
+    the run overwrites it."""
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
@@ -124,7 +124,7 @@ def _class_step(cache, op, cat, entry, args, compute):
             state = got.get("state")
             resume = state if resume_holds(state, entry.size) else None
         # the older shape has no "value", which `recheck` reads as malformed
-        elif recheck(got.get("value"), cat.u_group):
+        elif recheck(got.get("value")):
             return dict(got["value"], cached=True)
     value, final, state = compute(
         resume, lambda st: cache.put(key, {"final": False, "state": st}))
@@ -228,12 +228,10 @@ def cmd_refute(args) -> int:
                     got = refute_f(entry.orbit)
                 if isinstance(got, Certificate):
                     return got.to_json(), got.complete, got.resume_state
-                if isinstance(got, dict):                  # clique_found
-                    return got, False, None
-                return got.to_json(), True, None           # a DWitness
+                return got.to_json(), True, None           # a D or F witness
             value = _class_step(cache, f"refute_{args.kind}", cat, entry,
                                 args, compute)
-            if value["kind"] in ("witness_D", "clique_found"):
+            if value["kind"] in ("witness_D", "witness_F"):
                 code = 2
             elif not value["complete"]:
                 code = 3

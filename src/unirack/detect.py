@@ -1,19 +1,24 @@
 """The classification engine: type-D and type-F witnesses, exhaustive
 refutation certificates, and the combined verdict.
 
-A type-D witness is built from the two orbits it asserts to be disjoint,
-and a type-F witness checks all three family conditions by brute force over
-the materialized subracks.  `recheck` checks a witness again from the value
-a report writes, as the cache does before it serves one.
+A type-D witness is built from the two orbits it asserts to be disjoint.
+A type-F witness is built from its four representatives alone: every
+family with those representatives holds their joint orbits, the orbits
+under conjugation by all four, and the joint orbits are a family once they
+are disjoint (see `check_f_family`).  All three family conditions are then
+checked by brute force over the materialized subracks.  `recheck` checks a
+witness again from the value a report writes, as the cache does before it
+serves one, and reads nothing else.
 
 Refutations scan index rows of the class's conjugation rack, index 0 the
 fixed representative, and rebuild a witness they find from the matrices.
 They rely on conjugation equivariance: conjugation by a group element is a
 rack automorphism of the class carrying witnesses to witnesses, so a scan
 that fixes one representative against the whole class is exhaustive for
-pairs, and the compatibility graph used for the type-F necessary condition
-is vertex-transitive, so the cliques through the representative stand for
-all of them.
+pairs, and the compatibility graph of the type-F scan is vertex-transitive,
+so the cliques through the representative stand for all of them.  By the
+same argument the not-F scan decides type F: a 4-clique that survives its
+joint test is the family it returns.
 """
 
 from __future__ import annotations
@@ -206,30 +211,38 @@ class FFailure(NamedTuple):
         return False
 
 
-def check_f_family(reps, u_group, builder: str = "torus_translates"):
-    """Verify a 4-family: R_a = U > r_a.
+def check_f_family(reps, builder: str):
+    """Verify a 4-family from its representatives alone: R_a is the joint
+    orbit of r_a, its orbit under conjugation by all four.
 
-    Returns an FWitness on success, otherwise an FFailure naming the
-    violated condition.
+    Any family with these representatives has R_a containing that orbit,
+    and the joint orbits are a family as soon as they are disjoint: each x
+    in R_a is h > r_a for some h in H = <r_1, ..., r_4>, so phi_x lies in
+    H and R_a > R_b = R_b.  The representatives therefore decide whether a
+    family exists.  Returns an FWitness on success, otherwise an FFailure
+    naming the violated condition; a joint orbit that outgrows the orbit
+    cap raises DetectError.
     """
     reps = tuple(reps)
     if len(reps) != 4:
         raise DetectError("a type-F family has exactly 4 representatives")
-    subracks = [sorted({(u * r * u.inverse()).pack() for u in u_group})
-                for r in reps]
-    return FWitness(reps, tuple(tuple(t) for t in subracks), builder).check()
+    orbits = [orbit_under(r, reps) for r in reps]
+    if not all(o.complete for o in orbits):
+        raise DetectError("a joint orbit outgrew the orbit cap")
+    return FWitness(reps, tuple(tuple(o.sorted_packed()) for o in orbits),
+                    builder).check()
 
 
-def recheck(value, u_group) -> bool:
+def recheck(value) -> bool:
     """Whether a verdict or refutation value, as a report writes it, holds
     when its witness is checked again from the value alone.  The witness of
     a verdict is its "witness" field; a refutation's value that is a
     witness is one itself.  A D witness must be rebuilt by `d_pair` with its
-    stored orbit sizes, and an F witness must pass `check_f_family` over
-    U^F `u_group` with its stored builder and subrack sizes; a value with
-    no witness holds.  A malformed value does not hold, and any other error
-    is a fault of the check and propagates (ValueError covers the package's
-    DetectError, GroupError and FieldError)."""
+    stored orbit sizes, and an F witness must pass `check_f_family` with its
+    stored builder and subrack sizes; a value with no witness holds.  A
+    malformed value does not hold, and any other error is a fault of the
+    check and propagates (ValueError covers the package's DetectError,
+    GroupError and FieldError)."""
     try:
         w = value.get("witness", value)
         if w.get("kind") == "witness_D":
@@ -239,7 +252,7 @@ def recheck(value, u_group) -> bool:
                     and w["orbit_sizes"] == list(res.witness.orbit_sizes))
         if w.get("kind") == "witness_F":
             got = check_f_family([mat_from_json(m) for m in w["reps"]],
-                                 u_group, builder=w["builder"])
+                                 w["builder"])
             return isinstance(got, FWitness) and w["subrack_sizes"] == [
                 len(t) for t in got.subracks]
         return True
@@ -381,22 +394,24 @@ def _joint(perms, family) -> bool:
 
 
 def refute_f(orbit: Orbit):
-    """Certify the necessary condition for type F on the class.
+    """Decide type F on the class: a not_F Certificate, or the FWitness of
+    a 4-clique that survives the joint test.
 
     The compatibility graph has an edge (x, y) iff x > y != y and the
     <x,y>-orbits of x and y differ; a type-F family forces its four
     representatives to be pairwise adjacent (each O_{r_a}^{<r_a,r_b>} sits
     inside the stable subrack R_a), and moreover to have pairwise disjoint
     orbits under the subgroup generated by all four.  Every 4-clique of the
-    pair-level graph is therefore re-verified at the joint level; the
-    certificate asserts that no configuration satisfying the necessary
-    conditions exists.
+    pair-level graph is therefore re-verified at the joint level.  The
+    conditions are also sufficient: a clique whose joint orbits are
+    disjoint has those orbits as a family (see `check_f_family`), which is
+    returned, and DetectError is raised if the matrices disagree with the
+    rows.  The certificate keeps its necessary-condition basis: it asserts
+    that no configuration satisfying the necessary conditions exists.
 
     The scan reads index rows of the class's conjugation rack: the row of
     the fixed representative 0 gives its neighbours, and their rows give
-    the edges between them and the joint tests.  Returns a Certificate, or
-    {"kind": "clique_found", "stats": ...} when a 4-clique survives (type F
-    then stays undecided: the conditions are only necessary).
+    the edges between them and the joint tests.
     """
     mats, row = _class_rows(orbit)
     r0 = row(0)
@@ -443,7 +458,11 @@ def refute_f(orbit: Orbit):
                 stats["joint_tests"] += 1
                 family = (0, neighbors[i], neighbors[j], neighbors[k])
                 if _joint((r0, nrows[i], nrows[j], nrows[k]), family):
-                    return {"kind": "clique_found", "stats": stats}
+                    got = check_f_family([mats[x] for x in family], "clique")
+                    if not got:
+                        raise DetectError("rack rows and matrices disagree "
+                                          "on a family")
+                    return got
     # Only cliques through the fixed representative are enumerated.  The
     # graph is vertex-transitive (conjugation by the group is a rack
     # automorphism of the class), so every other 4-clique is a translate of
@@ -471,7 +490,6 @@ class ClassContext(NamedTuple):
     u_members: tuple = ()
     model: object = None
     blocks: tuple = ()
-    u_group: tuple = ()
 
     @property
     def orbit(self) -> Orbit:
@@ -519,7 +537,7 @@ def find_f_torus(ctx: ClassContext, budget: Budget, seed: int) -> FWitness | Non
     """Torus-translate 4-families: the rank-2 diagonal family for even q > 2
     regular classes, and the generic family when q is large enough."""
     model = ctx.model
-    if model is None or not ctx.u_group:
+    if model is None:
         return None
     q = ctx.spec.q
     F = model.field
@@ -535,7 +553,7 @@ def find_f_torus(ctx: ClassContext, budget: Budget, seed: int) -> FWitness | Non
             if a1 not in supp or a2 not in supp or root_add(a1, a2) in supp:
                 continue
             reps = [t * u * t.inverse() for t in ts]
-            got = check_f_family(reps, ctx.u_group, builder="torus_translates")
+            got = check_f_family(reps, "torus_translates")
             if isinstance(got, FWitness):
                 return got
     if q not in (2, 3, 4, 5, 7):
@@ -549,7 +567,7 @@ def find_f_torus(ctx: ClassContext, budget: Budget, seed: int) -> FWitness | Non
                 except (FamilyRefusal, HypothesisError):
                     continue
                 reps = [t * u * t.inverse() for t in fam.torus_mats]
-                got = check_f_family(reps, ctx.u_group, builder="torus_translates")
+                got = check_f_family(reps, "torus_translates")
                 if isinstance(got, FWitness):
                     return got
     return None
@@ -716,7 +734,8 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
     """The pipeline: the search strategies of `strategies()` in order, up to
     the first witness, then the exhaustive refutations.  cthulhu only when
     the not_D certificate is exhaustive and the not_F certificate holds at
-    necessary-condition grade.
+    necessary-condition grade; F, with strategy "clique", when the not-F
+    scan returns a family instead.
     """
     logs = []
     for name, kind, finder, miss in strategies():
@@ -736,10 +755,9 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
                        seed=seed, logs=tuple(logs + ["refute_d capped"]))
 
     got_f = refute_f(ctx.orbit)
-    if isinstance(got_f, dict):
-        return Verdict("unknown", cert_not_d=cert_d,
-                       strategy="clique-found", seed=seed,
-                       logs=tuple(logs + ["4-clique exists; type F undecided"]))
+    if isinstance(got_f, FWitness):
+        return Verdict("F", got_f, strategy="clique", seed=seed,
+                       logs=tuple(logs))
     return Verdict("cthulhu", cert_not_d=cert_d, cert_not_f=got_f,
                    strategy="refutation", seed=seed, logs=tuple(logs))
 
@@ -755,7 +773,7 @@ def su3_f_family(q: int) -> FWitness:
     fam = torus_family(None, None, q, "su3")
     u = su3.regular_rep()
     reps = [t * u * t.inverse() for t in fam.torus_mats]
-    got = check_f_family(reps, list(su3.u_elements()), builder="torus_translates")
+    got = check_f_family(reps, "torus_translates")
     if not isinstance(got, FWitness):
         raise DetectError(f"twisted family failed: {got}")
     return got

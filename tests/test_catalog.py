@@ -314,7 +314,7 @@ def test_gu3_witness_complete():
     F4 = rep.r.field
     assert rep.r.flat[1] == 1 and rep.r.flat[5] == 1
     assert rep.r.flat[2] == F4.generator
-    assert recheck(rep.witness.to_json(), ())
+    assert recheck(rep.witness.to_json())
 
 
 def test_regular_pairs_all_families():

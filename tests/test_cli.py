@@ -1,7 +1,6 @@
 import hashlib
 import json
 import pathlib
-import re
 
 import pytest
 
@@ -645,6 +644,31 @@ def test_refute_d_witness_is_cached(tmp_path):
     assert (code3, json.loads(again)["results"][0]) == (2, first)
 
 
+def test_refute_f_witness_is_cached(tmp_path, monkeypatch):
+    """A not-F scan that returns a family exits 2 and stores it as final:
+    the rerun serves it cached after its recheck.  The scan is stubbed to
+    return the genuine family of the SL_5(2) transvection class, which the
+    recheck reads from the value alone."""
+    from unirack import detect
+    from helpers import sl_transvections
+    family = detect.refute_f(sl_transvections(5, 2))
+    assert isinstance(family, detect.FWitness)
+    monkeypatch.setattr(detect, "refute_f", lambda orbit: family)
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "refute", "--kind", "f", "--n", "2",
+            "--q", "2", "--label", "V(2)^2"]
+    code1, cold = run(tmp_path, *argv)
+    code2, warm = run(tmp_path, *argv)
+    first, second = (json.loads(t)["results"][0] for t in (cold, warm))
+    assert (code1, code2) == (2, 2)
+    assert first == json.loads(canonical_json(family.to_json()))
+    assert second == dict(first, cached=True)
+    paths = list(cache_dir.glob("*.json"))
+    assert len(paths) == 1
+    assert json.loads(paths[0].read_text())["value"] == {"final": True,
+                                                         "value": first}
+
+
 def test_cache_roundtrip_and_corruption(tmp_path):
     c = Cache(tmp_path / "c")
     key = c.key({"op": "x"})
@@ -909,11 +933,15 @@ def _witness_values(report):
             if v.get("witness", v).get("kind") in ("witness_D", "witness_F")]
 
 
+def _no_catalog(*args, **kwargs):
+    raise AssertionError("the recheck read a catalog")
+
+
 @pytest.mark.parametrize("name", list(PINNED_RUNS))
 def test_pinned_reports_pass_the_recheck(tmp_path, monkeypatch, name):
     """Every D and F value of every pinned report, served cached or not,
-    passes `recheck` from the value alone and U^F of its group."""
-    from unirack.catalog import group_catalog
+    passes `recheck` from the value alone: no catalog is built or read."""
+    from unirack import catalog
     from unirack.detect import recheck
     monkeypatch.delenv("UNIRACK_CACHE", raising=False)
     cache = []
@@ -924,7 +952,8 @@ def test_pinned_reports_pass_the_recheck(tmp_path, monkeypatch, name):
         assert (main([*cache, "--output", str(out), *argv]), _digest(out)) \
             == (code, digest)
         report = json.loads(out.read_text())
-        sp = re.fullmatch(r"Sp(\d+)\((\d+)\)", report["group"])
-        u_group = group_catalog(int(sp[1]), int(sp[2])).u_group if sp else ()
-        for value in _witness_values(report):
-            assert recheck(value, u_group), value
+        with monkeypatch.context() as m:
+            m.setattr(catalog, "group_catalog", _no_catalog)
+            m.setattr(catalog, "_labelled_u", _no_catalog)
+            for value in _witness_values(report):
+                assert recheck(value), value

@@ -1,21 +1,23 @@
+import json
 import random
 
 import pytest
 
 from unirack import detect, rack
 from unirack.catalog import (
-    class_context, group_catalog, parse_label, representative,
+    ClassEntry, class_context, group_catalog, parse_label, representative,
 )
 from unirack.detect import (
-    Budget, Certificate, DWitness, FFailure, FWitness, _class_rows, _edge,
-    check_f_family, classify, collapse_eq_holds, d_pair, find_d_torus,
-    group_identity_spot_check, recheck, refute_d, refute_f, su3_f_family,
+    Budget, Certificate, ClassContext, DWitness, FFailure, FWitness,
+    _class_rows, _edge, check_f_family, classify, collapse_eq_holds, d_pair,
+    find_d_torus, group_identity_spot_check, mat_json, recheck, refute_d,
+    refute_f, su3_f_family,
 )
 from unirack.matgroup import (
     Mat, class_orbit, group_spec, orbit_under, random_element,
 )
 
-from helpers import mat_from_ints
+from helpers import mat_from_ints, sl_transvections
 
 
 @pytest.fixture(autouse=True)
@@ -56,7 +58,7 @@ def test_d_pair_explicit_pair_split_row(sp43):
     x = model.x((1, -1), 1)          # the first simple root element
     res = d_pair(x, w)
     assert res.kind == "witness"
-    assert recheck(res.witness.to_json(), ())
+    assert recheck(res.witness.to_json())
     # both lie in the same split class, the one of size 480
     e = entry(sp43, "(2^2)", 1)
     assert e.size == 480
@@ -79,7 +81,7 @@ def test_dwitness_revalidates_independently(sp42):
     v = classify(ctx)
     assert v.kind == "D"
     js = v.witness.to_json()
-    assert recheck(js, ())
+    assert recheck(js)
     assert js["kind"] == "witness_D" and js["orbit_sizes"][0] >= 1
 
 
@@ -96,7 +98,7 @@ def test_refute_d_finds_witness_on_a_collapsing_class(sp42):
     e = entry(sp42, "V(4)")
     got = refute_d(sp42.spec, e.orbit)
     assert isinstance(got, DWitness)
-    assert recheck(got.to_json(), ())
+    assert recheck(got.to_json())
 
 
 def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
@@ -112,7 +114,7 @@ def test_d_pair_builds_each_witness_orbit_once(sp43, monkeypatch):
     res = d_pair(w.r, w.s)
     assert res.kind == "witness" and calls == [w.r, w.s]
     assert res.witness.orbit_sizes == w.orbit_sizes
-    assert recheck(res.witness.to_json(), ())
+    assert recheck(res.witness.to_json())
 
 
 def test_same_orbit_pair_stops_at_s(sp43, monkeypatch):
@@ -327,23 +329,32 @@ def test_pair_split_matches_the_full_orbit(q, label, splits):
 def test_check_f_family_failure_modes(sp42):
     e = entry(sp42, "V(4)")
     r = e.rep()
-    got = check_f_family([r, r, r, r], sp42.u_group)
+    got = check_f_family([r, r, r, r], "torus_translates")
     assert isinstance(got, FFailure) and got.condition == "disjointness"
     assert not got             # a failure is falsy, a witness is not
 
 
 def test_check_f_family_reports_stability():
-    """A family that is disjoint and non-fixing but not stable is an
-    FFailure, not an error: the genuine Sp4(4) V(4) #0 family with its
-    fourth representative swapped for another element of the class."""
+    """The genuine Sp4(4) V(4) #0 family with its fourth representative
+    swapped for another element of the class: its joint orbits are stable
+    by construction, so `check_f_family` fails it on disjointness.  Its
+    U^F-conjugate subracks are disjoint and non-fixing but not stable, and
+    `FWitness.check` fails them on stability, as an FFailure, not an
+    error."""
     cat = group_catalog(4, 4)
     e = entry(cat, "V(4)")
     reps = classify(class_context(e, cat)).witness.reps
-    assert isinstance(check_f_family(reps, cat.u_group), FWitness)
+    assert isinstance(check_f_family(reps, "torus_translates"), FWitness)
     x = mat_from_ints(cat.spec.field, [[0, 0, 0, 1], [0, 0, 1, 0],
                                        [0, 1, 1, 1], [1, 0, 1, 1]])
     assert e.orbit.contains(x)
-    got = check_f_family(reps[:3] + (x,), cat.u_group)
+    swapped = reps[:3] + (x,)
+    got = check_f_family(swapped, "torus_translates")
+    assert got == FFailure("disjointness")
+    subracks = tuple(tuple(sorted({(u * r * u.inverse()).pack()
+                                   for u in cat.u_group}))
+                     for r in swapped)
+    got = FWitness(swapped, subracks, "u_conjugates").check()
     assert got == FFailure("stability")
 
 
@@ -354,7 +365,7 @@ def test_diagonal_translate_f_family_sp44():
     ctx = class_context(e, cat)
     v = classify(ctx)
     assert v.kind == "F" and v.strategy == "torus"
-    assert recheck(v.witness.to_json(), cat.u_group)
+    assert recheck(v.witness.to_json())
     assert len(v.witness.subracks) == 4
     # the family representatives are genuine class members
     for m in v.witness.reps:
@@ -362,11 +373,10 @@ def test_diagonal_translate_f_family_sp44():
 
 
 def test_su3_f_families():
-    from unirack.chevalley import su3_model
     for q in (3, 4):
         w = su3_f_family(q)
         assert isinstance(w, FWitness)
-        assert recheck(w.to_json(), list(su3_model(q).u_elements()))
+        assert recheck(w.to_json())
 
 
 def test_group_identity_small_samples():
@@ -399,7 +409,7 @@ def test_torus_strategy_drives_regular_odd_class(sp43):
     v = classify(class_context(e, sp43))
     assert v.kind == "D" and v.strategy == "torus"
     assert v.witness.strategy == "torus"
-    assert recheck(v.witness.to_json(), ())
+    assert recheck(v.witness.to_json())
 
 
 def test_classify_exit_code_path_budget(tmp_path):
@@ -420,7 +430,7 @@ def test_find_d_dispatcher(sp43):
     e = entry(sp43, "(4)")
     ctx = class_context(e, sp43)
     got = find_d_torus(ctx, Budget(), 0)
-    assert got.strategy == "torus" and recheck(got.to_json(), ())
+    assert got.strategy == "torus" and recheck(got.to_json())
     e0 = entry(sp43, "(1^2,2)")
     ctx0 = class_context(e0, sp43)
     assert find_d_torus(ctx0, Budget(), 0) is None
@@ -527,12 +537,120 @@ def test_index_scans_match_matrix_scans(q, label, split):
     got_d = refute_d(spec, orbit)
     if isinstance(want_d, DWitness):
         assert isinstance(got_d, DWitness)
-        assert recheck(got_d.to_json(), ())
+        assert recheck(got_d.to_json())
         assert got_d.to_json() == want_d.to_json()
         return
     assert got_d.complete and got_d.stats == want_d
     got_f = refute_f(orbit)
     assert isinstance(got_f, Certificate) and got_f.stats == want_f
+
+
+# ---------------------------------------------------------------------------
+# type F from the definition
+
+
+def is_f_family_by_definition(rows, family) -> bool:
+    """Whether the indices `family` are the representatives of a type-F
+    family, over the index rows `rows` of a class: the members pairwise
+    have x > y != y, and their whole orbits under the group of their four
+    rows are pairwise disjoint."""
+    if any(rows[x][y] == y for x in family for y in family if x != y):
+        return False
+    perms = [rows[x] for x in family]
+    orbits = []
+    for a in family:
+        seen, todo = {a}, [a]
+        while todo:
+            x = todo.pop()
+            for p in perms:
+                if p[x] not in seen:
+                    seen.add(p[x])
+                    todo.append(p[x])
+        if any(seen & other for other in orbits):
+            return False
+        orbits.append(seen)
+    return True
+
+
+def definition_f_family(rows):
+    """(the first family through index 0 in index order, or None, and the
+    number of 4-sets tried): every 4-set {0, j, k, l} whose members
+    pairwise have x > y != y is tested by `is_f_family_by_definition`.
+    Neither the compatibility graph nor its pruning is used."""
+    def moves(x, y):
+        return rows[x][y] != y
+
+    nb = [j for j in range(1, len(rows)) if moves(0, j)]
+    tried = 0
+    for a, j in enumerate(nb):
+        for b in range(a + 1, len(nb)):
+            k = nb[b]
+            if not moves(j, k):
+                continue
+            for l in nb[b + 1:]:
+                if moves(j, l) and moves(k, l):
+                    tried += 1
+                    if is_f_family_by_definition(rows, (0, j, k, l)):
+                        return (0, j, k, l), tried
+    return None, tried
+
+
+F_ORACLE = [("Sp4(2)", "V(2)+W(1)"), ("Sp4(2)", "V(2)^2"), ("Sp4(2)", "W(2)"),
+            ("SL4(2)", "transvections"), ("SL5(2)", "transvections")]
+
+
+@pytest.mark.parametrize("group,label", F_ORACLE,
+                         ids=[f"{g}-{lab}" for g, lab in F_ORACLE])
+def test_refute_f_agrees_with_the_definition(group, label):
+    """The not-F scan decides type F: it returns a family exactly where the
+    definition finds one, and the family it returns satisfies the
+    definition.  The SL_4(2) transvection class is not F after 33,312
+    4-sets; the SL_5(2) one is F."""
+    if group == "Sp4(2)":
+        orbit = entry(group_catalog(4, 2), label).orbit
+    else:
+        orbit = sl_transvections(int(group[2]), 2)
+    mats, row = _class_rows(orbit)
+    rows = [row(x) for x in range(len(mats))]
+    want, tried = definition_f_family(rows)
+    got = refute_f(orbit)
+    if group == "SL4(2)":
+        assert tried == 33312
+    assert (want is not None) == (group == "SL5(2)")
+    if want is None:
+        assert isinstance(got, Certificate)
+        return
+    index = {m.pack(): k for k, m in enumerate(mats)}
+    family = tuple(index[m.pack()] for m in got.reps)
+    assert family[0] == 0 and is_f_family_by_definition(rows, family)
+
+
+def test_sl5_2_transvections_are_f_by_their_surviving_clique():
+    """The not-F scan of the SL_5(2) transvection class meets a 4-clique
+    that survives the joint test, (0, 9, 27, 63), and returns it as an F
+    witness whose subracks are its joint orbits; `classify` reports it.
+    The recheck accepts it, and fails it with one representative swapped
+    or one subrack size off by one."""
+    orbit = sl_transvections(5, 2)
+    mats, _ = _class_rows(orbit)
+    assert len(mats) == 465
+    w = refute_f(orbit)
+    assert isinstance(w, FWitness) and w.builder == "clique"
+    index = {m.pack(): k for k, m in enumerate(mats)}
+    assert [index[m.pack()] for m in w.reps] == [0, 9, 27, 63]
+    assert [len(t) for t in w.subracks] == [8, 8, 8, 8]
+    ctx = ClassContext(group_spec("SL", 5, 2), mats[0],
+                       ClassEntry(None, 0, orbit, ()))
+    v = classify(ctx)
+    assert (v.kind, v.strategy, v.witness) == ("F", "clique", w)
+    js = w.to_json()
+    assert recheck(js) and recheck(v.to_json())
+    swapped = json.loads(json.dumps(js))
+    swapped["reps"][3] = mat_json(mats[1])
+    assert not recheck(swapped)
+    bigger = json.loads(json.dumps(js))
+    bigger["subrack_sizes"][2] += 1
+    assert not recheck(bigger)
 
 
 D_PAIR_CLASSES = [(2, None), (3, "1,1,2"), (3, "2,2")]

@@ -66,7 +66,7 @@ def test_block_mix_class_explicit_pair_rank3_q2():
         [0, 0, 0, 0, 0, 1]])
     assert (r * s) ** 2 != (s * r) ** 2
     res = d_pair(r, s)
-    assert res.kind == "witness" and recheck(res.witness.to_json(), ())
+    assert res.kind == "witness" and recheck(res.witness.to_json())
     cat = group_catalog(6, 2)
     e = cat.by_label(parse_label("W(2)+V(2)", 2))[0]
     assert e.size == 3780
@@ -100,7 +100,7 @@ def test_odd_w_class_explicit_pair_rank3_q2():
     assert r == model.x((1, 0, -1), 1) * model.x((0, -1, 1), 1)
     assert s == model.x((1, -1, 0), 1) * model.x((0, 1, 1), 1)
     res = d_pair(r, s)
-    assert res.kind == "witness" and recheck(res.witness.to_json(), ())
+    assert res.kind == "witness" and recheck(res.witness.to_json())
     cat = group_catalog(6, 2)
     e = next(e for e in cat.by_label(parse_label("W(3)", 2))
              if e.orbit.contains(v))
