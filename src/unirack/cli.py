@@ -30,9 +30,9 @@ from .chevalley import (
     RootError, commutator_data, root_add, symplectic_model, torus_family,
     torus_witness,
 )
-from .detect import Budget, classify, recheck, resume_holds
+from .detect import Budget, classify, mat_from_json, recheck, resume_holds
 from .ffield import FieldError
-from .matgroup import GroupError, group_spec
+from .matgroup import GroupError, group_spec, membership
 
 
 class UsageError(ValueError):
@@ -98,16 +98,36 @@ def _selected(args):
     return label, cat._replace(entries=entries)
 
 
+def _in_class(value, spec, entry) -> bool:
+    """Whether every representative of the witness of a value that passed
+    `recheck`, if it has one, is a matrix of G in the entry's class: the
+    recheck reads the value alone, so a witness of another class or group
+    passes it."""
+    w = value.get("witness", value)
+    if w.get("kind") == "witness_D":
+        reps = (w["r"], w["s"])
+    elif w.get("kind") == "witness_F":
+        reps = w["reps"]
+    else:
+        return True
+    for x in map(mat_from_json, reps):
+        if x.field is not spec.field or x.n != spec.n \
+                or not membership(x, spec) or not entry.contains(x):
+            return False
+    return True
+
+
 def _class_step(cache, op, cat, entry, args, compute):
     """One class's step through the cache.  A final entry is served, marked
     cached, when it has the {"final": true, "value": ...} shape, not the
-    older one with a "verdict_json" field, and its value passes `recheck`.
-    Otherwise `compute(resume, checkpoint)` runs, resuming a partial
-    entry's state if `resume_holds` accepts it for the class, and returns
-    (report value, final, resume state); the value of a final result is
-    stored as {"final": true, "value": ...}, and a resume state as
-    {"final": false, "state": ...}.  Any other entry reads as a miss, and
-    the run overwrites it."""
+    older one with a "verdict_json" field, its value passes `recheck`, and
+    its witness lies in the class (`_in_class`).  Otherwise
+    `compute(resume, checkpoint)` runs, resuming a partial entry's state if
+    `resume_holds` accepts it for the class, and returns (report value,
+    final, resume state); the value of a final result is stored as
+    {"final": true, "value": ...}, and a resume state as {"final": false,
+    "state": ...}.  Any other entry reads as a miss, and the run overwrites
+    it."""
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
@@ -124,7 +144,8 @@ def _class_step(cache, op, cat, entry, args, compute):
             state = got.get("state")
             resume = state if resume_holds(state, entry.size) else None
         # the older shape has no "value", which `recheck` reads as malformed
-        elif recheck(got.get("value")):
+        elif recheck(got.get("value")) \
+                and _in_class(got["value"], cat.spec, entry):
             return dict(got["value"], cached=True)
     value, final, state = compute(
         resume, lambda st: cache.put(key, {"final": False, "state": st}))

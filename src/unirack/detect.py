@@ -305,10 +305,12 @@ EQUIVARIANCE_NOTE = ("fixed-representative scan; conjugation is a rack "
 
 @functools.lru_cache(maxsize=1)
 def _class_rows(orbit: Orbit):
-    """The class as matrices in `sorted_packed()` order, index 0 the fixed
-    representative, and the row getter of its conjugation rack.  Kept for
-    the last orbit, so that `classify` builds them once for both scans."""
-    mats = list(orbit.mats())
+    """The class as `orbit.mats()`, index 0 the fixed representative, and
+    the row getter of its conjugation rack.  The class stays as the orbit's
+    bytes: a Mat is made only for a seed row, the representative and a
+    witness.  Kept for the last orbit, so that `classify` builds them once
+    for both scans."""
+    mats = orbit.mats()
     return mats, rack.conj_rows(mats)
 
 

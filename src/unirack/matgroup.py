@@ -683,6 +683,27 @@ def _closure(F: Field, n: int, starts, pairs, cap: int | None = None,
     return set(map(decode, seen)), True
 
 
+class PackedMats:
+    """Matrices held as their packed flats `bytes(flat)`, in a fixed order,
+    each made a Mat only when it is read: a class keeps one small bytes
+    object an element, its orbit's own, and no Mat."""
+
+    __slots__ = ("field", "n", "packed")
+
+    def __init__(self, field, n, packed: list):
+        self.field, self.n, self.packed = field, n, packed
+
+    def __len__(self):
+        return len(self.packed)
+
+    def __getitem__(self, i: int) -> Mat:
+        return Mat(self.field, self.n, tuple(self.packed[i]))
+
+    def __iter__(self):
+        for b in self.packed:
+            yield Mat(self.field, self.n, tuple(b))
+
+
 class Orbit:
     """The elements a closure found, a conjugation orbit or a generated
     subgroup: packed-element set plus canonical order."""
@@ -708,9 +729,9 @@ class Orbit:
     def canonical_rep(self) -> Mat:
         return Mat(self.field, self.n, tuple(min(self.packed)))
 
-    def mats(self):
-        for b in self.sorted_packed():
-            yield Mat(self.field, self.n, tuple(b))
+    def mats(self) -> PackedMats:
+        "The elements as Mats in `sorted_packed()` order, each made on read."
+        return PackedMats(self.field, self.n, self.sorted_packed())
 
     def __len__(self):
         return len(self.packed)

@@ -1,13 +1,13 @@
 """Finite racks, primarily conjugation racks of matrix classes.
 
 A Rack is its carrier in canonical sorted order and one row getter: row i
-is the translation j -> i > j as a tuple of indices.  A conjugation rack
+is the translation j -> i > j as a sequence of indices.  A conjugation rack
 takes its rows from `conj_rows`, one source at every size: a few seed rows
-computed from the matrices, the others derived from them on read.  All
-analyses (closure, decomposition, soberness, inner group) are pure
-functions of the rack.  A subrack and its inner blocks are the orbits of
-its seeds under the seeds' rows (`seed_orbits`), so an analysis fetches
-each row it reads once.
+computed from the matrices, the others derived from them on read, each
+packed by `_pack` at 1, 2 or 4 bytes a point.  All analyses (closure,
+decomposition, soberness, inner group) are pure functions of the rack.  A
+subrack and its inner blocks are the orbits of its seeds under the seeds'
+rows (`seed_orbits`), so an analysis fetches each row it reads once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from .matgroup import _kernel, inv_flat
+from .matgroup import PackedMats, _kernel, inv_flat
 
 
 class RackError(ValueError):
@@ -26,7 +26,8 @@ class Rack:
     """Carrier plus the self-distributive operation x > y.
 
     `row(i)` is the translation phi_i over the sorted carrier (j -> the
-    index of i > j); for conjugation racks x > y is x y x^-1.
+    index of i > j), a sequence of indices: a tuple, or a packed row as
+    `_pack` makes it; for conjugation racks x > y is x y x^-1.
     """
 
     def __init__(self, elements, row):
@@ -34,7 +35,7 @@ class Rack:
         self.size = len(self.elements)
         self._row = row
 
-    def translation(self, i: int) -> tuple[int, ...]:
+    def translation(self, i: int):
         "The permutation j -> i > j."
         return self._row(i)
 
@@ -77,20 +78,34 @@ def conj_rack(orbit_mats, spec=None, orbit=None) -> Rack:
     return Rack(mats, conj_rows(mats))
 
 
-def _matrix_row(mats, points, index, x) -> tuple:
+def _pack(perm):
+    """The permutation `perm` of n points at the narrowest width that holds
+    them: bytes up to 256 points, else an array of 2-byte points, 4-byte
+    past 65,536.  A tuple takes 8 bytes a point.  `array` is imported only
+    for a wide row, so a process that never meets one does not load it."""
+    if len(perm) <= 256:
+        return bytes(perm)
+    from array import array
+    return array("H" if len(perm) <= 1 << 16 else "I", perm)
+
+
+def _matrix_row(mats, points, index, x):
     "phi_x from the kernel's action of x; every image must be in the carrier."
     m = mats[x]
     _, _, action = _kernel(m.field, m.n)
     act = action(m.flat, inv_flat(m.field, m.n, m.flat))
     try:
-        return tuple([index[act(p)] for p in points])
+        return _pack([index[act(p)] for p in points])
     except KeyError:
         raise RackError("carrier is not closed under the operation") from None
 
 
 def conj_rows(mats):
     """Row i of the conjugation rack on the matrices `mats`, in their order,
-    as a function of i.  Rows other than the seeds' are derived when read.
+    as a function of i, packed by `_pack`.  `mats` is a list of Mats or a
+    `PackedMats`, whose matrices are read from their bytes, so that only
+    the seeds become Mats.  Rows other than the seeds' are derived when
+    read, each by two C-level gathers (`perm_mul`).
 
     A row phi_x (j -> index of x y_j x^-1) computed from the matrices checks
     closure under conjugation by x: every image must be in the carrier.
@@ -108,8 +123,11 @@ def conj_rows(mats):
     A breadth-first search from the seeds gives each other index k a parent
     (phi_x, phi_x^-1, w), k = phi_x(w): a Schreier vector.  A row read is
     kept, with its ancestors.  A repeated or unclosed carrier raises here."""
-    encode, _, _ = _kernel(mats[0].field, mats[0].n)
-    points = [encode(m.flat) for m in mats]
+    m = mats[0]
+    encode, _, _ = _kernel(m.field, m.n)
+    flats = mats.packed if isinstance(mats, PackedMats) else (
+        m.flat for m in mats)
+    points = list(map(encode, flats))
     index = {p: i for i, p in enumerate(points)}
     n = len(mats)
     if len(index) != n:
@@ -121,7 +139,7 @@ def conj_rows(mats):
         if parent[x] is not None:
             continue
         rows[x] = _matrix_row(mats, points, index, x)
-        gens.append((x, rows[x], perm_inv(rows[x])))
+        gens.append((x, rows[x], _pack(perm_inv(rows[x]))))
         parent = [None] * n
         frontier = [seed for seed, _, _ in gens]
         while frontier:
@@ -141,8 +159,7 @@ def conj_rows(mats):
             k = parent[k][2]
         for k in reversed(path):
             phi, phi_inv, w = parent[k]
-            rows[k] = tuple(map(phi.__getitem__,
-                                map(rows[w].__getitem__, phi_inv)))
+            rows[k] = _pack(perm_mul(phi, perm_mul(rows[w], phi_inv)))
         return rows[k]
     return row
 
@@ -317,26 +334,21 @@ def perm_group_order(gens, bound: int | None = None) -> int:
     Level l has a base point, its strong generators (those fixing the
     earlier base points) with their inverses, and the orbit of the base
     point under them, as a map from each point p to u^-1 for the transversal
-    element u that takes the base point to p, held as bytes, one a point,
-    or past 256 points as an array of 2-byte points (4-byte past 65,536):
-    the transversals are most of the memory, and a tuple takes 8 bytes a
-    point.  Orbits only grow, so an
-    element that once sifted to the identity always does, and each (point,
+    element u that takes the base point to p, packed by `_pack`: the
+    transversals are most of the memory.  Orbits only grow, so an element
+    that once sifted to the identity always does, and each (point,
     generator) pair of a level is tested once.  Schreier generators are
-    sifted one at a time, as they are made."""
-    gens = [tuple(g) for g in gens]
+    sifted one at a time, as they are made.
+
+    The generators are tuples or packed rows, read as given, not copied."""
+    gens = list(gens)
     if not gens:
         return 1
     n = len(gens[0])
     ident = tuple(range(n))
-    if n <= 256:
-        pack = bytes
-    else:
-        from array import array
-        code = "H" if n <= 1 << 16 else "I"
-
-        def pack(perm):
-            return array(code, perm)
+    # a generator that sifts nowhere comes back as given, maybe packed, and
+    # bytes or an array never equals a tuple
+    idents = (ident, _pack(ident))
     base, strong, orbits, tested = [], [], [], []
 
     def sift(g, l):
@@ -366,7 +378,7 @@ def perm_group_order(gens, bound: int | None = None) -> int:
                 for x, x_inv in strong[l]:
                     q = x[p]
                     if q not in orbit:
-                        orbit[q] = pack(perm_mul(orbit[p], x_inv))
+                        orbit[q] = _pack(perm_mul(orbit[p], x_inv))
                         points.append(q)
 
     def schreier(l):
@@ -395,7 +407,7 @@ def perm_group_order(gens, bound: int | None = None) -> int:
 
     for g in gens:
         h, j = sift(g, 0)
-        if h == ident:
+        if h in idents:
             continue
         add(h, 0, j)
         l = j                 # check from the deepest changed level down

@@ -646,17 +646,19 @@ def test_refute_d_witness_is_cached(tmp_path):
 
 def test_refute_f_witness_is_cached(tmp_path, monkeypatch):
     """A not-F scan that returns a family exits 2 and stores it as final:
-    the rerun serves it cached after its recheck.  The scan is stubbed to
-    return the genuine family of the SL_5(2) transvection class, which the
-    recheck reads from the value alone."""
-    from unirack import detect
-    from helpers import sl_transvections
-    family = detect.refute_f(sl_transvections(5, 2))
+    the rerun serves it cached after its recheck.  The scan of the 30,600
+    elements of Sp4(4) V(4) split 0 is stubbed to return the torus family
+    of that class, which the recheck reads from the value alone and finds
+    in the class."""
+    from unirack import catalog, detect
+    cat = catalog.label_catalog(4, 4, catalog.parse_label("V(4)", 4))
+    family = detect.find_f_torus(catalog.class_context(cat.entries[0], cat),
+                                 detect.Budget(), 0)
     assert isinstance(family, detect.FWitness)
     monkeypatch.setattr(detect, "refute_f", lambda orbit: family)
     cache_dir = tmp_path / "cache"
     argv = ["--cache-dir", str(cache_dir), "refute", "--kind", "f", "--n", "2",
-            "--q", "2", "--label", "V(2)^2"]
+            "--q", "4", "--label", "V(4)", "--split", "0"]
     code1, cold = run(tmp_path, *argv)
     code2, warm = run(tmp_path, *argv)
     first, second = (json.loads(t)["results"][0] for t in (cold, warm))
@@ -667,6 +669,60 @@ def test_refute_f_witness_is_cached(tmp_path, monkeypatch):
     assert len(paths) == 1
     assert json.loads(paths[0].read_text())["value"] == {"final": True,
                                                          "value": first}
+
+
+def test_cached_witness_of_another_group_is_recomputed(tmp_path):
+    """A not-F entry of Sp4(2) V(2)^2 whose value is replaced by the genuine
+    F family of the SL_5(2) transvection class passes `recheck`, which
+    reads the value alone, but its 5-by-5 representatives lie in no class
+    of Sp4(2): the rerun scans the class again and rewrites the entry."""
+    from unirack import detect
+    from helpers import sl_transvections
+    family = detect.refute_f(sl_transvections(5, 2))
+    assert detect.recheck(family.to_json())
+    cache_dir = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache_dir), "refute", "--kind", "f", "--n", "2",
+            "--q", "2", "--label", "V(2)^2"]
+    code1, cold = run(tmp_path, *argv)
+    (path,) = cache_dir.glob("*.json")
+    genuine = path.read_text()
+    entry = json.loads(genuine)
+    entry["value"]["value"] = family.to_json()
+    path.write_text(canonical_json(entry))
+    code2, warm = run(tmp_path, *argv)
+    assert (code1, code2) == (0, 0) and warm == cold
+    assert "cached" not in json.loads(warm)["results"][0]
+    assert path.read_text() == genuine
+
+
+def test_cached_witness_of_another_class_is_recomputed(tmp_path):
+    """An Sp4(3) (4) split 0 classify entry that carries the D verdict of
+    (2^2) split 1, witness and all, passes `recheck` but its witness lies
+    in another class: the rerun classifies (4) split 0 again and rewrites
+    its entry, while split 1 is served from the cache."""
+    cache_dir = tmp_path / "cache"
+    common = ["--cache-dir", str(cache_dir), "classify", "--n", "2", "--q", "3"]
+    argv = [*common, "--label", "4"]
+    code1, cold = run(tmp_path, *argv)
+    code2, _ = run(tmp_path, *common, "--label", "2,2")
+    requests = {p: json.loads(json.loads(p.read_text())["request"])
+                for p in cache_dir.glob("*.json")}
+    paths = {(r["label"], r["split"]): p for p, r in requests.items()}
+    foreign = json.loads(paths["(2^2)", 1].read_text())["value"]
+    assert foreign["final"] and foreign["value"]["verdict"] == "D"
+    own = paths["(4)", 0]
+    genuine = own.read_text()
+    entry = json.loads(genuine)
+    entry["value"] = foreign
+    own.write_text(canonical_json(entry))
+    code3, warm = run(tmp_path, *argv)
+    cold_records, warm_records = (json.loads(t)["rows"][0]["records"]
+                                  for t in (cold, warm))
+    assert (code1, code2, code3) == (0, 0, 0)
+    assert warm_records[0] == cold_records[0]            # no cached flag
+    assert warm_records[0]["verdict"] == "D"
+    assert warm_records[1] == dict(cold_records[1], cached=True)
+    assert own.read_text() == genuine
 
 
 def test_cache_roundtrip_and_corruption(tmp_path):

@@ -529,11 +529,12 @@ def test_index_scans_match_matrix_scans(q, label, split):
     want_d = reference_not_d(mats)
     want_f = reference_not_f(mats) if isinstance(want_d, dict) else None
     rows_mats, row = _class_rows(orbit)
-    assert rows_mats == mats
+    assert list(rows_mats) == mats
     index = {m.pack(): k for k, m in enumerate(mats)}
     for i in (0, len(mats) - 1):
         x, xi = mats[i], mats[i].inverse()
-        assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
+        assert tuple(row(i)) == tuple(index[(x * y * xi).pack()]
+                                      for y in mats)
     got_d = refute_d(spec, orbit)
     if isinstance(want_d, DWitness):
         assert isinstance(got_d, DWitness)

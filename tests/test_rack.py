@@ -24,7 +24,7 @@ def transvection(spec):
 
 def inner_group_perms(r: Rack, cap: int = 10**6) -> set:
     "Full closure of the translation permutations: the reference inner group."
-    gens = sorted({r.translation(i) for i in range(r.size)})
+    gens = sorted({tuple(r.translation(i)) for i in range(r.size)})
     seen = set(gens) | {tuple(range(r.size))}
     frontier = list(seen)
     while frontier:
@@ -307,7 +307,8 @@ def test_conj_table_equals_dense_products(name):
     assert len(index) == len(mats)
     for i, x in enumerate(r.elements):
         xi = x.inverse()
-        assert r.translation(i) == tuple(index[x * y * xi] for y in r.elements)
+        assert tuple(r.translation(i)) == tuple(index[x * y * xi]
+                                                for y in r.elements)
     if name == "sp42-V4-union":
         assert len(decompose(r)) > 1     # rows from more than one orbit
     # rows read last first are derived from an empty memo, ancestors and all
@@ -344,7 +345,8 @@ def test_derived_rows_equal_matrix_products_past_1024_elements(
     picked = random.Random(7).sample(range(1, len(mats) - 1), 20)
     for i in [0, len(mats) - 1, *picked]:
         x, xi = mats[i], mats[i].inverse()
-        assert row(i) == tuple(index[(x * y * xi).pack()] for y in mats)
+        assert tuple(row(i)) == tuple(index[(x * y * xi).pack()]
+                                      for y in mats)
 
 
 def test_a_large_class_computes_a_few_matrix_rows(sp47_transvections,
@@ -361,8 +363,50 @@ def test_a_large_class_computes_a_few_matrix_rows(sp47_transvections,
     row = conj_rows(sp47_transvections)
     seeds = list(computed)
     assert seeds[0] == 0 and len(seeds) <= 8
-    assert len({row(i) for i in range(len(sp47_transvections))}) == 1200
+    assert len({tuple(row(i)) for i in range(len(sp47_transvections))}) \
+        == 1200
     assert computed == seeds
+
+
+def test_rows_of_a_class_of_at_most_256_elements_are_bytes():
+    "Sp4(3) (2^2) split 0, 240 elements: one byte a point."
+    entry = label_catalog(4, 3, parse_label("2,2", 3)).entries[0]
+    assert (entry.split_index, entry.size) == (0, 240)
+    row = conj_rows(entry.orbit.mats())
+    assert all(type(row(i)) is bytes for i in range(240))
+
+
+def test_rows_past_256_elements_are_2_bytes_and_equal_matrix_rows():
+    """Sp6(2) W(2)+W(1), 315 elements: every row, seed or derived, is an
+    array of 2-byte points equal to the row its matrices give."""
+    from unirack.matgroup import _kernel
+    spec = group_spec("Sp", 6, 2)
+    mats = class_orbit(representative(parse_label("W(2)+W(1)", 2), 6, 2),
+                       spec).mats()
+    assert len(mats) == 315
+    row = conj_rows(mats)
+    encode, _, _ = _kernel(spec.field, 6)
+    points = [encode(m.flat) for m in mats]
+    index = {p: i for i, p in enumerate(points)}
+    for i in range(315):
+        got = row(i)
+        assert (got.typecode, got.itemsize) == ("H", 2)
+        assert got == rack._matrix_row(mats, points, index, i)
+
+
+def test_perm_group_order_reads_packed_rows_as_given():
+    """Generators packed by `_pack`, at 1 and at 2 bytes a point, give the
+    order their tuples give, with an identity generator among them: a
+    packed identity is recognized though bytes never equals a tuple."""
+    pack = rack._pack
+    s8 = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
+    assert perm_group_order([pack(range(8)), *map(pack, s8)]) == 40320
+    assert perm_group_order([pack(range(8))]) == 1
+    # a 100-cycle and a 200-cycle on disjoint points: order lcm = 200
+    c = (*range(1, 100), 0, *range(101, 300), 100)
+    assert type(pack(c)).__name__ == "array"
+    assert perm_group_order([pack(range(300)), pack(c)]) == 200
+    assert perm_group_order([pack(range(300))]) == 1
 
 
 def test_carrier_with_a_foreign_element_is_not_closed():

@@ -1,11 +1,13 @@
-"""Importing unirack loads neither `dataclasses` nor `inspect`, and no CLI
-command loads `hashlib`.
+"""Importing unirack loads neither `dataclasses` nor `inspect` nor `array`,
+and no CLI command loads `hashlib`.
 
 Every CLI call and benchmark step is a fresh process, and those modules,
 with the methods that `@dataclass` generates and compiles, cost more than
 a small class split.  `hashlib` maps OpenSSL's libcrypto on CPython 3.11,
-which costs more memory than a whole Sp4(3) table.  The code runs under
-`-S`, so that nothing the site packages load is counted."""
+which costs more memory than a whole Sp4(3) table.  `array` is loaded
+only for a rack row or transversal wider than a byte: a module-level
+import would add about 90 kB to the peak of every process.  The code runs
+under `-S`, so that nothing the site packages load is counted."""
 
 import json
 import os
@@ -27,14 +29,23 @@ def run_bare(code: str) -> str:
     return out.stdout.strip()
 
 
-@pytest.mark.parametrize("stmt", [
+IMPORTS = [
     "import unirack.cli",
     "from unirack import catalog, detect, matgroup, rack",   # perfbench/tasks.py
-])
+]
+
+
+@pytest.mark.parametrize("stmt", IMPORTS)
 def test_import_loads_no_code_generation(stmt):
     code = (f"import sys; {stmt}; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     assert run_bare(code) == "[]"
+
+
+@pytest.mark.parametrize("stmt", IMPORTS)
+def test_import_loads_no_array(stmt):
+    code = f"import sys; {stmt}; print('array' in sys.modules)"
+    assert run_bare(code) == "False"
 
 
 def test_cached_tables_load_no_openssl(tmp_path):
