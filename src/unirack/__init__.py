@@ -7,4 +7,4 @@ exhaustive refutation certificates for the last.
 """
 
 ARTIFACT_VERSION = "0.2.0"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3

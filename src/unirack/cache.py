@@ -1,7 +1,7 @@
 """Cache for certificates and verdicts, with resume.
 
 A key is the canonical JSON text of the request (group, label, split,
-operation, the caps the operation reads, seed).  Each entry is named by a
+operation, the caps the operation reads).  Each entry is named by a
 checksum of the request, and carries the request and the artifact version
 that wrote it beside its value.  It is served only for that request and
 version: a name collision, an entry copied under another name, or an entry

@@ -54,9 +54,7 @@ def _check_group(args) -> None:
 
 
 def _budget_from_args(args) -> Budget:
-    return Budget(orbit_cap=args.orbit_cap,
-                  refute_pair_cap=args.pair_cap,
-                  sample_pairs=args.sample_pairs)
+    return Budget(orbit_cap=args.orbit_cap, refute_pair_cap=args.pair_cap)
 
 
 def _emit(args, report: dict) -> None:
@@ -131,12 +129,12 @@ def _class_step(cache, op, cat, entry, args, compute):
     if cache is None:
         return compute(None, None)[0]
     # no pair cap in the key: a capped not-D scan leaves a partial entry
-    # that the next run resumes, capped or not; the orbit cap and the seed
-    # only for classify: its search strategies read them, the scans do not
+    # that the next run resumes, capped or not; the orbit cap only for
+    # classify: its search strategies read it, the scans do not
     request = {"op": op, "group": cat.spec.name, "label": str(entry.label),
                "split": entry.split_index}
     if op == "classify":
-        request.update(caps={"orbit": args.orbit_cap}, seed=args.seed)
+        request.update(caps={"orbit": args.orbit_cap})
     key = cache.key(request)
     got, resume = cache.get(key), None
     if isinstance(got, dict):
@@ -175,8 +173,7 @@ def cmd_classify(args) -> int:
             for entry in cat.by_label(label):
                 def compute(resume, checkpoint):
                     verdict = classify(class_context(entry, cat), budget=budget,
-                                       seed=args.seed, resume=resume,
-                                       checkpoint_cb=checkpoint)
+                                       resume=resume, checkpoint_cb=checkpoint)
                     cert = verdict.cert_not_d
                     return (verdict.to_json(), verdict.kind != "unknown",
                             cert and cert.resume_state)
@@ -193,8 +190,7 @@ def cmd_classify(args) -> int:
                          "matched": matched,
                          "records": records})
     report = {"command": "classify", "group": cat.spec.name,
-              "field": cat.spec.field.header(),
-              "seed": args.seed, "rows": rows,
+              "field": cat.spec.field.header(), "rows": rows,
               "all_match": mismatches == 0 and unknowns == 0,
               "unknowns": unknowns}
     _emit(args, report)
@@ -224,7 +220,7 @@ def cmd_witness(args) -> int:
     code = 0
     for entry in cat.entries:
         ctx = class_context(entry, cat)
-        verdict = classify(ctx, budget=budget, seed=args.seed)
+        verdict = classify(ctx, budget=budget)
         if verdict.kind not in ("D", "F"):
             code = 3 if verdict.kind == "unknown" else 2
         out.append({"split_index": entry.split_index, **verdict.to_json()})
@@ -371,7 +367,9 @@ def _at_least(least: int):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="unirack")
     ap.add_argument("--output", default="-")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed of the random checks of chevalley-verify; "
+                         "no other command reads it")
     ap.add_argument("--timings", action="store_true",
                     help="attach wall-clock timings (breaks byte-stability)")
     ap.add_argument("--cache-dir", default=None)
@@ -383,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap on the not-D pair evaluations of one run "
                          "(enables resume: each rerun evaluates up to this "
                          "many more); the not-F scan always runs to the end")
-    ap.add_argument("--sample-pairs", type=_at_least(0), default=64)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(p, with_label=True, families=("sp",)):

@@ -24,7 +24,6 @@ joint test is the family it returns.
 from __future__ import annotations
 
 import functools
-import random
 from typing import NamedTuple
 
 from .chevalley import (
@@ -43,7 +42,6 @@ class DetectError(ValueError):
 class Budget(NamedTuple):
     "Deterministic search budgets; no wall-clock dependence anywhere."
     orbit_cap: int = 10**6
-    sample_pairs: int = 64
     refute_pair_cap: int | None = None
 
 
@@ -484,8 +482,7 @@ def refute_f(orbit: Orbit):
 class ClassContext(NamedTuple):
     """Everything classify needs about one split class.  `entry` is the
     class itself (a `catalog.ClassEntry`): `entry.contains(x)` tests
-    membership, and its orbit is built only when a strategy or a scan
-    reads it."""
+    membership, and its orbit is built only when a scan reads it."""
     spec: object
     rep: Mat
     entry: object
@@ -513,7 +510,7 @@ def _supp_pairs(model, word):
     return out
 
 
-def find_d_torus(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
+def find_d_torus(ctx: ClassContext, budget: Budget) -> DWitness | None:
     "Torus conjugate witness from the support condition (odd q)."
     model = ctx.model
     if model is None or ctx.spec.q % 2 == 0:
@@ -535,7 +532,7 @@ def find_d_torus(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | Non
     return None
 
 
-def find_f_torus(ctx: ClassContext, budget: Budget, seed: int) -> FWitness | None:
+def find_f_torus(ctx: ClassContext, budget: Budget) -> FWitness | None:
     """Torus-translate 4-families: the rank-2 diagonal family for even q > 2
     regular classes, and the generic family when q is large enough."""
     model = ctx.model
@@ -589,7 +586,7 @@ def _eq21_pair_in_orbit(orbit_mats, limit):
     return None
 
 
-def find_d_product(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
+def find_d_product(ctx: ClassContext, budget: Budget) -> DWitness | None:
     """Product-rack witness: a collapse-violating pair in one block times a
     distinct commuting pair in the complement (the two-factor construction
     for products of racks)."""
@@ -619,7 +616,7 @@ def find_d_product(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | N
     return None
 
 
-def find_d_block(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
+def find_d_block(ctx: ClassContext, budget: Budget) -> DWitness | None:
     """Witness embedded from a single block: a type-D pair of the block class
     times the untouched rest of the representative."""
     for blk in ctx.blocks:
@@ -644,11 +641,10 @@ def find_d_block(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | Non
     return None
 
 
-def _sampled_candidates(ctx: ClassContext, seed: int, sample_pairs: int):
+def _sampled_candidates(ctx: ClassContext):
     """The candidates s of `find_d_sampled`, each new one once, built as
     they are asked for: the conjugates of the representative by each
-    generator g and by the products gh of two of the first six, then a
-    seeded sample of the class, whose orbit is read only from there."""
+    generator g and by the products gh of two of the first six."""
     rep = ctx.rep
     gens = sorted(ctx.spec.generators)
     seen = {rep.pack()}
@@ -669,19 +665,14 @@ def _sampled_candidates(ctx: ClassContext, seed: int, sample_pairs: int):
             s = g * h_conj * g.inverse()          # (gh) rep (gh)^-1
             if fresh(s.pack()):
                 yield s
-    packed = ctx.orbit.sorted_packed()
-    rng = random.Random(seed)
-    for _ in range(sample_pairs):
-        b = packed[rng.randrange(len(packed))]
-        if fresh(b):
-            yield Mat(rep.field, rep.n, tuple(b))
 
 
-def find_d_sampled(ctx: ClassContext, budget: Budget, seed: int) -> DWitness | None:
-    """Deterministic cheap candidates (conjugates of the representative by
-    generators and by products of two) followed by a seeded sample of the
-    class, tried in order up to the first witness."""
-    for s in _sampled_candidates(ctx, seed, budget.sample_pairs):
+def find_d_sampled(ctx: ClassContext, budget: Budget) -> DWitness | None:
+    """Cheap candidates, the conjugates of the representative by the
+    generators and by products of two, tried in order up to the first
+    witness.  No class orbit is read: the not-D scan that follows covers
+    the class."""
+    for s in _sampled_candidates(ctx):
         res = d_pair(ctx.rep, s, cap=budget.orbit_cap, strategy="sampled")
         if res.kind == "witness":
             return res.witness
@@ -692,8 +683,9 @@ def strategies() -> tuple:
     """The search strategies in pipeline order: (name, verdict kind, finder,
     log line on a miss).  The torus constructions give type D for odd q and
     type-F families for even q; then come the product and single-block
-    constructions and a seeded sample.  The finders are looked up when this
-    is called, so a rebound module attribute takes effect."""
+    constructions and the conjugates of the representative ("sampled").
+    No finder builds a class orbit.  The finders are looked up when this is
+    called, so a rebound module attribute takes effect."""
     return (
         ("torus", "D", find_d_torus, "torus D: no applicable support pair"),
         ("torus", "F", find_f_torus, "torus F: no applicable family"),
@@ -714,11 +706,10 @@ class Verdict(NamedTuple):
     cert_not_d: Certificate | None = None
     cert_not_f: Certificate | None = None
     strategy: str = ""
-    seed: int = 0
     logs: tuple = ()
 
     def to_json(self) -> dict:
-        out = {"verdict": self.kind, "strategy": self.strategy, "seed": self.seed,
+        out = {"verdict": self.kind, "strategy": self.strategy,
                "logs": list(self.logs)}
         if self.witness:
             out["witness"] = self.witness.to_json()
@@ -737,31 +728,30 @@ def classify(ctx: ClassContext, budget: Budget = Budget(), seed: int = 0,
     the first witness, then the exhaustive refutations.  cthulhu only when
     the not_D certificate is exhaustive and the not_F certificate holds at
     necessary-condition grade; F, with strategy "clique", when the not-F
-    scan returns a family instead.
+    scan returns a family instead.  `seed` is not read; it is accepted
+    because the benchmark's library tasks (perfbench/tasks.py) pass it.
     """
     logs = []
     for name, kind, finder, miss in strategies():
-        w = finder(ctx, budget, seed)
+        w = finder(ctx, budget)
         if w:
-            return Verdict(kind, w, strategy=name, seed=seed, logs=tuple(logs))
+            return Verdict(kind, w, strategy=name, logs=tuple(logs))
         logs.append(miss)
 
     got = refute_d(ctx.spec, ctx.orbit, budget, resume=resume,
                    checkpoint_cb=checkpoint_cb)
     if isinstance(got, DWitness):
-        return Verdict("D", got, strategy="exhaustive", seed=seed,
-                       logs=tuple(logs))
+        return Verdict("D", got, strategy="exhaustive", logs=tuple(logs))
     cert_d = got
     if not cert_d.complete:
         return Verdict("unknown", cert_not_d=cert_d, strategy="budget",
-                       seed=seed, logs=tuple(logs + ["refute_d capped"]))
+                       logs=tuple(logs + ["refute_d capped"]))
 
     got_f = refute_f(ctx.orbit)
     if isinstance(got_f, FWitness):
-        return Verdict("F", got_f, strategy="clique", seed=seed,
-                       logs=tuple(logs))
+        return Verdict("F", got_f, strategy="clique", logs=tuple(logs))
     return Verdict("cthulhu", cert_not_d=cert_d, cert_not_f=got_f,
-                   strategy="refutation", seed=seed, logs=tuple(logs))
+                   strategy="refutation", logs=tuple(logs))
 
 
 # ---------------------------------------------------------------------------

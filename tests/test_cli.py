@@ -277,21 +277,42 @@ def test_refute_cache_key_ignores_the_orbit_cap(tmp_path):
     assert len(list(cache_dir.glob("*.json"))) == 1
 
 
-def test_refute_cache_key_ignores_the_seed(tmp_path):
-    """Neither scan draws from the seed, so a refutation computed under one
-    seed is served to a run under another, from its one entry."""
+def _class_values(report):
+    "The per-class values of a refute or classify report, in order."
+    if "results" in report:
+        return report["results"]
+    return [rec for row in report["rows"] for rec in row["records"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "V(2)^2"),
+    ("classify", "--n", "2", "--q", "2"),
+], ids=["refute", "classify"])
+def test_cache_key_ignores_the_seed(tmp_path, argv):
+    """No command but chevalley-verify reads the seed, so a value computed
+    under one seed is served to a run under another, from one entry per
+    class."""
     cache_dir = tmp_path / "cache"
-    argv = ["refute", "--kind", "d", "--n", "2", "--q", "2", "--label",
-            "V(2)^2"]
     code1, text1 = run(tmp_path, "--cache-dir", str(cache_dir),
                        "--seed", "0", *argv)
     code2, text2 = run(tmp_path, "--cache-dir", str(cache_dir),
                        "--seed", "1", *argv)
     assert code1 == code2 == 0
-    first, second = (json.loads(t)["results"][0] for t in (text1, text2))
-    assert "cached" not in first and second.pop("cached") is True
+    first, second = (_class_values(json.loads(t)) for t in (text1, text2))
+    assert all("cached" not in v for v in first)
+    assert all(v.pop("cached") is True for v in second)
     assert second == first
-    assert len(list(cache_dir.glob("*.json"))) == 1
+    assert len(list(cache_dir.glob("*.json"))) == len(first)
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--n", "2", "--q", "3"),
+    ("witness", "--n", "2", "--q", "3", "--label", "2,2"),
+], ids=" ".join)
+def test_reports_are_seed_independent(tmp_path, argv):
+    "A report reads no seed: --seed 0 and --seed 5 write the same bytes."
+    assert run(tmp_path, "--seed", "0", *argv) \
+        == run(tmp_path, "--seed", "5", *argv)
 
 
 def test_classify_past_1024_class_elements(tmp_path):
@@ -449,11 +470,11 @@ def test_refute_splits_only_its_label(tmp_path, monkeypatch):
 
 def test_cold_table_builds_only_the_orbits_it_reads(tmp_path, monkeypatch):
     """A cold Sp4(3) table builds the orbits of the three classes that a
-    scan or the sampled search's seeded draws read, each once: the two
-    (1^2,2) classes and the 240-element (2^2) class, 320 elements.  The
+    scan reads, each once: the two (1^2,2) classes and the 240-element
+    (2^2) class, 320 elements.  No search strategy builds an orbit: the
     480-element (2^2) class is decided by a generator conjugate of its
-    representative, before the sampled search draws from its orbit, and
-    the (4) classes by the torus strategy from their U^F members alone."""
+    representative, and the (4) classes by the torus strategy from their
+    U^F members alone."""
     import functools
     from unirack import catalog, cli
     # fresh catalog memos for this test only: count the orbits it builds
@@ -595,7 +616,7 @@ def test_unusable_cached_verdict_is_recomputed(tmp_path, q, label, tamper):
     code1, cold = run(tmp_path, *argv)
     c = Cache(cache_dir)
     key = c.key({"op": "classify", "group": f"Sp4({q})", "label": label,
-                 "split": 0, "caps": {"orbit": 10**6}, "seed": 0})
+                 "split": 0, "caps": {"orbit": 10**6}})
     genuine = c.get(key)
     c.put(key, tamper(json.loads(canonical_json(genuine))))
     code2, warm = run(tmp_path, *argv)
@@ -653,7 +674,7 @@ def test_refute_f_witness_is_cached(tmp_path, monkeypatch):
     from unirack import catalog, detect
     cat = catalog.label_catalog(4, 4, catalog.parse_label("V(4)", 4))
     family = detect.find_f_torus(catalog.class_context(cat.entries[0], cat),
-                                 detect.Budget(), 0)
+                                 detect.Budget())
     assert isinstance(family, detect.FWitness)
     monkeypatch.setattr(detect, "refute_f", lambda orbit: family)
     cache_dir = tmp_path / "cache"
@@ -849,11 +870,17 @@ def test_usage_errors(tmp_path, capsys):
     for argv in (("--pair-cap", "0", "refute", "--kind", "d", "--n", "2",
                   "--q", "2", "--label", "V(2)^2"),
                  ("--orbit-cap", "-1", "classify", "--n", "2", "--q", "2",
-                  "--label", "V(4)"),
-                 ("--sample-pairs", "-3", "classify", "--n", "2", "--q", "2")):
+                  "--label", "V(4)")):
         capsys.readouterr()
         assert run(tmp_path, *argv) == (64, "")
         assert "must be at least" in capsys.readouterr().err
+    # the sampled search draws no sample, so it has no option for one
+    for opt in (("--sample-pairs", "2"), ("--sample-pairs=2",)):
+        capsys.readouterr()
+        assert run(tmp_path, *opt, "classify", "--n", "2", "--q", "2") \
+            == (64, "")
+    assert "unrecognized arguments: --sample-pairs=2" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -880,27 +907,27 @@ def test_reference_table_file_matches_rules():
     assert data == reference_table_text()
 
 
-# exit code and SHA-256 of each report, recorded at schema version 2: odd-q
-# classes split by Wall's invariant, and no orbit cap in the scans
+# exit code and SHA-256 of each report, recorded at schema version 3: odd-q
+# classes split by Wall's invariant, no orbit cap in the scans, and no seed
 REPORT_DIGESTS = {
     ("classify", "--n", "2", "--q", "2"): (0,
-        "b6bec8fc5a40cbc5b62f80da3521f873bb3ccce76a861c1d5ccb77bf2fe430b0"),
+        "dcd271a352c0b9171b39289cf8e37dd0535ff155f12cc92d6e227653dc25475f"),
     ("classify", "--n", "2", "--q", "3"): (0,
-        "5db28ed6654cc3e319adb5663824272419d899ff4c75c00b3afa293528cbce05"),
+        "3f866204b547575ac2b6b29eadad2b637b821bff3c116b3ac29b7a80cb5ab8df"),
     # type-F verdicts through the torus-F strategy, with their logs
     ("classify", "--n", "2", "--q", "4"): (0,
-        "72e6df2ceeaeb0bab93856f8e4240a9d741f610057c2808c6ea15950f4e13e2e"),
+        "effc4082ce0b9662a30421f74cf393a76040aefe4dd616f0de1559b3cdec3ae4"),
     # the capped refute_d scan gives the "budget" verdict, which exits 3
-    ("--pair-cap", "3", "--sample-pairs", "2", "classify", "--n", "2",
-     "--q", "3", "--label", "2,2"): (3,
-        "cca0655ba5e0983f6740229115177a91e7ea4de0c5b63a1750a18d77f99a4cbd"),
+    ("--pair-cap", "3", "classify", "--n", "2", "--q", "3", "--label",
+     "2,2"): (3,
+        "aa0042ee2a985ea20abd713878768b8a57be4d7b463ee77d0136a3d016eed188"),
     ("catalog", "--n", "2", "--q", "3"): (0,
-        "19aaf6063f5c7058e50afdf09b1f356bc50472dbe713ddd37b7f791f83e8dd58"),
+        "18a84037ee030789d88ef9ec5aa7982ef3cf4fa315b080a2120861d31d46cf3c"),
     ("refute", "--kind", "f", "--n", "2", "--q", "3", "--label", "2,2",
      "--split", "0"): (0,
-        "985b8fe1408dc6daca945fdb564a988bcd23b1e6343cc7a46441153dce133e15"),
+        "db4b109e70181750561909fc35aeb4af0018140dc45745cd7086602f16c0690d"),
     ("witness", "--family", "gu", "--n", "3", "--q", "2"): (0,
-        "80f4eae9c56a1626396cc046f2793d4376ab2738d7ca15ff3d6e2be56c213f9f"),
+        "0f6ab47bd67037fb5bfe20811cb04e5b9c61c3be88a9b2d4f561b66cff6e2fbc"),
 }
 
 
@@ -918,8 +945,8 @@ def test_report_digests_are_pinned(tmp_path, monkeypatch, argv):
 
 # a cold and then a warm table in one cache
 CACHED_TABLE_DIGESTS = [
-    "b6bec8fc5a40cbc5b62f80da3521f873bb3ccce76a861c1d5ccb77bf2fe430b0",
-    "35f4bf246b619f3d3df8c379f11a00d7ab0e19950074e34fd4cff7096b819305"]
+    "dcd271a352c0b9171b39289cf8e37dd0535ff155f12cc92d6e227653dc25475f",
+    "bd046e84929134728f099a331c55c8d9ceec21b74484dedb4bc7bdbb82abaa63"]
 
 
 def test_cached_report_digests_are_pinned(tmp_path):
@@ -935,23 +962,23 @@ def test_cached_report_digests_are_pinned(tmp_path):
 
 
 # each step's global options, exit code and report digest, recorded at
-# schema version 2 like REPORT_DIGESTS
+# schema version 3 like REPORT_DIGESTS
 CACHED_STEP_DIGESTS = {
     # a capped not-D scan, its resume, and the certificate served cached
     ("refute", "--kind", "d", "--n", "2", "--q", "2", "--label", "V(2)^2"): [
         (("--pair-cap", "10"), 3,
-         "9aa0bc72f6f054b9dfc87ebfa89a9ff99051a0a6dac6616d66cb06cf7de6f2ff"),
+         "cd63e363c23eced2a2fcac5360a6e7162d2786573756c188bf5018bf0c19fd3f"),
         ((), 0,
-         "70cb00ca8d1e6589fd1118c56aee8861e5f8cc992c92411077f6c3b9f20dd7a8"),
+         "2cb5236aaa6ef99bd59c01e3351ce133e94700ad68b7645993b73d4173110ea0"),
         ((), 0,
-         "e168aaac1941285d0403743d08c6a12f120fbdd28765426b669f282c71cd9795")],
+         "f63d0d5e5c2c8a17ae286be2cc5a2f8ff9f63fcb9925844721887c87637408ad")],
     # two type-F verdicts, then both served cached after their families
     # passed check_f_family again
     ("classify", "--n", "2", "--q", "4", "--label", "V(4)"): [
         ((), 0,
-         "7e31aefc5695913e3188dd1be030300f7968574c79011f38c05a72430d5cf3ac"),
+         "8899d11f4a2e7d4f1aa0eb585fc9d7ee165b73eae49801658cc764f787e54f12"),
         ((), 0,
-         "d76bd033d0a9447b2ee7456e3d62767ab76f2b42e1b54f52b55629821e646c78")],
+         "4d5e8b929a4b88e222e40c961bd0e49ccfe79884205c31521e192a93c2bee829")],
 }
 
 

@@ -164,45 +164,55 @@ def test_same_orbit_pair_stops_at_s(sp43, monkeypatch):
 
 def test_sampled_search_reads_no_class_orbit_on_a_generator_witness(
         monkeypatch):
-    """On Sp4(3) (2^2) split 1 a generator conjugate of the representative
-    is a witness, so the sampled search never builds the 480-element class
-    orbit that its seeded draws would read; the witness is the one classify
-    reports."""
+    """No search strategy builds a class orbit: each finder of
+    `strategies()` runs on every class of Sp4(3) and Sp4(5), from fresh
+    entries that hold no orbit, with `class_orbit` made to raise.  On
+    Sp4(3) (2^2) split 1 a generator conjugate of the representative is a
+    witness, the one classify reports."""
     from unirack import catalog
-    from unirack.detect import find_d_sampled
+    from unirack.detect import find_d_sampled, strategies
+
+    class OrbitBuilt(Exception):
+        pass
+
+    def raising(*args, **kwargs):
+        raise OrbitBuilt
+
+    monkeypatch.setattr(catalog, "class_orbit", raising)
+    built, classes = [], 0
+    for q in (3, 5):
+        for label in catalog.enumerate_labels(4, q):
+            fresh = catalog.label_classes.__wrapped__(4, q, label)  # no orbit
+            cat = catalog.label_catalog(4, q, label)._replace(
+                entries=list(fresh))
+            for e in fresh:
+                classes += 1
+                ctx = class_context(e, cat)
+                for name, _, finder, _ in strategies():
+                    try:
+                        finder(ctx, Budget())
+                    except OrbitBuilt:
+                        built.append(f"Sp4({q}) {label} #{e.split_index} {name}")
+    assert classes == 12 and built == []
     label = parse_label("2,2", 3)
-    built = []
-    class_orbit_ = catalog.class_orbit
-
-    def recording(*args, **kwargs):
-        orbit = class_orbit_(*args, **kwargs)
-        built.append(orbit.size)
-        return orbit
-
-    fresh = catalog.label_classes.__wrapped__(4, 3, label)   # no orbit held
+    fresh = catalog.label_classes.__wrapped__(4, 3, label)
     cat = catalog.label_catalog(4, 3, label)._replace(entries=list(fresh))
-    monkeypatch.setattr(catalog, "class_orbit", recording)
-    w = find_d_sampled(class_context(fresh[1], cat), Budget(), 0)
-    assert built == [] and w.strategy == "sampled"
+    w = find_d_sampled(class_context(fresh[1], cat), Budget())
+    assert w.strategy == "sampled"
     assert w.to_json() == classify(class_context(fresh[1], cat)).witness.to_json()
-    assert built == []
 
 
 def test_sampled_candidates_in_the_order_of_their_definition(sp43):
-    """The candidates come in the order and with the seeded draws that
-    define them, each new one once: rep conjugated by each generator g,
-    by gh for g, h among the first six, then 64 draws from the class."""
+    """The candidates come in the order that defines them, each new one
+    once: rep conjugated by each generator g, then by gh for g, h among
+    the first six, and nothing drawn from the class after them."""
     from unirack.detect import _sampled_candidates
     ctx = class_context(entry(sp43, "(2^2)", 0), sp43)
     rep, gens = ctx.rep, sorted(sp43.spec.generators)
     conjugators = gens + [g * h for g in gens[:6] for h in gens[:6]]
     want = [x * rep * x.inverse() for x in conjugators]
-    packed = ctx.orbit.sorted_packed()
-    rng = random.Random(5)
-    want += [Mat(rep.field, 4, tuple(packed[rng.randrange(len(packed))]))
-             for _ in range(64)]
     unique = [m for m in {m.pack(): m for m in want}.values() if m != rep]
-    assert list(_sampled_candidates(ctx, 5, 64)) == unique
+    assert list(_sampled_candidates(ctx)) == unique
 
 
 def test_classify_builds_the_class_rows_once(sp42, monkeypatch):
@@ -388,8 +398,8 @@ def test_group_identity_small_samples():
 def test_classify_deterministic(sp43):
     e = entry(sp43, "(2^2)", 1)
     ctx = class_context(e, sp43)
-    v1 = classify(ctx, seed=7)
-    v2 = classify(ctx, seed=7)
+    v1 = classify(ctx)
+    v2 = classify(ctx)
     import json
     assert json.dumps(v1.to_json(), sort_keys=True) == \
         json.dumps(v2.to_json(), sort_keys=True)
@@ -398,7 +408,7 @@ def test_classify_deterministic(sp43):
 def test_classify_budget_exhaustion_is_unknown(sp43):
     e = entry(sp43, "(2^2)", 0)     # the refutation-bound class
     ctx = class_context(e, sp43)
-    v = classify(ctx, budget=Budget(sample_pairs=2, refute_pair_cap=5))
+    v = classify(ctx, budget=Budget(refute_pair_cap=5))
     assert v.kind == "unknown"
     assert v.cert_not_d is not None and not v.cert_not_d.complete
 
@@ -417,9 +427,8 @@ def test_classify_exit_code_path_budget(tmp_path):
     import json
     from unirack.cli import main
     out = tmp_path / "o.json"
-    code = main(["--output", str(out), "--pair-cap", "3", "--sample-pairs", "2",
-                 "classify", "--family", "sp", "--n", "2", "--q", "3",
-                 "--label", "2,2"])
+    code = main(["--output", str(out), "--pair-cap", "3", "classify",
+                 "--family", "sp", "--n", "2", "--q", "3", "--label", "2,2"])
     assert code == 3
     rep = json.loads(out.read_text())
     assert rep["unknowns"] >= 1
@@ -429,11 +438,11 @@ def test_find_d_dispatcher(sp43):
     "The torus finder and the exhaustive scan, called directly."
     e = entry(sp43, "(4)")
     ctx = class_context(e, sp43)
-    got = find_d_torus(ctx, Budget(), 0)
+    got = find_d_torus(ctx, Budget())
     assert got.strategy == "torus" and recheck(got.to_json())
     e0 = entry(sp43, "(1^2,2)")
     ctx0 = class_context(e0, sp43)
-    assert find_d_torus(ctx0, Budget(), 0) is None
+    assert find_d_torus(ctx0, Budget()) is None
     assert isinstance(refute_d(ctx0.spec, ctx0.orbit, Budget()), Certificate)
 
 

@@ -16,6 +16,10 @@ Every field of a `typing.NamedTuple` record in `src/unirack` must be read
 somewhere in `src`, `perfbench` or `tests`: as an attribute that is loaded,
 or as the string name of a `getattr`.  Fields are matched by name, as
 definitions are, so state that is built and never read fails the check.
+
+Every name that a module-level import in `src/unirack` binds must be loaded
+as a name somewhere in its own module.  `from __future__` imports bind no
+name that the module reads, and are left out.
 """
 
 import ast
@@ -158,3 +162,24 @@ def unread_fields():
 
 def test_every_record_field_is_read():
     assert unread_fields() == []
+
+
+def unused_imports():
+    "`file:line name` of each module-level import in `src` never loaded."
+    out = []
+    for f in sorted(SRC.glob("*.py")):
+        tree = ast.parse(f.read_text(), str(f))
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        for st in tree.body:
+            if isinstance(st, ast.Import) or isinstance(st, ast.ImportFrom) \
+                    and st.module != "__future__":
+                out.extend(f"{f.name}:{st.lineno} {name}" for name in
+                           (a.asname or a.name.split(".")[0] for a in st.names)
+                           if name not in loaded)
+    return out
+
+
+def test_every_module_level_import_in_src_is_loaded():
+    assert unused_imports() == []
